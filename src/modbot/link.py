@@ -22,6 +22,8 @@ lost ACKs are re-acknowledged but never re-delivered.
 
 from __future__ import annotations
 
+import struct
+from binascii import crc_hqx
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -32,6 +34,9 @@ from .sim import Scheduler, Timer, US_PER_MS
 START_BYTE = 0x7E
 MAX_PAYLOAD = 255
 _MIN_FRAME = 7  # start + type + seq + len16 + crc16
+_START = bytes([START_BYTE])
+_HEADER = struct.Struct(">BBH")  # type, seq, len
+_CRC = struct.Struct(">H")
 
 
 class LinkError(Exception):
@@ -59,26 +64,9 @@ class FrameType(IntEnum):
     ACK = 0x02
 
 
-def _build_crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-            crc &= 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _build_crc_table()
-
-
 def crc16(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE (table driven); crc16(b"123456789") == 0x29B1."""
-    crc = 0xFFFF
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE via binascii.crc_hqx; crc16(b"123456789") == 0x29B1."""
+    return crc_hqx(data, 0xFFFF)
 
 
 @dataclass
@@ -95,33 +83,42 @@ class Frame:
 
 
 def encode_frame(frame: Frame) -> bytes:
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise EncodingError(f"payload too long: {len(frame.payload)} > {MAX_PAYLOAD}")
-    body = bytes([frame.frame_type, frame.seq]) + len(frame.payload).to_bytes(2, "big") + frame.payload
-    return bytes([START_BYTE]) + body + crc16(body).to_bytes(2, "big")
+    payload = frame.payload
+    if len(payload) > MAX_PAYLOAD:
+        raise EncodingError(f"payload too long: {len(payload)} > {MAX_PAYLOAD}")
+    body = _HEADER.pack(frame.frame_type, frame.seq, len(payload)) + payload
+    return _START + body + _CRC.pack(crc16(body))
 
 
 def _parse_at(data: bytes, pos: int):
     """Try to read one frame starting at data[pos] (which must be 0x7E).
 
     Returns ("frame", Frame, end) | ("need", None, pos) | ("bad", None, pos).
+    A frame that passes its CRC is still "bad" unless it is DATA or an ACK
+    without payload. Those are Frame.__post_init__'s checks (seq is one
+    byte), so the decoded Frame is built without re-running it.
     """
     if len(data) - pos < _MIN_FRAME:
         return "need", None, pos
-    length = int.from_bytes(data[pos + 3:pos + 5], "big")
+    length = (data[pos + 3] << 8) | data[pos + 4]
     end = pos + _MIN_FRAME + length
     if length > MAX_PAYLOAD:
         return "bad", None, pos
     if len(data) < end:
         return "need", None, pos
-    body = data[pos + 1:end - 2]
-    stored = int.from_bytes(data[end - 2:end], "big")
-    if crc16(body) != stored:
+    if crc16(data[pos + 1:end - 2]) != (data[end - 2] << 8) | data[end - 1]:
         return "bad", None, pos
-    ftype = body[0]
-    if ftype not in (FrameType.DATA, FrameType.ACK):
+    ftype = data[pos + 1]
+    if ftype == 0x01:
+        frame_type = FrameType.DATA
+    elif ftype == 0x02 and not length:
+        frame_type = FrameType.ACK
+    else:
         return "bad", None, pos
-    frame = Frame(FrameType(ftype), body[1], bytes(body[4:]))
+    frame = object.__new__(Frame)
+    frame.frame_type = frame_type
+    frame.seq = data[pos + 2]
+    frame.payload = bytes(data[pos + 5:end - 2])
     return "frame", frame, end
 
 
@@ -161,10 +158,15 @@ class FrameDecoder:
         self.junk_bytes = 0
 
     def feed(self, data: bytes) -> list[Frame]:
-        self._buf.extend(data)
+        buf = self._buf
+        if not buf and data and data[0] == START_BYTE:
+            # Fast path: nothing buffered and data is exactly one frame.
+            status, frame, end = _parse_at(data, 0)
+            if status == "frame" and end == len(data):
+                return [frame]
+        buf.extend(data)
         frames: list[Frame] = []
         pos = 0
-        buf = self._buf
         while True:
             start = buf.find(START_BYTE, pos)
             if start < 0:

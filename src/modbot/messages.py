@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .link import PortProtocol, SendTicket, TicketState
@@ -40,6 +41,9 @@ class Kind(IntEnum):
     EXEC = 9
     START = 10
     ID_ASSIGN = 11
+
+
+_KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,17 @@ class ModuleId:
         return not self.path
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # Kept in the instance dict, outside the fields that eq and hash use.
         return ".".join(str(p) for p in self.path)
+
+
+# ModuleId is immutable, so one parsed instance can serve every message
+# that carries the same id text.
+_parse_id = lru_cache(maxsize=1024)(ModuleId.parse)
 
 
 ROOT_ID = ModuleId((0,))
@@ -115,12 +129,12 @@ def decode_message(data: bytes) -> ServiceMessage:
     if not data:
         raise ProtocolError("empty message")
     try:
-        kind = Kind(data[0])
-    except ValueError:
+        kind = _KINDS[data[0]]
+    except KeyError:
         raise ProtocolError(f"unknown message kind {data[0]}") from None
     src_text, pos = _read_pstr(data, 1)
     dst_app, pos = _read_pstr(data, pos)
-    return ServiceMessage(kind, ModuleId.parse(src_text), dst_app or None, bytes(data[pos:]))
+    return ServiceMessage(kind, _parse_id(src_text), dst_app or None, bytes(data[pos:]))
 
 
 # Body codecs. Each *_body builder has a matching parse_* that raises

@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -6,6 +7,11 @@ import pytest
 from modbot.world import LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
+
+# pyproject's pythonpath puts src/ on sys.path for the tests themselves;
+# the CLI tests' subprocesses find the package through PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 _DIRS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
 

@@ -154,3 +154,78 @@ def test_stream_decoder_counts_corrupt_frames():
     got = decoder.feed(bytes(corrupted) + encode_frame(good))
     assert got == [good]
     assert decoder.crc_errors >= 1
+
+
+# A CRC-valid frame that breaks the frame rules is a bad frame, not a crash.
+_ACK_WITH_PAYLOAD_BODY = bytes([0x02, 0x00, 0x00, 0x01]) + b"X"
+_ACK_WITH_PAYLOAD = (
+    b"\x7e" + _ACK_WITH_PAYLOAD_BODY
+    + crc16_reference(_ACK_WITH_PAYLOAD_BODY).to_bytes(2, "big")
+)
+
+
+def test_decode_rejects_crc_valid_ack_with_payload():
+    with pytest.raises(ChecksumError):
+        decode_frame(_ACK_WITH_PAYLOAD)
+
+
+def test_stream_decoder_skips_crc_valid_ack_with_payload():
+    good = Frame(FrameType.DATA, 3, b"fine")
+    alone = FrameDecoder()
+    assert alone.feed(_ACK_WITH_PAYLOAD) == []
+    assert alone.crc_errors == 1
+    decoder = FrameDecoder()
+    assert decoder.feed(_ACK_WITH_PAYLOAD + encode_frame(good)) == [good]
+    assert decoder.crc_errors == 1
+    assert decoder.junk_bytes == len(_ACK_WITH_PAYLOAD) - 1
+
+
+# Streams of frames and junk, fed whole or cut into pieces. Junk leans on
+# 0x7E so that false frame starts are common.
+_frames = st.builds(
+    lambda data, seq, payload: Frame(FrameType.DATA, seq, payload) if data
+    else Frame(FrameType.ACK, seq),
+    st.booleans(), st.integers(0, 255), st.binary(max_size=40),
+)
+_junk_byte = st.one_of(st.just(0x7E), st.sampled_from([0x00, 0x01, 0x02, 0xFF]),
+                       st.integers(0, 255))
+_junk = st.lists(_junk_byte, max_size=10).map(bytes)
+
+
+def _feed_all(pieces) -> tuple[list, int, int]:
+    decoder = FrameDecoder()
+    frames = []
+    for piece in pieces:
+        frames.extend(decoder.feed(piece))
+    return frames, decoder.crc_errors, decoder.junk_bytes
+
+
+@st.composite
+def _streams(draw, junk=_junk):
+    parts = draw(st.lists(st.one_of(_frames, junk), max_size=8))
+    stream = b""
+    boundaries = set()
+    for part in parts:
+        stream += encode_frame(part) if isinstance(part, Frame) else part
+        boundaries.add(len(stream))
+    # Cut at some part boundaries, so whole frames arrive alone, and at
+    # random offsets, so frames arrive split.
+    cuts = {b for b in sorted(boundaries) if draw(st.booleans())}
+    cuts |= set(draw(st.lists(st.integers(0, len(stream)), max_size=6)))
+    edges = [0, *sorted(cuts), len(stream)]
+    pieces = [stream[a:b] for a, b in zip(edges, edges[1:])]
+    return parts, stream, pieces
+
+
+@given(_streams())
+def test_stream_decoder_piecewise_equals_whole(case):
+    _, stream, pieces = case
+    assert _feed_all(pieces) == _feed_all([stream])
+
+
+@given(_streams(junk=_junk.map(lambda b: b.replace(b"\x7e", b""))))
+def test_stream_decoder_recovers_every_frame_between_clean_junk(case):
+    parts, _, pieces = case
+    frames, crc_errors, _ = _feed_all(pieces)
+    assert frames == [p for p in parts if isinstance(p, Frame)]
+    assert crc_errors == 0

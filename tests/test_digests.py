@@ -1,0 +1,48 @@
+"""Pinned sha256 digests of the rendered event log for three small worlds.
+
+The event log is the simulator's contract: the same (topology, scenario,
+seed, horizon) must give a byte-identical log. A change that moves one of
+these digests on purpose re-pins it and says why in CHANGES.md.
+"""
+
+import base64
+import hashlib
+
+from modbot.world import World, load_scenario, load_topology
+
+from conftest import CORPUS, chain_topology, pair_topology, upgrade_scenario
+
+CAR_DIGEST = "22299e71bb51742900ec9684bddfa4edf5fe69c47269df0a790573883fa90b7f"
+CHAIN10_DIGEST = "47470b3c3d8d1d031d6d3e8118c4af09d84fbe88a3d185b000cd2f3ccc548a09"
+PAIR_SEND_DIGEST = "bf74022fabf40484db2c103e0aa11f0232710c401d756af74b9e5cc62da533bf"
+
+
+def _digest(world: World) -> str:
+    return hashlib.sha256(world.log.render().encode("utf-8")).hexdigest()
+
+
+def test_car_corpus_digest():
+    world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
+    world.run_until_cs(6000)
+    assert _digest(world) == CAR_DIGEST
+
+
+def test_chain10_lossy_upgrade_digest():
+    world = World(chain_topology(10, loss=0.1), upgrade_scenario("m0", 2, 500), seed=3)
+    world.run_until_cs(6000)
+    assert _digest(world) == CHAIN10_DIGEST
+
+
+def test_lossy_pair_send_series_digest():
+    world = World(pair_topology(loss=0.3), seed=7)
+    world.run_until_cs(100)
+    world.open_session("m1").submit("REGISTER sink")
+    src = world.open_session("m0")
+    src.submit("REGISTER src")
+    world.run_until_cs(150)
+    for i in range(30):
+        payload = f"msg{i:02d}".encode() * (i + 1)
+        src.submit("SEND 0.1 sink " + base64.b64encode(payload).decode())
+        world.run_until_cs(170 + 20 * i)
+    world.run_until_cs(2000)
+    assert _digest(world) == PAIR_SEND_DIGEST

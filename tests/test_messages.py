@@ -20,6 +20,21 @@ def test_module_id_basics():
         m.ModuleId.parse("0.x")
 
 
+def test_decoded_ids_are_shared_without_changing_identity_semantics():
+    wire = m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId((0, 2)), None))
+    first, second = m.decode_message(wire), m.decode_message(wire)
+    assert first.src is second.src  # one immutable instance per id text
+    assert str(first.src) == "0.2"
+    fresh = m.ModuleId((0, 2))  # its text is not cached yet; first.src's is
+    assert first.src == fresh and hash(first.src) == hash(fresh)
+    assert len({first.src, fresh, m.ModuleId.parse("0.2")}) == 1
+    assert first.src != m.ModuleId((0, 2, 0))
+    with pytest.raises(m.ProtocolError):
+        m.decode_message(bytes([1, 3]) + b"0.x" + b"\x00")
+    with pytest.raises(m.ProtocolError):  # bad ids are not memoised as good
+        m.decode_message(bytes([1, 3]) + b"0.x" + b"\x00")
+
+
 def _roundtrip(msg: m.ServiceMessage) -> m.ServiceMessage:
     return m.decode_message(m.encode_message(msg))
 
