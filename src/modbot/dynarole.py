@@ -20,6 +20,7 @@ state snapshot and the role's constants.
 from __future__ import annotations
 
 import gzip
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
@@ -134,13 +135,41 @@ class RoleDefinition:
     startup: Optional[tuple[str, tuple[Action, ...]]] = None
 
 
+@dataclass(frozen=True, slots=True)
+class ResolvedRole:
+    """One role with its inheritance chain folded in, root-most ancestor
+    first. Requires, handlers and startup actions concatenate down the
+    chain; a descendant's constant replaces the ancestor's value, and its
+    behavior or command of the same name overrides the ancestor's in place,
+    keeping the ancestor's position."""
+
+    ancestors: tuple[str, ...]  # the chain's role names, this role last
+    constants: dict[str, Union[int, str]]
+    requires: tuple[Predicate, ...]
+    behaviors: tuple[tuple[str, tuple[Action, ...]], ...]
+    commands: tuple[tuple[str, tuple[Action, ...]], ...]
+    handlers: tuple[Handler, ...]
+    startup: tuple[Action, ...]
+
+
+def _override_in_place(items) -> tuple[tuple[str, tuple[Action, ...]], ...]:
+    merged: dict[str, tuple[str, tuple[Action, ...]]] = {}
+    for item in items:
+        merged[item[0]] = item  # reassigning a key keeps its position
+    return tuple(merged.values())
+
+
 @dataclass
 class RoleProgram:
+    """A validated program. `resolved` maps every role name to its
+    ResolvedRole, built once here, so evaluation never walks the chain."""
+
     roles: list[RoleDefinition]
     source_text: str
 
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.roles}
+        self.resolved = {r.name: self._resolve(r.name) for r in self.roles}
 
     def role(self, name: str) -> RoleDefinition:
         return self._by_name[name]
@@ -158,53 +187,20 @@ class RoleProgram:
         out.reverse()
         return out
 
+    def _resolve(self, name: str) -> ResolvedRole:
+        chain = self.chain(name)
+        return ResolvedRole(
+            ancestors=tuple(r.name for r in chain),
+            constants={k: v for r in chain for k, v in r.constants.items()},
+            requires=tuple(p for r in chain for p in r.requires),
+            behaviors=_override_in_place(b for r in chain for b in r.behaviors),
+            commands=_override_in_place(c for r in chain for c in r.commands),
+            handlers=tuple(h for r in chain for h in r.handlers),
+            startup=tuple(a for r in chain if r.startup is not None for a in r.startup[1]),
+        )
+
     def descends(self, name: str, ancestor: str) -> bool:
-        if ancestor == BUILTIN_ROOT:
-            return True
-        return any(r.name == ancestor for r in self.chain(name))
-
-    def effective_constants(self, name: str) -> dict[str, Union[int, str]]:
-        out: dict[str, Union[int, str]] = {}
-        for role in self.chain(name):
-            out.update(role.constants)
-        return out
-
-    def effective_requires(self, name: str) -> list[Predicate]:
-        out: list[Predicate] = []
-        for role in self.chain(name):
-            out.extend(role.requires)
-        return out
-
-    def effective_behaviors(self, name: str) -> list[tuple[str, tuple[Action, ...]]]:
-        return self._effective_named(name, "behaviors")
-
-    def effective_commands(self, name: str) -> list[tuple[str, tuple[Action, ...]]]:
-        return self._effective_named(name, "commands")
-
-    def _effective_named(self, name, attr):
-        out: list[tuple[str, tuple[Action, ...]]] = []
-        seen: dict[str, int] = {}
-        for role in self.chain(name):
-            for item_name, actions in getattr(role, attr):
-                if item_name in seen:
-                    out[seen[item_name]] = (item_name, actions)  # override in place
-                else:
-                    seen[item_name] = len(out)
-                    out.append((item_name, actions))
-        return out
-
-    def effective_handlers(self, name: str) -> list[Handler]:
-        out: list[Handler] = []
-        for role in self.chain(name):
-            out.extend(role.handlers)
-        return out
-
-    def effective_startup(self, name: str) -> tuple[Action, ...]:
-        out: list[Action] = []
-        for role in self.chain(name):
-            if role.startup is not None:
-                out.extend(role.startup[1])
-        return tuple(out)
+        return ancestor == BUILTIN_ROOT or ancestor in self.resolved[name].ancestors
 
     def concrete_roles(self) -> list[RoleDefinition]:
         return [r for r in self.roles if not r.abstract]
@@ -576,6 +572,9 @@ def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[i
     raise EvalError(f"cannot evaluate {op!r}")
 
 
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def eval_predicate(pred: Predicate, state: PhysSnapshot, consts: Mapping[str, Union[int, str]]) -> bool:
     lhs = _eval_operand(pred.lhs, state, consts)
     rhs = _eval_operand(pred.rhs, state, consts)
@@ -585,16 +584,13 @@ def eval_predicate(pred: Predicate, state: PhysSnapshot, consts: Mapping[str, Un
         return lhs != rhs
     if not (isinstance(lhs, int) and isinstance(rhs, int)):
         raise EvalError(f"ordered comparison needs integers, got {lhs!r} {pred.op} {rhs!r}")
-    return {"<": lhs < rhs, "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[pred.op]
+    return _ORDERED[pred.op](lhs, rhs)
 
 
 def eval_requires(program: RoleProgram, role_name: str, state: PhysSnapshot) -> bool:
     """True iff every require of the role and all its ancestors holds."""
-    consts = program.effective_constants(role_name)
-    return all(
-        eval_predicate(pred, state, consts)
-        for pred in program.effective_requires(role_name)
-    )
+    role = program.resolved[role_name]
+    return all(eval_predicate(pred, state, role.constants) for pred in role.requires)
 
 
 @dataclass

@@ -102,7 +102,7 @@ class RoleEngine:
         self.host.log("role", role or "none")
         if role is None:
             return
-        startup = self.program.effective_startup(role)
+        startup = self.program.resolved[role].startup
         if startup:
             self._begin(_Run("startup", "startup", startup))
         else:
@@ -113,7 +113,7 @@ class RoleEngine:
     def on_event(self, event_id: int) -> None:
         if self._stopped or self.assigned is None or event_id not in self._enabled:
             return
-        for index, handler in enumerate(self.program.effective_handlers(self.assigned)):
+        for index, handler in enumerate(self.program.resolved[self.assigned].handlers):
             if event_id in handler.events:
                 self._submit(_Run("handler", f"h{index}", handler.actions))
 
@@ -127,7 +127,7 @@ class RoleEngine:
         if not self.program.has_role(role_name) or not self.program.descends(self.assigned, role_name):
             self.host.log("invoke-skip", f"{role_name}.{command}")
             return
-        for name, actions in self.program.effective_commands(self.assigned):
+        for name, actions in self.program.resolved[self.assigned].commands:
             if name == command:
                 self._submit(_Run("command", name, actions))
                 return
@@ -174,7 +174,7 @@ class RoleEngine:
     def _step(self, run: _Run) -> None:
         if self._current is not run:
             return
-        consts = self.program.effective_constants(self.assigned) if self.assigned else {}
+        consts = self.program.resolved[self.assigned].constants if self.assigned else {}
         state = None
         while run.index < len(run.actions):
             action = run.actions[run.index]
@@ -231,7 +231,7 @@ class RoleEngine:
     def _start_behavior(self) -> None:
         if self.assigned is None:
             return
-        behaviors = self.program.effective_behaviors(self.assigned)
+        behaviors = self.program.resolved[self.assigned].behaviors
         if not behaviors:
             return
         name, actions = behaviors[0]

@@ -130,23 +130,13 @@ def decode_frame(data: bytes) -> Frame:
     malformed) and no valid frame followed; NeedMoreData if the buffer
     holds no complete frame candidate at all.
     """
-    pos = 0
-    saw_bad = False
-    while True:
-        pos = data.find(START_BYTE, pos)
-        if pos < 0:
-            if saw_bad:
-                raise ChecksumError("corrupt frame")
-            raise NeedMoreData("no frame start found")
-        status, frame, end = _parse_at(data, pos)
-        if status == "frame":
-            return frame
-        if status == "need":
-            if saw_bad:
-                raise ChecksumError("corrupt frame")
-            raise NeedMoreData("incomplete frame")
-        saw_bad = True
-        pos += 1
+    decoder = FrameDecoder()
+    frames = decoder.feed(data)
+    if frames:
+        return frames[0]
+    if decoder.crc_errors:
+        raise ChecksumError("corrupt frame")
+    raise NeedMoreData("no complete frame")
 
 
 class FrameDecoder:
@@ -212,20 +202,22 @@ class TicketState(IntEnum):
     FAILED = 2
 
 
-class SendTicket:
-    """Resolves once: DELIVERED when the frame was acknowledged, FAILED
-    when retries ran out or the send was cancelled before transmission."""
+class Ticket:
+    """Resolves once. A link send is DELIVERED when its frame was
+    acknowledged and FAILED when retries ran out or the send was cancelled
+    before transmission; a message send (messages.send_message) aggregates
+    the tickets of its chunks."""
 
     def __init__(self):
         self.state = TicketState.PENDING
         self.transmissions = 0
-        self._callbacks: list[Callable[["SendTicket"], None]] = []
+        self._callbacks: list[Callable[["Ticket"], None]] = []
 
     @property
     def done(self) -> bool:
         return self.state is not TicketState.PENDING
 
-    def on_done(self, fn: Callable[["SendTicket"], None]) -> None:
+    def on_done(self, fn: Callable[["Ticket"], None]) -> None:
         if self.done:
             fn(self)
         else:
@@ -253,7 +245,7 @@ class LinkStats:
 @dataclass
 class _TxEntry:
     payload: bytes
-    ticket: SendTicket
+    ticket: Ticket
     seq: int = 0
     retries_used: int = 0
     timer: Optional[Timer] = None
@@ -288,15 +280,15 @@ class PortProtocol:
     def crc_errors(self) -> int:
         return self._decoder.crc_errors
 
-    def send(self, payload: bytes) -> SendTicket:
+    def send(self, payload: bytes) -> Ticket:
         if len(payload) > MAX_PAYLOAD:
             raise EncodingError(f"payload too long: {len(payload)}")
-        entry = _TxEntry(payload=bytes(payload), ticket=SendTicket())
+        entry = _TxEntry(payload=bytes(payload), ticket=Ticket())
         self._queue.append(entry)
         self._pump()
         return entry.ticket
 
-    def cancel(self, ticket: SendTicket) -> bool:
+    def cancel(self, ticket: Ticket) -> bool:
         """Withdraw a still-queued send; fails its ticket without sending."""
         for entry in self._queue:
             if entry.ticket is ticket:

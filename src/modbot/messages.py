@@ -17,9 +17,9 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
-from .link import PortProtocol, SendTicket, TicketState
+from .link import PortProtocol, Ticket, TicketState
 
 CHUNK_DATA_MAX = 250
 _CHUNK_HEADER = struct.Struct(">HH")  # index, count
@@ -300,44 +300,18 @@ class LinkReassembler:
         return None
 
 
-class MessageTicket:
-    """Aggregate over the link tickets of one message's chunks."""
-
-    def __init__(self):
-        self.state = TicketState.PENDING
-        self._remaining = 0
-        self._callbacks: list[Callable[["MessageTicket"], None]] = []
-
-    @property
-    def done(self) -> bool:
-        return self.state is not TicketState.PENDING
-
-    def on_done(self, fn: Callable[["MessageTicket"], None]) -> None:
-        if self.done:
-            fn(self)
-        else:
-            self._callbacks.append(fn)
-
-    def _resolve(self, state: TicketState) -> None:
-        if self.done:
-            return
-        self.state = state
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
-
-
-def send_message(port: PortProtocol, msg: ServiceMessage) -> MessageTicket:
+def send_message(port: PortProtocol, msg: ServiceMessage) -> Ticket:
     """Serialize, chunk, and send one message; the ticket resolves
     DELIVERED only when every chunk was acknowledged. On the first chunk
     failure the remaining queued chunks are withdrawn and the whole
     message fails."""
     chunks = split_for_link(encode_message(msg))
-    ticket = MessageTicket()
-    ticket._remaining = len(chunks)
-    sub_tickets: list[SendTicket] = []
+    ticket = Ticket()
+    remaining = len(chunks)
+    sub_tickets: list[Ticket] = []
 
-    def on_chunk(done: SendTicket) -> None:
+    def on_chunk(done: Ticket) -> None:
+        nonlocal remaining
         if ticket.done:
             return
         if done.state is TicketState.FAILED:
@@ -346,8 +320,8 @@ def send_message(port: PortProtocol, msg: ServiceMessage) -> MessageTicket:
                     port.cancel(sub)
             ticket._resolve(TicketState.FAILED)
             return
-        ticket._remaining -= 1
-        if ticket._remaining == 0:
+        remaining -= 1
+        if remaining == 0:
             ticket._resolve(TicketState.DELIVERED)
 
     for chunk in chunks:

@@ -23,9 +23,9 @@ from typing import Callable, Optional
 
 from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
-from .link import TicketState
+from .link import Ticket, TicketState
 from .messages import (
-    Kind, LinkReassembler, MessageTicket, ModuleId, ProtocolError, ROOT_ID,
+    Kind, LinkReassembler, ModuleId, ProtocolError, ROOT_ID,
     ServiceMessage, appdata_body, appdata_status_body, bcast_body, chunk_body,
     decode_message, id_assign_body, parse_appdata, parse_bcast, parse_chunk,
     parse_id_assign, parse_request, parse_state_rep, parse_state_req,
@@ -136,7 +136,6 @@ class _ExecSession(Session):
 
 @dataclass
 class _Pending:
-    kind: str
     timer: Timer
     on_reply: Callable
 
@@ -177,7 +176,7 @@ class ServiceNode:
 
     The host duck type supplies the simulated world surface: `scheduler`,
     `log(kind, payload)`, `state_text()`, `snapshot()`, `actuate(value)`,
-    `send_port(port, msg) -> MessageTicket`, `connected_ports()` and
+    `send_port(port, msg) -> Ticket`, `connected_ports()` and
     `link_config`.
     """
 
@@ -222,15 +221,17 @@ class ServiceNode:
         self.host.send_port(port, ServiceMessage(
             Kind.HELLO, self.module_id, None, version_body(self.version)))
 
+    def _announce(self, port: int) -> None:
+        self.host.send_port(port, ServiceMessage(
+            Kind.VERSION_ANNOUNCE, self.module_id, None, version_body(self.version)))
+
     def _announce_all(self) -> None:
         for port in self.host.connected_ports():
-            self.host.send_port(port, ServiceMessage(
-                Kind.VERSION_ANNOUNCE, self.module_id, None, version_body(self.version)))
+            self._announce(port)
 
     def on_link_up(self, port: int) -> None:
         self._send_hello(port)
-        self.host.send_port(port, ServiceMessage(
-            Kind.VERSION_ANNOUNCE, self.module_id, None, version_body(self.version)))
+        self._announce(port)
 
     def on_phys_change(self) -> None:
         for engine in self.engines.values():
@@ -277,15 +278,8 @@ class ServiceNode:
     def _start_push(self, port: int) -> None:
         self._push_inflight.add(port)
         version = self.version
-        blob = self.code_image
-        transfer_id = next(self._transfer_counter)
-        parts = [blob[i:i + FILE_CHUNK_DATA] for i in range(0, len(blob), FILE_CHUNK_DATA)] or [b""]
         child = self.module_id.child(port)
-        msgs = [
-            ServiceMessage(Kind.CODE_CHUNK, self.module_id, None,
-                           chunk_body(transfer_id, i, len(parts), str(version), part))
-            for i, part in enumerate(parts)
-        ]
+        msgs = self._chunk_messages(Kind.CODE_CHUNK, str(version), self.code_image)
         msgs.append(ServiceMessage(Kind.ID_ASSIGN, self.module_id, None,
                                    id_assign_body(version, child)))
         self.host.log("push", f"v={version} port={port} id={child}")
@@ -296,6 +290,17 @@ class ServiceNode:
                 self.host.log("push-fail", f"v={version} port={port}")
 
         self._run_job(port, msgs, done)
+
+    def _chunk_messages(self, kind: Kind, label: str, blob: bytes) -> list[ServiceMessage]:
+        """One transfer's CODE_CHUNK/FILE_CHUNK messages, FILE_CHUNK_DATA
+        bytes of blob each, under a fresh transfer id."""
+        transfer_id = next(self._transfer_counter)
+        parts = [blob[i:i + FILE_CHUNK_DATA] for i in range(0, len(blob), FILE_CHUNK_DATA)] or [b""]
+        return [
+            ServiceMessage(kind, self.module_id, None,
+                           chunk_body(transfer_id, i, len(parts), label, part))
+            for i, part in enumerate(parts)
+        ]
 
     def _run_job(self, port: int, msgs: list[ServiceMessage], done: Callable[[bool], None]) -> None:
         """Send messages one after another; abort the job on first failure."""
@@ -490,16 +495,30 @@ class ServiceNode:
         cfg = self.host.link_config
         return 3 * cfg.ack_timeout_ms * US_PER_MS * max(1, cfg.max_retries)
 
-    def _await_reply(self, kind: str, on_reply: Callable, on_timeout: Callable[[], None]) -> int:
+    def _request(self, session: Session, port: int, kind: Kind,
+                 body_of: Callable[[int], bytes], on_reply: Callable,
+                 timeout_line: str, fail_line: Optional[str] = None,
+                 dst_app: Optional[str] = None) -> None:
+        """Send the request message body_of(req_id) and answer the session
+        exactly once: on_reply(*reply) when the reply arrives, timeout_line
+        when none came in time, fail_line (default timeout_line) when the
+        link gave up on the request. The reply timer is armed before the
+        send, which fixes its place in the scheduler's same-time order."""
         req_id = next(self._req_counter)
 
         def expire() -> None:
             if self._pending.pop(req_id, None) is not None:
-                on_timeout()
+                session.respond(timeout_line)
+
+        def on_sent(ticket: Ticket) -> None:
+            if ticket.state is TicketState.FAILED and req_id in self._pending:
+                self._pending.pop(req_id).timer.cancel()
+                session.respond(fail_line or timeout_line)
 
         timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
-        self._pending[req_id] = _Pending(kind, timer, on_reply)
-        return req_id
+        self._pending[req_id] = _Pending(timer, on_reply)
+        self.host.send_port(port, ServiceMessage(
+            kind, self.module_id, dst_app, body_of(req_id))).on_done(on_sent)
 
     def _resolve_pending(self, req_id: int, *args, quiet: bool = False) -> None:
         pending = self._pending.pop(req_id, None)
@@ -509,11 +528,6 @@ class ServiceNode:
             return
         pending.timer.cancel()
         pending.on_reply(*args)
-
-    def _cancel_pending(self, req_id: int) -> None:
-        pending = self._pending.pop(req_id, None)
-        if pending is not None:
-            pending.timer.cancel()
 
     # engine support
 
@@ -610,14 +624,8 @@ class ServiceNode:
         if port is None:
             session.respond("ERR 404 unknown module")
             return
-        req_id = self._await_reply(
-            "state",
-            lambda text: session.respond(f"OK {text}"),
-            lambda: session.respond("ERR 504 state timeout"),
-        )
-        ticket = self.host.send_port(port, ServiceMessage(
-            Kind.STATE_REQ, self.module_id, None, state_req_body(req_id)))
-        self._fail_fast(ticket, req_id, session, "ERR 504 state timeout")
+        self._request(session, port, Kind.STATE_REQ, state_req_body,
+                      lambda text: session.respond(f"OK {text}"), "ERR 504 state timeout")
 
     def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
         entries = [
@@ -637,16 +645,11 @@ class ServiceNode:
         if port is None:
             session.respond("ERR 404 unknown module")
             return
-
-        def on_status(ok: bool) -> None:
-            session.respond("OK delivered" if ok else "ERR 404 unknown app")
-
-        req_id = self._await_reply(
-            "send", on_status, lambda: session.respond("ERR 504 send timeout"))
-        ticket = self.host.send_port(port, ServiceMessage(
-            Kind.APPDATA, self.module_id, args[1],
-            appdata_body(session.name or "", req_id, data)))
-        self._fail_fast(ticket, req_id, session, "ERR 409 delivery failed")
+        self._request(
+            session, port, Kind.APPDATA,
+            lambda req_id: appdata_body(session.name or "", req_id, data),
+            lambda ok: session.respond("OK delivered" if ok else "ERR 404 unknown app"),
+            "ERR 504 send timeout", fail_line="ERR 409 delivery failed", dst_app=args[1])
 
     def _cmd_bcast(self, session: Session, args: list[str]) -> None:
         if len(args) != 1:
@@ -689,13 +692,7 @@ class ServiceNode:
             session.respond("ERR 404 unknown module")
             return
         name = args[1]
-        transfer_id = next(self._transfer_counter)
-        parts = [raw[i:i + FILE_CHUNK_DATA] for i in range(0, len(raw), FILE_CHUNK_DATA)] or [b""]
-        msgs = [
-            ServiceMessage(Kind.FILE_CHUNK, self.module_id, None,
-                           chunk_body(transfer_id, i, len(parts), name, part))
-            for i, part in enumerate(parts)
-        ]
+        msgs = self._chunk_messages(Kind.FILE_CHUNK, name, raw)
         self._run_job(port, msgs, lambda ok: session.respond(
             f"OK transferred {name}" if ok else "ERR 409 transfer failed"))
 
@@ -710,11 +707,9 @@ class ServiceNode:
         if port is None:
             session.respond("ERR 404 unknown module")
             return
-        req_id = self._await_reply(
-            "exec", session.respond, lambda: session.respond("ERR 504 exec timeout"))
-        ticket = self.host.send_port(port, ServiceMessage(
-            Kind.EXEC, self.module_id, None, request_body(req_id, command_line)))
-        self._fail_fast(ticket, req_id, session, "ERR 504 exec timeout")
+        self._request(session, port, Kind.EXEC,
+                      lambda req_id: request_body(req_id, command_line),
+                      session.respond, "ERR 504 exec timeout")
 
     def _cmd_start(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:
@@ -723,11 +718,9 @@ class ServiceNode:
         if port is None:
             session.respond("ERR 404 unknown module")
             return
-        req_id = self._await_reply(
-            "start", session.respond, lambda: session.respond("ERR 504 start timeout"))
-        ticket = self.host.send_port(port, ServiceMessage(
-            Kind.START, self.module_id, None, request_body(req_id, args[1])))
-        self._fail_fast(ticket, req_id, session, "ERR 504 start timeout")
+        self._request(session, port, Kind.START,
+                      lambda req_id: request_body(req_id, args[1]),
+                      session.respond, "ERR 504 start timeout")
 
     def _cmd_version(self, session: Session, args: list[str]) -> None:
         session.respond(f"OK version={self.version}")
@@ -736,14 +729,6 @@ class ServiceNode:
         session.respond(f"OK id={self.module_id}")
 
     # helpers
-
-    def _fail_fast(self, ticket: MessageTicket, req_id: int, session: Session, line: str) -> None:
-        def on_ticket(t: MessageTicket) -> None:
-            if t.state is TicketState.FAILED and req_id in self._pending:
-                self._cancel_pending(req_id)
-                session.respond(line)
-
-        ticket.on_done(on_ticket)
 
     def _port_of(self, module_text: str) -> Optional[int]:
         for port, (mid, _version) in sorted(self.neighbor_table.items()):

@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot
-from .link import LinkConfig, PortProtocol
-from .messages import MessageTicket, ServiceMessage, send_message
+from .link import LinkConfig, PortProtocol, Ticket
+from .messages import ServiceMessage, send_message
 from .node import ServiceNode, Session
 from .sim import EventLog, Rng, Scheduler, US_PER_CS, US_PER_MS
 
@@ -428,7 +428,7 @@ class SimModule:
             self.speed = value
             self.log("TURN_CONTINUOUSLY", str(value))
 
-    def send_port(self, port: int, msg: ServiceMessage) -> MessageTicket:
+    def send_port(self, port: int, msg: ServiceMessage) -> Ticket:
         return send_message(self.ports[port].protocol, msg)
 
     def connected_ports(self) -> list[int]:

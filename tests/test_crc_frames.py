@@ -229,3 +229,30 @@ def test_stream_decoder_recovers_every_frame_between_clean_junk(case):
     frames, crc_errors, _ = _feed_all(pieces)
     assert frames == [p for p in parts if isinstance(p, Frame)]
     assert crc_errors == 0
+
+
+@st.composite
+def _flipped_frames(draw):
+    wire = bytearray(encode_frame(draw(_frames)))
+    bit = draw(st.integers(0, len(wire) * 8 - 1))
+    wire[bit // 8] ^= 1 << (bit % 8)
+    return bytes(wire)
+
+
+_decoder_inputs = st.lists(
+    st.one_of(_frames.map(encode_frame), _junk, st.just(b"\x7e"), _flipped_frames()),
+    max_size=6,
+).map(b"".join)
+
+
+@given(_decoder_inputs)
+def test_decode_frame_agrees_with_stream_decoder(data):
+    decoder = FrameDecoder()
+    frames = decoder.feed(data)
+    if frames:
+        assert decode_frame(data) == frames[0]
+    else:
+        expected = ChecksumError if decoder.crc_errors else NeedMoreData
+        with pytest.raises(FrameError) as exc:
+            decode_frame(data)
+        assert type(exc.value) is expected

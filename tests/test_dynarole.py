@@ -48,8 +48,8 @@ def test_car_program_roles(car_program):
 
 
 def test_effective_requires_accumulate(car_program):
-    assert len(car_program.effective_requires("RightWheel")) == 2  # both from Wheel
-    assert len(car_program.effective_requires("Head")) == 1
+    assert len(car_program.resolved["RightWheel"].requires) == 2  # both from Wheel
+    assert len(car_program.resolved["Head"].requires) == 1
 
 
 def test_empty_program_is_valid_and_assigns_nothing():
@@ -171,7 +171,7 @@ def test_deep_inheritance_requires_union():
         "role C extends B { require (sizeof(self.connected($WEST)) == 1); }\n"
     )
     program = dr.parse_program(text)
-    assert len(program.effective_requires("C")) == 3
+    assert len(program.resolved["C"].requires) == 3
     both = dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",), "WEST": ("w",)})
     east_only = dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",)})
     assert dr.eval_requires(program, "C", both)
@@ -180,10 +180,66 @@ def test_deep_inheritance_requires_union():
     assert program.descends("C", "A") and not program.descends("A", "C")
 
 
+# Three levels: Mid overrides a Base behavior and command in place,
+# redefines a constant and adds a handler; Base and Leaf both have startups.
+_THREE_LEVEL = """
+abstract role Base extends Module {
+  abstract constant speed;
+  constant dir = $EAST;
+  require (self.center == $EAST_WEST);
+  startup boot(_) { self.enable($EVENT_HANDLER_1); }
+  handle $EVENT_HANDLER_1 { self.$TURN_CONTINUOUSLY(speed); }
+  behavior idle(_) { self.$TURN_CONTINUOUSLY(0); }
+  behavior drift(_) { self.$TURN_CONTINUOUSLY(1); }
+  command stop(_) { self.$TURN_CONTINUOUSLY(0); }
+  command go(_) { self.$TURN_CONTINUOUSLY(speed); }
+}
+abstract role Mid extends Base {
+  speed = 10;
+  constant dir = $WEST;
+  behavior cruise(_) { self.$TURN_CONTINUOUSLY(speed); }
+  behavior idle(_) { self.$TURN_CONTINUOUSLY(2); }
+  command stop(_) { self.sleepcs(5); }
+  handle $EVENT_HANDLER_2 { Leaf.go(); }
+}
+role Leaf extends Mid {
+  require (sizeof(self.connected(dir)) == 1);
+  startup arm(_) { self.enable($EVENT_HANDLER_2); }
+}
+"""
+
+
 def test_behavior_and_command_inheritance(car_program):
-    assert [n for n, _ in car_program.effective_behaviors("RightWheel")] == ["move"]
-    assert [n for n, _ in car_program.effective_commands("LeftWheel")] == ["evade"]
-    assert car_program.effective_constants("RightWheel")["turn_dir"] == 150
+    assert [n for n, _ in car_program.resolved["RightWheel"].behaviors] == ["move"]
+    assert [n for n, _ in car_program.resolved["LeftWheel"].commands] == ["evade"]
+    assert car_program.resolved["RightWheel"].constants["turn_dir"] == 150
+
+    program = dr.parse_program(_THREE_LEVEL)
+    leaf = program.resolved["Leaf"]
+    speed = dr.ConstRef("speed")
+    assert leaf.ancestors == ("Base", "Mid", "Leaf")
+    assert leaf.behaviors == (
+        ("idle", (dr.Turn(dr.Lit(2)),)),
+        ("drift", (dr.Turn(dr.Lit(1)),)),
+        ("cruise", (dr.Turn(speed),)),
+    )
+    assert leaf.commands == (
+        ("stop", (dr.SleepCs(dr.Lit(5)),)),
+        ("go", (dr.Turn(speed),)),
+    )
+    assert leaf.constants == {"dir": "WEST", "speed": 10}
+    assert leaf.startup == (dr.Enable(1), dr.Enable(2))
+    assert leaf.handlers == (
+        dr.Handler((1,), (dr.Turn(speed),)),
+        dr.Handler((2,), (dr.Invoke("Leaf", "go"),)),
+    )
+    assert len(leaf.requires) == 2
+    assert program.descends("Leaf", "Module") and program.descends("Leaf", "Base")
+    assert not program.descends("Base", "Mid")
+    # Leaf's require reads dir as Mid redefined it, not as Base set it.
+    assert dr.eval_requires(program, "Leaf", dr.PhysSnapshot("EAST_WEST", {"WEST": ("w",)}))
+    assert not dr.eval_requires(program, "Leaf", dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",)}))
+    assert dr.assign_role(program, dr.PhysSnapshot("EAST_WEST", {"WEST": ("w",)})).role == "Leaf"
 
 
 def test_ordered_comparison_on_symbols_is_an_error():

@@ -2,6 +2,9 @@
 
 import base64
 
+import pytest
+
+from modbot.link import TicketState
 from modbot.messages import (
     Kind, ModuleId, ServiceMessage, encode_message, split_for_link,
 )
@@ -82,15 +85,55 @@ def test_state_unknown_module_404():
     assert session.take_lines()[-1] == "ERR 404 unknown module"
 
 
-def test_state_severed_mid_exchange_times_out():
+# Each request verb: (command, answer when the link gives up on the
+# request, answer when the request arrived but the reply never comes).
+_REQUESTS = {
+    "STATE": ("STATE 0.1", "ERR 504 state timeout", "ERR 504 state timeout"),
+    "SEND": (f"SEND 0.1 sink {b64(b'hi')}", "ERR 409 delivery failed", "ERR 504 send timeout"),
+    "EXEC": (f"EXEC 0.1 {b64(b'VERSION')}", "ERR 504 exec timeout", "ERR 504 exec timeout"),
+    "START": ("START 0.1 missing.role", "ERR 504 start timeout", "ERR 504 start timeout"),
+}
+
+
+@pytest.mark.parametrize("case", ["give-up", "reply-timeout"])
+@pytest.mark.parametrize("verb", sorted(_REQUESTS))
+def test_request_severed_answers_once(verb, case):
+    command, give_up_line, timeout_line = _REQUESTS[verb]
     world = settled_pair()
     session = world.open_session("m0")
     session.submit("REGISTER app")
     session.take_lines()
-    session.submit("STATE 0.1")
-    world.links[0].severed = True  # the request is in flight
+    m0 = world.modules["m0"]
+    assert m0.node.neighbor_table[1][0] == ModuleId((0, 1))
+    if case == "give-up":
+        world.links[0].severed = True
+        session.submit(command)
+        expected = give_up_line
+    else:
+        # Sever in the gap between the request's ACK reaching m0 and the
+        # reply arriving; the ACK and the reply share m1's channel, so the
+        # reply is at least one frame time (>2 ms) behind the ACK.
+        sent = []
+        send_port = m0.send_port
+
+        def capture(port, msg):
+            sent.append(send_port(port, msg))
+            return sent[-1]
+
+        m0.send_port = capture
+        session.submit(command)
+        del m0.send_port
+        request = sent[0]
+        now = world.scheduler.now
+        while not request.done:
+            now += 100
+            world.scheduler.run_until(now)
+        assert request.state is TicketState.DELIVERED
+        assert session.take_lines() == []
+        world.links[0].severed = True
+        expected = timeout_line
     world.run_until_cs(2000)
-    assert session.take_lines() == ["ERR 504 state timeout"]
+    assert session.take_lines() == [expected]
 
 
 def test_neighbors_listing():
