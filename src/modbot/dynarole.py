@@ -162,7 +162,9 @@ def _override_in_place(items) -> tuple[tuple[str, tuple[Action, ...]], ...]:
 @dataclass
 class RoleProgram:
     """A validated program. `resolved` maps every role name to its
-    ResolvedRole, built once here, so evaluation never walks the chain."""
+    ResolvedRole, built once here, so evaluation never walks the chain.
+    A program is never mutated after parsing: one world shares one parsed
+    program among every module that starts the same text."""
 
     roles: list[RoleDefinition]
     source_text: str

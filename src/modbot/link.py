@@ -185,15 +185,12 @@ class LinkConfig:
 
     ack_timeout_ms: int = 100
     max_retries: int = 5
-    per_byte_delay_us: int = 300
 
     def __post_init__(self):
         if self.ack_timeout_ms <= 0:
             raise ValueError("ack_timeout_ms must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.per_byte_delay_us < 0:
-            raise ValueError("per_byte_delay_us must be non-negative")
 
 
 class TicketState(IntEnum):

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .dynarole import RoleSyntaxError, parse_program
+from .dynarole import RoleProgram, RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
@@ -97,11 +97,26 @@ class Session:
 
 
 class EngineSession(Session):
-    """Registry entry for a role engine; routes MSG payloads into it."""
+    """Registry entry for a role engine and the engine's host: routes MSG
+    payloads into the engine and gives it its view of the module."""
 
-    def __init__(self, node: "ServiceNode", engine: RoleEngine):
+    def __init__(self, node: "ServiceNode", name: str, program: RoleProgram):
         super().__init__(node)
-        self.engine = engine
+        self.name = name
+        self.scheduler = node.host.scheduler
+        self.engine = RoleEngine(self, program)
+
+    def snapshot(self):
+        return self.node.host.snapshot()
+
+    def actuate(self, value: int) -> None:
+        self.node.host.actuate(value)
+
+    def log(self, kind: str, payload: str = "") -> None:
+        self.node.host.log(kind, payload)
+
+    def invoke_neighbors(self, role: str, command: str) -> None:
+        self.node.invoke_neighbors(self.name, role, command)
 
     def push(self, line: str) -> None:
         parts = line.split()
@@ -147,37 +162,13 @@ class _Transfer:
     parts: list[bytes]
 
 
-class _EngineHost:
-    """Adapter giving a RoleEngine its view of the module."""
-
-    def __init__(self, node: "ServiceNode", app_name: str):
-        self._node = node
-        self._app_name = app_name
-
-    @property
-    def scheduler(self):
-        return self._node.host.scheduler
-
-    def snapshot(self):
-        return self._node.host.snapshot()
-
-    def actuate(self, value: int) -> None:
-        self._node.host.actuate(value)
-
-    def log(self, kind: str, payload: str = "") -> None:
-        self._node.host.log(kind, payload)
-
-    def invoke_neighbors(self, role: str, command: str) -> None:
-        self._node.invoke_neighbors(self._app_name, role, command)
-
-
 class ServiceNode:
     """Middleware state machine for one module.
 
     The host duck type supplies the simulated world surface: `scheduler`,
     `log(kind, payload)`, `state_text()`, `snapshot()`, `actuate(value)`,
-    `send_port(port, msg) -> Ticket`, `connected_ports()` and
-    `link_config`.
+    `send_port(port, msg) -> Ticket`, `connected_ports()`, `link_config`
+    and `programs`, the parsed role programs by text, shared world-wide.
     """
 
     def __init__(self, host):
@@ -188,7 +179,6 @@ class ServiceNode:
         self.apps: dict[str, Session] = {}
         self.file_store: dict[str, str] = {}
         self.code_image = b""
-        self.engines: dict[str, RoleEngine] = {}
         self._reassemblers: dict[int, LinkReassembler] = {}
         self._file_transfers: dict[tuple[int, int], _Transfer] = {}
         self._code_transfers: dict[tuple[int, int], _Transfer] = {}
@@ -234,16 +224,16 @@ class ServiceNode:
         self._announce(port)
 
     def on_phys_change(self) -> None:
-        for engine in self.engines.values():
-            engine.on_phys_change()
+        for session in self.apps.values():
+            if isinstance(session, EngineSession):
+                session.engine.on_phys_change()
 
     def on_sensor(self, sensor_id: int, value: int) -> None:
         for session in list(self.apps.values()):
             if not isinstance(session, EngineSession):
                 session.push(f"EVENT sensor {sensor_id} {value}")
-        if value != 0:
-            for engine in self.engines.values():
-                engine.on_event(sensor_id)
+            elif value != 0:
+                session.engine.on_event(sensor_id)
 
     # code diffusion
 
@@ -336,15 +326,14 @@ class ServiceNode:
     def _reset_sessions(self) -> None:
         """Sessions do not survive a version adoption; engines come back."""
         engine_files = []
-        for name, session in list(self.apps.items()):
+        for name, session in self.apps.items():
             if isinstance(session, EngineSession):
                 session.engine.stop()
                 engine_files.append(name)
             else:
                 session.push(f"EVENT reset {self.version}")
                 session.closed = True
-            self.apps.pop(name, None)
-            self.engines.pop(name, None)
+        self.apps.clear()
         for name in engine_files:
             self.start_program(name)
 
@@ -387,10 +376,8 @@ class ServiceNode:
             self._on_file_chunk(port, msg)
         elif kind is Kind.ID_ASSIGN:
             self._on_id_assign(port, msg)
-        elif kind is Kind.EXEC:
-            self._on_exec(port, msg)
-        elif kind is Kind.START:
-            self._on_start(port, msg)
+        elif kind is Kind.EXEC or kind is Kind.START:
+            self._serve(port, msg)
         else:
             self.host.log("drop", f"unhandled kind {kind.name}")
 
@@ -468,7 +455,9 @@ class ServiceNode:
         self.file_store[entry.label] = text
         self.host.log("file", f"{entry.label} bytes={len(blob)}")
 
-    def _on_exec(self, port: int, msg: ServiceMessage) -> None:
+    def _serve(self, port: int, msg: ServiceMessage) -> None:
+        """EXEC/START: a reply resolves our request; a request runs here
+        and is answered once with a reply of the same kind."""
         is_reply, req_id, text = parse_request(msg.body)
         if is_reply:
             self._resolve_pending(req_id, text)
@@ -476,18 +465,12 @@ class ServiceNode:
 
         def answer(line: str) -> None:
             self.host.send_port(port, ServiceMessage(
-                Kind.EXEC, self.module_id, None, request_body(req_id, line, reply=True)))
+                msg.kind, self.module_id, None, request_body(req_id, line, reply=True)))
 
-        _ExecSession(self, answer).submit(text)
-
-    def _on_start(self, port: int, msg: ServiceMessage) -> None:
-        is_reply, req_id, text = parse_request(msg.body)
-        if is_reply:
-            self._resolve_pending(req_id, text)
-            return
-        response = self.start_program(text)
-        self.host.send_port(port, ServiceMessage(
-            Kind.START, self.module_id, None, request_body(req_id, response, reply=True)))
+        if msg.kind is Kind.EXEC:
+            _ExecSession(self, answer).submit(text)
+        else:
+            answer(self.start_program(text))
 
     # pending request bookkeeping
 
@@ -543,24 +526,23 @@ class ServiceNode:
         text = self.file_store.get(filename)
         if text is None:
             return "ERR 404 no such file"
-        try:
-            program = parse_program(text)
-        except RoleSyntaxError as exc:
-            return f"ERR 422 {exc.diagnostics[0]}"
+        program = self.host.programs.get(text)
+        if program is None:
+            try:
+                program = parse_program(text)
+            except RoleSyntaxError as exc:
+                return f"ERR 422 {exc.diagnostics[0]}"
+            self.host.programs[text] = program
         old = self.apps.get(filename)
         if isinstance(old, EngineSession):
             old.engine.stop()
-            self.apps.pop(filename, None)
-            self.engines.pop(filename, None)
+            self.apps.pop(filename)
         elif old is not None:
             return "ERR 409 app name in use"
-        engine = RoleEngine(_EngineHost(self, filename), program)
-        session = EngineSession(self, engine)
-        session.name = filename
+        session = EngineSession(self, filename, program)
         self.apps[filename] = session
-        self.engines[filename] = engine
         self.host.log("start-program", filename)
-        engine.start()
+        session.engine.start()
         return f"OK started {filename}"
 
     # command protocol
@@ -570,10 +552,9 @@ class ServiceNode:
 
     def _deregister(self, session: Session) -> None:
         if session.name and self.apps.get(session.name) is session:
-            self.apps.pop(session.name, None)
-            engine = self.engines.pop(session.name, None)
-            if engine is not None:
-                engine.stop()
+            self.apps.pop(session.name)
+            if isinstance(session, EngineSession):
+                session.engine.stop()
             self.host.log("deregister", session.name)
 
     def execute(self, session: Session, line: str) -> None:

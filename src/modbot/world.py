@@ -14,7 +14,7 @@ File formats are line oriented (full grammar in docs/worldfiles.md):
     at 1000 sensor head 1 1
 
 A directed channel models the serial medium: a transmission occupies the
-line for len(bytes) * per_byte_delay, is lost with the link's loss
+line for len(bytes) * byte_us, is lost with the link's loss
 probability, and otherwise arrives propagation_delay after the last byte
 went out. Loss decisions come from the world's seeded generator, so a run
 is a deterministic function of (topology, scenario, seed, until).
@@ -22,11 +22,12 @@ is a deterministic function of (topology, scenario, seed, until).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot
+from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot, RoleProgram
 from .link import LinkConfig, PortProtocol, Ticket
 from .messages import ServiceMessage, send_message
 from .node import ServiceNode, Session
@@ -104,8 +105,18 @@ def _parse_kv(fields: list[str], line_no: int, diags: list[str],
 
 
 _MODULE_KEYS = frozenset({"center", "ports", "sensors"})
-_LINK_KEYS = frozenset({"loss", "prop_ms", "prop_us", "byte_us"})
+_LINK_KEYS = frozenset({"loss", "prop_ms", "byte_us"})
 _CONFIG_KEYS = frozenset({"ack_timeout_ms", "max_retries", "loss", "prop_ms", "byte_us"})
+
+
+def _check_timing(kv: dict[str, str], line_no: int, diags: list[str]) -> None:
+    """Diagnose a negative prop_ms or byte_us; a value that is not an
+    integer is left to the record's own conversion."""
+    for key in ("prop_ms", "byte_us"):
+        if key in kv:
+            with suppress(ValueError):
+                if int(kv[key]) < 0:
+                    diags.append(f"line {line_no}: {key} must be non-negative")
 
 
 def _records(text: str):
@@ -179,11 +190,10 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             if end_a is None or end_b is None:
                 continue
             kv = _parse_kv(fields[3:], line_no, diags, _LINK_KEYS)
+            _check_timing(kv, line_no, diags)
             try:
                 loss = float(kv["loss"]) if "loss" in kv else None
                 prop_us = int(kv["prop_ms"]) * US_PER_MS if "prop_ms" in kv else None
-                if "prop_us" in kv:
-                    prop_us = int(kv["prop_us"])
                 byte_us = int(kv["byte_us"]) if "byte_us" in kv else None
             except ValueError:
                 diags.append(f"line {line_no}: bad link parameter")
@@ -210,7 +220,9 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             else:
                 root = fields[1]
         elif record == "config":
-            config_kv.update(_parse_kv(fields[1:], line_no, diags, _CONFIG_KEYS))
+            kv = _parse_kv(fields[1:], line_no, diags, _CONFIG_KEYS)
+            _check_timing(kv, line_no, diags)
+            config_kv.update(kv)
         else:
             diags.append(f"line {line_no}: unknown record {record!r}")
 
@@ -231,11 +243,10 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
         topo.link_config = LinkConfig(
             ack_timeout_ms=int(config_kv.get("ack_timeout_ms", 100)),
             max_retries=int(config_kv.get("max_retries", 5)),
-            per_byte_delay_us=int(config_kv.get("byte_us", DEFAULT_BYTE_US)),
         )
         topo.default_loss = float(config_kv.get("loss", DEFAULT_LOSS))
         topo.default_prop_us = int(config_kv.get("prop_ms", 1)) * US_PER_MS
-        topo.default_byte_us = topo.link_config.per_byte_delay_us
+        topo.default_byte_us = int(config_kv.get("byte_us", DEFAULT_BYTE_US))
     except ValueError as exc:
         raise LoadError([f"bad config value: {exc}"]) from None
     if not 0.0 <= topo.default_loss <= 1.0:
@@ -363,7 +374,6 @@ class PortRuntime:
     protocol: PortProtocol
     link: SimLink
     peer_name: str
-    peer_port: int
 
 
 class SimModule:
@@ -371,13 +381,13 @@ class SimModule:
 
     def __init__(self, world: "World", spec: ModuleSpec):
         self.world = world
-        self.spec = spec
         self.name = spec.name
         self.center = spec.center
         self.port_labels = dict(spec.ports)
         self.sensors = dict(spec.sensors)
         self.speed = 0
         self.ports: dict[int, PortRuntime] = {}
+        self.programs = world.programs
         self.node = ServiceNode(host=self)
         self.node.file_store.update(spec.files)
 
@@ -443,6 +453,7 @@ class World:
         self.rng = Rng(seed)
         self.log = EventLog(self.scheduler)
         self.link_config = topology.link_config
+        self.programs: dict[str, RoleProgram] = {}  # parsed once per text
         self.modules: dict[str, SimModule] = {}
         for spec in topology.modules:
             self.modules[spec.name] = SimModule(self, spec)
@@ -477,8 +488,8 @@ class World:
         )
         link.forward.receive = proto_b.on_bytes
         link.backward.receive = proto_a.on_bytes
-        mod_a.ports[spec.port_a] = PortRuntime(proto_a, link, spec.module_b, spec.port_b)
-        mod_b.ports[spec.port_b] = PortRuntime(proto_b, link, spec.module_a, spec.port_a)
+        mod_a.ports[spec.port_a] = PortRuntime(proto_a, link, spec.module_b)
+        mod_b.ports[spec.port_b] = PortRuntime(proto_b, link, spec.module_a)
         self.links.append(link)
 
     def _schedule(self, scenario: Scenario) -> None:

@@ -61,7 +61,9 @@ def test_traced_car_run_matches_untraced():
         t.uninstall()
     assert traced == untraced
     for name in ("link.encode_frame", "link.decoder_feed", "messages.decode",
-                 "node.on_link_payload", "engine.evaluate", "dynarole.assign_role",
-                 "dynarole.chain"):
+                 "node.on_link_payload", "node.start_program", "engine.evaluate",
+                 "dynarole.parse_program", "dynarole.assign_role", "dynarole.chain"):
         assert t.stat(name)[0] > 0, name
+    # Three modules start the same program text; the world parses it once.
+    assert t.stat("dynarole.parse_program")[0] == 1
     assert set(t.sample_frames) == {"announce", "ack", "chunk"}

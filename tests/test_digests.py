@@ -8,13 +8,14 @@ these digests on purpose re-pins it and says why in CHANGES.md.
 import base64
 import hashlib
 
-from modbot.world import World, load_scenario, load_topology
+from modbot.world import ScenarioEvent, World, load_scenario, load_topology
 
 from conftest import CORPUS, chain_topology, pair_topology, upgrade_scenario
 
 CAR_DIGEST = "22299e71bb51742900ec9684bddfa4edf5fe69c47269df0a790573883fa90b7f"
 CHAIN10_DIGEST = "47470b3c3d8d1d031d6d3e8118c4af09d84fbe88a3d185b000cd2f3ccc548a09"
 PAIR_SEND_DIGEST = "bf74022fabf40484db2c103e0aa11f0232710c401d756af74b9e5cc62da533bf"
+CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e483f2c"
 
 
 def _digest(world: World) -> str:
@@ -25,6 +26,15 @@ def test_car_corpus_digest():
     world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
     world.run_until_cs(6000)
     assert _digest(world) == CAR_DIGEST
+
+
+def test_car_corpus_upgraded_head_digest():
+    # The wheels adopt v2, so their engines are stopped and restarted.
+    scenario = load_scenario(CORPUS / "car.scen")
+    scenario.events.append(ScenarioEvent(2000, "upgrade", ("head", 2)))
+    world = World(load_topology(CORPUS / "car.topo"), scenario, seed=1)
+    world.run_until_cs(6000)
+    assert _digest(world) == CAR_UPGRADE_DIGEST
 
 
 def test_chain10_lossy_upgrade_digest():

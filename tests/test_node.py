@@ -8,7 +8,7 @@ from modbot.link import TicketState
 from modbot.messages import (
     Kind, ModuleId, ServiceMessage, encode_message, split_for_link,
 )
-from modbot.world import LinkSpec, ModuleSpec, Topology, World
+from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
 
 from conftest import chain_topology, pair_topology
 
@@ -351,6 +351,30 @@ def test_start_remote_missing_and_invalid_and_ok():
     assert world.log.select("role", "m1")[-1][3] == "Spin"
     assert world.log.select("TURN_CONTINUOUSLY", "m1")[-1][3] == "7"
     assert "spin.role" in world.modules["m1"].node.apps
+
+
+def test_broken_program_answers_422_on_every_start():
+    world = settled_pair()
+    world.modules["m1"].node.file_store["bad.role"] = "role A extends B { }\n"
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.take_lines()
+    for until_cs in (400, 600):
+        session.submit("START 0.1 bad.role")
+        world.run_until_cs(until_cs)
+        lines = session.take_lines()
+        assert len(lines) == 1 and lines[0].startswith("ERR 422"), lines
+        assert "unknown parent" in lines[0]
+
+
+def test_car_engines_share_one_parsed_program():
+    from conftest import CORPUS
+    world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
+    world.run_until_cs(600)
+    programs = [module.node.apps["car.role"].engine.program
+                for module in world.modules.values()]
+    assert len(programs) == 3
+    assert all(program is programs[0] for program in programs)
 
 
 def test_version_and_id_commands():

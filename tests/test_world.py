@@ -48,6 +48,27 @@ def test_parse_topology_diagnostics(text, needle):
     assert any(needle in d for d in exc.value.diagnostics)
 
 
+_PAIR = "module a center=EAST_WEST ports=0:EAST\nmodule b center=EAST_WEST ports=0:WEST\n"
+
+
+@pytest.mark.parametrize("text,needle", [
+    pytest.param(_PAIR + "link a.0 b.0 byte_us=-5", "line 3: byte_us must be non-negative",
+                 id="link-byte_us"),
+    pytest.param(_PAIR + "link a.0 b.0 prop_ms=-3", "line 3: prop_ms must be non-negative",
+                 id="link-prop_ms"),
+    pytest.param("config byte_us=-5\n" + _PAIR, "line 1: byte_us must be non-negative",
+                 id="config-byte_us"),
+    pytest.param("config prop_ms=-3\n" + _PAIR, "line 1: prop_ms must be non-negative",
+                 id="config-prop_ms"),
+    pytest.param(_PAIR + "link a.0 b.0 prop_us=5", "line 3: unknown key 'prop_us'",
+                 id="prop_us-key"),
+])
+def test_timing_values_must_be_non_negative(text, needle):
+    with pytest.raises(LoadError) as exc:
+        parse_topology(text)
+    assert needle in exc.value.diagnostics
+
+
 def test_port_reused_across_links_rejected():
     text = (
         "module a center=EAST_WEST ports=0:EAST\n"
