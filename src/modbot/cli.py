@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .dynarole import BUILTIN_ROOT, RoleSyntaxError, measure_text, parse_program
-from .world import LoadError, load_scenario, load_topology, run
+from .world import LoadError, load_scenario, load_topology, read_text, run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -45,8 +45,8 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.program).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = read_text(args.program)
+    except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -500,43 +500,37 @@ def _validate(roles: list[RoleDefinition]) -> list[Diagnostic]:
             diags.append(Diagnostic(role.line, f"unknown parent role {role.parent!r}"))
     if diags:
         return diags
-    # Cycle detection, then abstract-constant coverage per concrete role.
+    # One walk up each role's chain finds a cycle or, for a concrete role,
+    # the abstract constants left without a value; cycles are reported alone.
+    cycles: list[Diagnostic] = []
     for role in by_name.values():
-        seen = {role.name}
+        chain = {role.name: role}  # insertion order: role first, then its ancestors
         cur = role
         while cur.parent != BUILTIN_ROOT:
-            if cur.parent in seen:
-                diags.append(Diagnostic(role.line, f"inheritance cycle through {role.name!r}"))
-                break
-            seen.add(cur.parent)
-            cur = by_name[cur.parent]
-    if diags:
-        return diags
-    for role in by_name.values():
-        if role.abstract:
-            continue
-        chain: list[RoleDefinition] = []
-        cur = role
-        while True:
-            chain.append(cur)
-            if cur.parent == BUILTIN_ROOT:
+            if cur.parent in chain:
+                cycles.append(Diagnostic(role.line, f"inheritance cycle through {role.name!r}"))
                 break
             cur = by_name[cur.parent]
-        valued = {name for r in chain for name in r.constants}
-        for r in chain:
-            for name in r.abstract_constants:
-                if name not in valued:
-                    diags.append(Diagnostic(
-                        role.line,
-                        f"abstract constant {name!r} has no value in concrete role {role.name!r}",
-                    ))
-    return diags
+            chain[cur.name] = cur
+        else:
+            if not role.abstract:
+                valued = {name for r in chain.values() for name in r.constants}
+                diags.extend(
+                    Diagnostic(role.line, f"abstract constant {name!r} has no value"
+                                          f" in concrete role {role.name!r}")
+                    for r in chain.values() for name in r.abstract_constants if name not in valued)
+    return cycles or diags
 
 
 def parse_program(text: str) -> RoleProgram:
     """Parse a role program; raises RoleSyntaxError carrying line-numbered
     diagnostics on syntax or consistency errors."""
-    roles = _Parser(_lex(text)).parse()
+    parser = _Parser(_lex(text))
+    try:
+        roles = parser.parse()
+    except RecursionError:
+        diag = Diagnostic(parser._peek().line, "expression nested too deeply")
+        raise RoleSyntaxError([diag]) from None
     diags = _validate(roles)
     if diags:
         raise RoleSyntaxError(diags)

@@ -22,7 +22,7 @@ is a deterministic function of (topology, scenario, seed, until).
 
 from __future__ import annotations
 
-from contextlib import suppress
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -89,8 +89,19 @@ class Scenario:
     events: list[ScenarioEvent] = field(default_factory=list)
 
 
+# Every numeric key: (converter, lowest, highest, the rule a bad value breaks).
+_NUMERIC_KEYS = {
+    "ack_timeout_ms": (int, 1, math.inf, "must be positive"),
+    "max_retries": (int, 0, math.inf, "must be non-negative"),
+    "loss": (float, 0.0, 1.0, "must be in [0,1]"),
+    "prop_ms": (int, 0, math.inf, "must be non-negative"),
+    "byte_us": (int, 0, math.inf, "must be non-negative"),
+}
+
+
 def _parse_kv(fields: list[str], line_no: int, diags: list[str],
-              allowed: frozenset[str]) -> dict[str, str]:
+              allowed: frozenset[str]) -> dict[str, str | int | float]:
+    """key=value fields; numeric values are converted and range-checked."""
     out = {}
     for item in fields:
         if "=" not in item:
@@ -100,23 +111,36 @@ def _parse_kv(fields: list[str], line_no: int, diags: list[str],
         if key not in allowed:
             diags.append(f"line {line_no}: unknown key {key!r}")
             continue
+        if key in _NUMERIC_KEYS:
+            convert, lowest, highest, rule = _NUMERIC_KEYS[key]
+            try:
+                value = convert(value)
+            except ValueError:
+                diags.append(f"line {line_no}: bad {key} value {value!r}")
+                continue
+            if not lowest <= value <= highest:
+                diags.append(f"line {line_no}: {key} {rule}")
+                continue
         out[key] = value
     return out
 
 
 _MODULE_KEYS = frozenset({"center", "ports", "sensors"})
 _LINK_KEYS = frozenset({"loss", "prop_ms", "byte_us"})
-_CONFIG_KEYS = frozenset({"ack_timeout_ms", "max_retries", "loss", "prop_ms", "byte_us"})
+_CONFIG_KEYS = frozenset(_NUMERIC_KEYS)
 
 
-def _check_timing(kv: dict[str, str], line_no: int, diags: list[str]) -> None:
-    """Diagnose a negative prop_ms or byte_us; a value that is not an
-    integer is left to the record's own conversion."""
-    for key in ("prop_ms", "byte_us"):
-        if key in kv:
-            with suppress(ValueError):
-                if int(kv[key]) < 0:
-                    diags.append(f"line {line_no}: {key} must be non-negative")
+def _port_index(text: str) -> Optional[int]:
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _split_end(token: str) -> tuple[str, Optional[int]]:
+    """`module.port` as (module, port); port is None unless it is a number."""
+    name, _, port = token.rpartition(".")
+    return name, _port_index(port)
 
 
 def _records(text: str):
@@ -126,6 +150,14 @@ def _records(text: str):
             yield line_no, line.split()
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; LoadError if it cannot be read or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LoadError([f"cannot read {path}: {exc}"]) from None
+
+
 def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
     base = Path(base_dir)
     diags: list[str] = []
@@ -133,17 +165,16 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
     links: list[LinkSpec] = []
     by_name: dict[str, ModuleSpec] = {}
     root: Optional[str] = None
-    config_kv: dict[str, str] = {}
+    config: dict = {}
 
     def endpoint(token: str, line_no: int) -> Optional[tuple[str, int]]:
         if "." not in token:
             diags.append(f"line {line_no}: expected module.port, found {token!r}")
             return None
-        name, _, port_text = token.rpartition(".")
-        if name not in by_name or not port_text.isdigit():
+        name, port = _split_end(token)
+        if name not in by_name or port is None:
             diags.append(f"line {line_no}: unknown link endpoint {token!r}")
             return None
-        port = int(port_text)
         if port not in by_name[name].ports:
             diags.append(f"line {line_no}: module {name!r} has no port {port}")
             return None
@@ -167,10 +198,11 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             ports: dict[int, str] = {}
             for part in filter(None, kv.get("ports", "").split(",")):
                 idx_text, _, label = part.partition(":")
-                if not idx_text.isdigit() or label not in DIRECTIONS or int(idx_text) in ports:
+                idx = _port_index(idx_text)
+                if idx is None or label not in DIRECTIONS or idx in ports:
                     diags.append(f"line {line_no}: bad port entry {part!r}")
                 else:
-                    ports[int(idx_text)] = label
+                    ports[idx] = label
             sensors: dict[int, int] = {}
             for part in filter(None, kv.get("sensors", "").split(",")):
                 sid, _, value = part.partition(":")
@@ -190,18 +222,8 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             if end_a is None or end_b is None:
                 continue
             kv = _parse_kv(fields[3:], line_no, diags, _LINK_KEYS)
-            _check_timing(kv, line_no, diags)
-            try:
-                loss = float(kv["loss"]) if "loss" in kv else None
-                prop_us = int(kv["prop_ms"]) * US_PER_MS if "prop_ms" in kv else None
-                byte_us = int(kv["byte_us"]) if "byte_us" in kv else None
-            except ValueError:
-                diags.append(f"line {line_no}: bad link parameter")
-                continue
-            if loss is not None and not 0.0 <= loss <= 1.0:
-                diags.append(f"line {line_no}: loss must be in [0,1]")
-                continue
-            links.append(LinkSpec(end_a[0], end_a[1], end_b[0], end_b[1], loss, prop_us, byte_us))
+            prop_us = kv["prop_ms"] * US_PER_MS if "prop_ms" in kv else None
+            links.append(LinkSpec(*end_a, *end_b, kv.get("loss"), prop_us, kv.get("byte_us")))
         elif record == "file":
             if len(fields) != 4:
                 diags.append(f"line {line_no}: usage: file <module> <name> <path>")
@@ -209,20 +231,17 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             if fields[1] not in by_name:
                 diags.append(f"line {line_no}: unknown module {fields[1]!r}")
                 continue
-            path = base / fields[3]
             try:
-                by_name[fields[1]].files[fields[2]] = path.read_text(encoding="utf-8")
-            except OSError as exc:
-                diags.append(f"line {line_no}: cannot read {path}: {exc}")
+                by_name[fields[1]].files[fields[2]] = read_text(base / fields[3])
+            except LoadError as exc:
+                diags.append(f"line {line_no}: {exc}")
         elif record == "root":
             if len(fields) != 2 or fields[1] not in by_name:
                 diags.append(f"line {line_no}: root needs a known module name")
             else:
                 root = fields[1]
         elif record == "config":
-            kv = _parse_kv(fields[1:], line_no, diags, _CONFIG_KEYS)
-            _check_timing(kv, line_no, diags)
-            config_kv.update(kv)
+            config.update(_parse_kv(fields[1:], line_no, diags, _CONFIG_KEYS))
         else:
             diags.append(f"line {line_no}: unknown record {record!r}")
 
@@ -238,20 +257,13 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
 
     # An empty topology is legal; it simply runs to an empty log.
     default_root = modules[0].name if modules else ""
-    topo = Topology(modules=modules, links=links, root=root or default_root)
-    try:
-        topo.link_config = LinkConfig(
-            ack_timeout_ms=int(config_kv.get("ack_timeout_ms", 100)),
-            max_retries=int(config_kv.get("max_retries", 5)),
-        )
-        topo.default_loss = float(config_kv.get("loss", DEFAULT_LOSS))
-        topo.default_prop_us = int(config_kv.get("prop_ms", 1)) * US_PER_MS
-        topo.default_byte_us = int(config_kv.get("byte_us", DEFAULT_BYTE_US))
-    except ValueError as exc:
-        raise LoadError([f"bad config value: {exc}"]) from None
-    if not 0.0 <= topo.default_loss <= 1.0:
-        raise LoadError(["config loss must be in [0,1]"])
-    return topo
+    return Topology(
+        modules=modules, links=links, root=root or default_root,
+        link_config=LinkConfig(config.get("ack_timeout_ms", 100), config.get("max_retries", 5)),
+        default_loss=config.get("loss", DEFAULT_LOSS),
+        default_prop_us=config.get("prop_ms", 1) * US_PER_MS,
+        default_byte_us=config.get("byte_us", DEFAULT_BYTE_US),
+    )
 
 
 _SCENARIO_ARITY = {"sensor": 3, "sever": 2, "restore": 2, "upgrade": 2, "start": 2}
@@ -303,21 +315,11 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_topology(path: str | Path) -> Topology:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError([f"cannot read {path}: {exc}"]) from None
-    return parse_topology(text, base_dir=path.parent)
+    return parse_topology(read_text(path), base_dir=Path(path).parent)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError([f"cannot read {path}: {exc}"]) from None
-    return parse_scenario(text)
+    return parse_scenario(read_text(path))
 
 
 class Channel:
@@ -494,61 +496,57 @@ class World:
 
     def _schedule(self, scenario: Scenario) -> None:
         diags = []
+        targets: list[SimModule | SimLink | None] = []
         for event in scenario.events:
-            name = event.args[0] if event.kind in ("sensor", "upgrade", "start") else None
-            if name is not None and name not in self.modules:
-                diags.append(f"scenario references unknown module {name!r}")
             if event.kind in ("sever", "restore"):
-                if self._find_link(event.args[0], event.args[1]) is None:
+                target = self._find_link(event.args[0], event.args[1])
+                if target is None:
                     diags.append(f"scenario references unknown link {event.args[0]} {event.args[1]}")
+            else:
+                target = self.modules.get(event.args[0])
+                if target is None:
+                    diags.append(f"scenario references unknown module {event.args[0]!r}")
+            targets.append(target)
         if diags:
             raise LoadError(diags)
-        for event in scenario.events:
+        for event, target in zip(scenario.events, targets):
             self.scheduler.call_at(
-                event.time_cs * US_PER_CS, lambda e=event: self._apply(e))
+                event.time_cs * US_PER_CS, lambda e=event, t=target: self._apply(e, t))
 
     def _find_link(self, end_a: str, end_b: str) -> Optional[SimLink]:
-        def parse_end(token: str) -> tuple[str, int]:
-            name, _, port = token.rpartition(".")
-            return name, int(port) if port.isdigit() else -1
-
-        a = parse_end(end_a)
-        b = parse_end(end_b)
+        ends = {_split_end(end_a), _split_end(end_b)}
         for link in self.links:
-            ends = {(link.spec.module_a, link.spec.port_a), (link.spec.module_b, link.spec.port_b)}
-            if ends == {a, b}:
+            if ends == {(link.spec.module_a, link.spec.port_a),
+                        (link.spec.module_b, link.spec.port_b)}:
                 return link
         return None
 
-    def _apply(self, event: ScenarioEvent) -> None:
+    def _apply(self, event: ScenarioEvent, target: SimModule | SimLink) -> None:
         if event.kind == "sensor":
-            name, sensor_id, value = event.args
-            module = self.modules[name]
-            module.sensors[sensor_id] = value
-            module.log("sensor", f"{sensor_id} {value}")
-            module.node.on_sensor(sensor_id, value)
-            module.node.on_phys_change()
+            _, sensor_id, value = event.args
+            target.sensors[sensor_id] = value
+            target.log("sensor", f"{sensor_id} {value}")
+            target.node.on_sensor(sensor_id, value)
+            target.node.on_phys_change()
         elif event.kind in ("sever", "restore"):
-            link = self._find_link(event.args[0], event.args[1])
-            assert link is not None  # validated at schedule time
             severed = event.kind == "sever"
-            if link.severed == severed:
+            if target.severed == severed:
                 return
-            link.severed = severed
-            mod_a = self.modules[link.spec.module_a]
-            mod_b = self.modules[link.spec.module_b]
+            target.severed = severed
+            spec = target.spec
+            mod_a = self.modules[spec.module_a]
+            mod_b = self.modules[spec.module_b]
             mod_a.log(event.kind, f"{event.args[0]} {event.args[1]}")
-            for module, port in ((mod_a, link.spec.port_a), (mod_b, link.spec.port_b)):
+            for module, port in ((mod_a, spec.port_a), (mod_b, spec.port_b)):
                 if not severed:
                     module.node.on_link_up(port)
                 module.node.on_phys_change()
         elif event.kind == "upgrade":
-            name, version = event.args
-            self.modules[name].node.upgrade_local(version)
+            target.node.upgrade_local(event.args[1])
         elif event.kind == "start":
-            name, filename = event.args
-            response = self.modules[name].node.start_program(filename)
-            self.modules[name].log("start", f"{filename} {response}")
+            filename = event.args[1]
+            response = target.node.start_program(filename)
+            target.log("start", f"{filename} {response}")
 
     def open_session(self, module_name: str) -> Session:
         return self.modules[module_name].node.open_session()

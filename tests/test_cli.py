@@ -104,3 +104,27 @@ def test_check_unvalued_abstract_constant(tmp_path, capsys):
 def test_check_missing_file_exits_2(tmp_path, capsys):
     assert main(["check", str(tmp_path / "none.role")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"at 10 upgrade \xff 2\n")
+    for topology, scenario in ((bad, CORPUS / "car.scen"), (CORPUS / "car.topo", bad)):
+        code = main(["run", str(topology), str(scenario), "--seed", "1", "--until", "100"])
+        assert code == 2
+        assert f"error: cannot read {bad}" in capsys.readouterr().err
+
+
+def test_check_non_utf8_program_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.role"
+    bad.write_bytes(b"role A extends Module { } # \xff\n")
+    assert main(["check", str(bad)]) == 2
+    assert f"error: cannot read {bad}" in capsys.readouterr().err
+
+
+def test_check_deeply_nested_program_exits_1(tmp_path, capsys):
+    deep = tmp_path / "deep.role"
+    deep.write_text("role A extends Module {\n require ("
+                    + "sizeof(self.connected(" * 2000 + "$EAST" + "))" * 2000 + " == 1);\n}\n")
+    assert main(["check", str(deep)]) == 1
+    assert capsys.readouterr().out == "line 2: expression nested too deeply\n1 error(s)\n"

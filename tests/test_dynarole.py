@@ -301,3 +301,15 @@ def test_gzip_never_larger_for_kilobyte_programs(car_text):
         assert len(data) >= 1024
         raw, gz = dr.measure_text(data)
         assert gz <= raw
+
+
+def _nested_program(depth: int) -> str:
+    return ("role A extends Module {\n require ("
+            + "sizeof(self.connected(" * depth + "$EAST" + "))" * depth + " == 1);\n}\n")
+
+
+def test_deep_nesting_is_a_diagnostic():
+    assert dr.parse_program(_nested_program(400)).has_role("A")
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(_nested_program(2000))
+    assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]

@@ -477,3 +477,16 @@ def test_bcast_reports_failed_neighbors_individually():
     world.run_until_cs(3000)
     lines = session.take_lines()
     assert lines == ["OK delivered=1 failed=0.1"]
+
+
+def test_deeply_nested_program_answers_422():
+    world = settled_pair()
+    world.modules["m1"].node.file_store["deep.role"] = (
+        "role A extends Module {\n require ("
+        + "sizeof(self.connected(" * 2000 + "$EAST" + "))" * 2000 + " == 1);\n}\n")
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.take_lines()
+    session.submit("START 0.1 deep.role")
+    world.run_until_cs(400)
+    assert session.take_lines() == ["ERR 422 line 2: expression nested too deeply"]

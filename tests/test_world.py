@@ -6,7 +6,7 @@ import pytest
 
 from modbot.world import (
     Channel, LinkSpec, LoadError, ModuleSpec, Scenario, ScenarioEvent, SimLink,
-    Topology, World, parse_scenario, parse_topology, run,
+    Topology, World, load_scenario, load_topology, parse_scenario, parse_topology, run,
 )
 
 from conftest import chain_topology, pair_topology
@@ -305,3 +305,79 @@ def test_pipelined_synchronous_commands_do_not_recurse():
     lines = session.take_lines()
     assert lines[0] == "OK registered burst"
     assert lines[1:] == ["OK version=1"] * 2000
+
+
+@pytest.mark.parametrize("ends", [("m0.1", "m1.1"), ("m0.x", "m1.0"), ("m0", "m1.0")])
+def test_sever_of_unknown_link_refuses_to_run(ends):
+    scen = Scenario(events=[ScenarioEvent(5, "sever", ends)])
+    with pytest.raises(LoadError) as exc:
+        World(pair_topology(), scen)
+    assert exc.value.diagnostics == [f"scenario references unknown link {ends[0]} {ends[1]}"]
+
+
+def test_sever_naming_its_endpoints_in_reverse_order_applies():
+    scen = Scenario(events=[ScenarioEvent(300, "sever", ("m1.0", "m0.1"))])
+    world = World(pair_topology(), scen)
+    world.run_until_cs(400)
+    assert world.links[0].severed
+    assert world.log.select("sever") == [(300, "m0", "sever", "m1.0 m0.1")]
+    assert "1:EAST:OPEN" in world.modules["m0"].state_text()
+
+
+def test_file_record_with_missing_path_is_a_line_diagnostic(tmp_path):
+    text = "module a center=EAST_WEST ports=0:EAST\nfile a prog.role missing.role\n"
+    with pytest.raises(LoadError) as exc:
+        parse_topology(text, base_dir=tmp_path)
+    [diag] = exc.value.diagnostics
+    assert diag.startswith(f"line 2: cannot read {tmp_path / 'missing.role'}")
+
+
+def test_later_config_line_overrides_earlier():
+    topo = parse_topology("config loss=0.5 max_retries=3 byte_us=7\nconfig loss=0.25 byte_us=9\n")
+    assert topo.default_loss == 0.25
+    assert topo.default_byte_us == 9
+    assert topo.link_config.max_retries == 3
+    assert topo.link_config.ack_timeout_ms == 100
+
+
+@pytest.mark.parametrize("text,expected", [
+    pytest.param("config max_retries=abc\nbogus x\n",
+                 ["line 1: bad max_retries value 'abc'", "line 2: unknown record 'bogus'"],
+                 id="bad-config-value-then-bad-record"),
+    pytest.param("config loss=2\n", ["line 1: loss must be in [0,1]"], id="config-loss"),
+    pytest.param("config ack_timeout_ms=0\n", ["line 1: ack_timeout_ms must be positive"],
+                 id="config-ack_timeout_ms"),
+    pytest.param("config max_retries=-1\n", ["line 1: max_retries must be non-negative"],
+                 id="config-max_retries"),
+    pytest.param(_PAIR + "link a.0 b.0 loss=x byte_us=1.5\n",
+                 ["line 3: bad loss value 'x'", "line 3: bad byte_us value '1.5'"],
+                 id="link-values"),
+    pytest.param("module a center=EAST_WEST ports=²:EAST\n",
+                 ["line 1: bad port entry '²:EAST'"], id="superscript-port"),
+    pytest.param(_PAIR + "link a.² b.0\n", ["line 3: unknown link endpoint 'a.²'"],
+                 id="superscript-endpoint"),
+    pytest.param("module a center=EAST_WEST ports=" + "1" * 5000 + ":EAST\n",
+                 ["line 1: bad port entry '" + "1" * 5000 + ":EAST'"], id="huge-port"),
+])
+def test_every_value_is_diagnosed_on_its_own_line(text, expected):
+    with pytest.raises(LoadError) as exc:
+        parse_topology(text)
+    assert exc.value.diagnostics == expected
+
+
+_NOT_UTF8 = b"module a center=EAST_WEST ports=0:EAST \xff\xfe\n"
+
+
+def test_non_utf8_files_raise_load_error(tmp_path):
+    (tmp_path / "bad.bin").write_bytes(_NOT_UTF8)
+    for loader in (load_topology, load_scenario):
+        with pytest.raises(LoadError) as exc:
+            loader(tmp_path / "bad.bin")
+        [diag] = exc.value.diagnostics
+        assert diag.startswith(f"cannot read {tmp_path / 'bad.bin'}")
+    (tmp_path / "world.topo").write_text(
+        "module a center=EAST_WEST ports=0:EAST\nfile a prog.role bad.bin\n")
+    with pytest.raises(LoadError) as exc:
+        load_topology(tmp_path / "world.topo")
+    [diag] = exc.value.diagnostics
+    assert diag.startswith(f"line 2: cannot read {tmp_path / 'bad.bin'}")
