@@ -202,8 +202,9 @@ class TicketState(IntEnum):
 class Ticket:
     """Resolves once. A link send is DELIVERED when its frame was
     acknowledged and FAILED when retries ran out or the send was cancelled
-    before transmission; a message send (messages.send_message) aggregates
-    the tickets of its chunks."""
+    before transmission. A message send (messages.send_message) returns
+    the link ticket itself for a one-chunk message and otherwise a ticket
+    that aggregates the tickets of its chunks."""
 
     def __init__(self):
         self.state = TicketState.PENDING
@@ -239,10 +240,15 @@ class LinkStats:
     give_ups: int = 0
 
 
+# Every ACK there can be; the receiver encodes the one it needs.
+_ACKS = tuple(Frame(FrameType.ACK, seq) for seq in range(256))
+
+
 @dataclass
 class _TxEntry:
     payload: bytes
     ticket: Ticket
+    frame: bytes = b""  # encoded once its seq is known; retransmissions resend it
     seq: int = 0
     retries_used: int = 0
     timer: Optional[Timer] = None
@@ -307,10 +313,11 @@ class PortProtocol:
         entry.seq = self._next_seq
         self._next_seq = (self._next_seq + 1) & 0xFF
         self._outstanding = entry
+        entry.frame = encode_frame(Frame(FrameType.DATA, entry.seq, entry.payload))
         self._transmit_entry(entry)
 
     def _transmit_entry(self, entry: _TxEntry) -> None:
-        self._transmit(encode_frame(Frame(FrameType.DATA, entry.seq, entry.payload)))
+        self._transmit(entry.frame)
         entry.ticket.transmissions += 1
         self.stats.tx_data += 1
         entry.timer = self._scheduler.call_after(
@@ -343,7 +350,7 @@ class PortProtocol:
                 self.stats.stale_acks += 1
             return
         # DATA: always acknowledge, deliver only the expected sequence.
-        self._transmit(encode_frame(Frame(FrameType.ACK, frame.seq)))
+        self._transmit(encode_frame(_ACKS[frame.seq]))
         self.stats.tx_acks += 1
         if frame.seq == self._expected_seq:
             self._expected_seq = (frame.seq + 1) & 0xFF

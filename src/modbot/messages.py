@@ -23,6 +23,7 @@ from .link import PortProtocol, Ticket, TicketState
 
 CHUNK_DATA_MAX = 250
 _CHUNK_HEADER = struct.Struct(">HH")  # index, count
+_ONE_CHUNK = _CHUNK_HEADER.pack(0, 1)
 
 
 class ProtocolError(Exception):
@@ -90,10 +91,18 @@ ROOT_ID = ModuleId((0,))
 
 @dataclass
 class ServiceMessage:
+    """One typed message. It is never mutated after construction, so a
+    node may send the same instance many times (its beacons do)."""
+
     kind: Kind
     src: ModuleId
     dst_app: Optional[str]
     body: bytes = b""
+
+    @cached_property
+    def link_chunks(self) -> tuple[bytes, ...]:
+        """The message encoded and split for the link, built on first send."""
+        return tuple(split_for_link(encode_message(self)))
 
 
 def _pstr(text: str) -> bytes:
@@ -277,6 +286,8 @@ class LinkReassembler:
         self.resets = 0
 
     def feed(self, payload: bytes) -> Optional[bytes]:
+        if not self._parts and payload[:4] == _ONE_CHUNK:
+            return payload[4:]  # a whole one-chunk message, nothing buffered
         if len(payload) < _CHUNK_HEADER.size:
             self.resets += 1
             self._parts, self._total = [], 0
@@ -301,11 +312,13 @@ class LinkReassembler:
 
 
 def send_message(port: PortProtocol, msg: ServiceMessage) -> Ticket:
-    """Serialize, chunk, and send one message; the ticket resolves
-    DELIVERED only when every chunk was acknowledged. On the first chunk
-    failure the remaining queued chunks are withdrawn and the whole
-    message fails."""
-    chunks = split_for_link(encode_message(msg))
+    """Send one message's link chunks; the ticket resolves DELIVERED only
+    when every chunk was acknowledged. A one-chunk message's ticket is its
+    link ticket. Otherwise, on the first chunk failure the remaining
+    queued chunks are withdrawn and the whole message fails."""
+    chunks = msg.link_chunks
+    if len(chunks) == 1:
+        return port.send(chunks[0])
     ticket = Ticket()
     remaining = len(chunks)
     sub_tickets: list[Ticket] = []

@@ -15,9 +15,8 @@ trips, with asynchronous `MSG`/`EVENT` pushes interleaved.
 from __future__ import annotations
 
 import base64
-import binascii
 import itertools
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -123,7 +122,7 @@ class EngineSession(Session):
         if len(parts) == 4 and parts[0] == "MSG":
             try:
                 text = base64.b64decode(parts[3], validate=True).decode("utf-8")
-            except (binascii.Error, UnicodeDecodeError):
+            except ValueError:  # binascii.Error and UnicodeDecodeError are ValueErrors
                 return
             words = text.split()
             if len(words) == 3 and words[0] == "INVOKE":
@@ -179,7 +178,7 @@ class ServiceNode:
         self.apps: dict[str, Session] = {}
         self.file_store: dict[str, str] = {}
         self.code_image = b""
-        self._reassemblers: dict[int, LinkReassembler] = {}
+        self._reassemblers: defaultdict[int, LinkReassembler] = defaultdict(LinkReassembler)
         self._file_transfers: dict[tuple[int, int], _Transfer] = {}
         self._code_transfers: dict[tuple[int, int], _Transfer] = {}
         self._code_ready: dict[int, tuple[int, bytes]] = {}
@@ -187,6 +186,8 @@ class ServiceNode:
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
+        self._beacon_key: Optional[tuple[ModuleId, int]] = None
+        self._beacons: dict[Kind, ServiceMessage] = {}
 
     # bootstrap and periodic diffusion
 
@@ -207,13 +208,22 @@ class ServiceNode:
             self._maybe_push(port)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
+    def _beacon(self, kind: Kind) -> ServiceMessage:
+        """The HELLO or VERSION_ANNOUNCE for the current id and version;
+        both are built once per (id, version) and then sent as they are."""
+        key = (self.module_id, self.version)
+        if key != self._beacon_key:
+            self._beacon_key = key
+            body = version_body(self.version)
+            self._beacons = {k: ServiceMessage(k, self.module_id, None, body)
+                             for k in (Kind.HELLO, Kind.VERSION_ANNOUNCE)}
+        return self._beacons[kind]
+
     def _send_hello(self, port: int) -> None:
-        self.host.send_port(port, ServiceMessage(
-            Kind.HELLO, self.module_id, None, version_body(self.version)))
+        self.host.send_port(port, self._beacon(Kind.HELLO))
 
     def _announce(self, port: int) -> None:
-        self.host.send_port(port, ServiceMessage(
-            Kind.VERSION_ANNOUNCE, self.module_id, None, version_body(self.version)))
+        self.host.send_port(port, self._beacon(Kind.VERSION_ANNOUNCE))
 
     def _announce_all(self) -> None:
         for port in self.host.connected_ports():
@@ -340,8 +350,7 @@ class ServiceNode:
     # inbound message path
 
     def on_link_payload(self, port: int, payload: bytes) -> None:
-        reasm = self._reassemblers.setdefault(port, LinkReassembler())
-        whole = reasm.feed(payload)
+        whole = self._reassemblers[port].feed(payload)
         if whole is None:
             return
         try:
@@ -729,7 +738,7 @@ class _BadArgs(Exception):
 def _decode_b64(text: str) -> bytes:
     try:
         return base64.b64decode(text, validate=True)
-    except binascii.Error:
+    except ValueError:  # binascii.Error, or a non-ASCII character
         raise _BadArgs("bad base64") from None
 
 

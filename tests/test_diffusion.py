@@ -2,6 +2,8 @@
 
 import re
 
+from modbot.link import FrameType, decode_frame
+from modbot.messages import Kind, decode_message, parse_version
 from modbot.world import World
 
 from conftest import (
@@ -123,3 +125,45 @@ def test_ids_distinct_over_many_random_trees():
         assert _versions(world) == [2] * 12
         ids = _ids(world)
         assert len(set(ids)) == 12, f"collision in tree seed {tree_seed}: {ids}"
+
+
+def _beacons_on_wire(port) -> list[tuple[str, str, int]]:
+    """Tap a port's transmissions: (kind, src id, version) of every
+    HELLO/VERSION_ANNOUNCE frame it puts on the wire, in order."""
+    seen = []
+    transmit = port._transmit
+
+    def tap(data: bytes) -> None:
+        frame = decode_frame(data)
+        if frame.frame_type is FrameType.DATA and frame.payload[:4] == b"\x00\x00\x00\x01":
+            msg = decode_message(frame.payload[4:])
+            if msg.kind in (Kind.HELLO, Kind.VERSION_ANNOUNCE):
+                seen.append((msg.kind.name, str(msg.src), parse_version(msg.body)))
+        transmit(data)
+
+    port._transmit = tap
+    return seen
+
+
+def _next_beacons(seen, since: int) -> set:
+    """The first HELLO and the first VERSION_ANNOUNCE after index `since`."""
+    first = {}
+    for kind, mid, version in seen[since:]:
+        first.setdefault(kind, (kind, mid, version))
+    return set(first.values())
+
+
+def test_beacons_carry_the_new_id_and_version():
+    world = build(chain_topology(2), seed=1)
+    root = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
+    leaf = _beacons_on_wire(world.modules["m1"].ports[0].protocol)
+    world.run_until_cs(1)
+    assert _next_beacons(leaf, 0) == {("HELLO", "", 0), ("VERSION_ANNOUNCE", "", 0)}
+    sent = len(leaf)
+    world.run_until_cs(250)  # m1 adopted v1 and its id
+    assert _next_beacons(leaf, sent) == {("HELLO", "0.1", 1), ("VERSION_ANNOUNCE", "0.1", 1)}
+    sent_root, sent_leaf = len(root), len(leaf)
+    world.modules["m0"].node.upgrade_local(2)
+    world.run_until_cs(600)  # m1 adopted v2
+    assert _next_beacons(root, sent_root) == {("HELLO", "0", 2), ("VERSION_ANNOUNCE", "0", 2)}
+    assert _next_beacons(leaf, sent_leaf) == {("HELLO", "0.1", 2), ("VERSION_ANNOUNCE", "0.1", 2)}

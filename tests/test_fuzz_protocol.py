@@ -1,0 +1,62 @@
+"""Malformed command lines and message bytes end in an answer or a
+ProtocolError, never a traceback or a session that stays busy."""
+
+import base64
+
+from hypothesis import example, given, settings, strategies as st
+
+from modbot import messages as m
+from modbot.world import World
+
+from conftest import pair_topology
+
+
+def _b64(text: str) -> str:
+    return base64.b64encode(text.encode("utf-8")).decode("ascii")
+
+
+_VERBS = ["REGISTER", "STATE", "NEIGHBORS", "SEND", "BCAST", "PUTFILE", "EXEC", "START",
+          "VERSION", "ID", "BOGUS", "é"]
+_ARGS = [
+    "0", "0.1", "9.9", "sink", "f", "é", "ü²", "=", "!!", "AAAA", "AA==", "QQ", "",
+    _b64("VERSION"), _b64("BCAST é"), _b64("SEND 0 sink é"), _b64("STATE"), _b64("hé"),
+    _b64("EXEC 0 " + _b64("ID")), _b64("START 0 f"), base64.b64encode(b"\xff\xfe").decode(),
+]
+_LINES = st.tuples(st.sampled_from(_VERBS), st.lists(st.sampled_from(_ARGS), max_size=4)).map(
+    lambda t: " ".join((t[0], *t[1])))
+
+
+def _is_response(line: str) -> bool:
+    return line.startswith(("OK", "ERR "))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_LINES, min_size=1, max_size=6))
+@example(["BCAST é", "SEND 0.1 sink é", "PUTFILE 0.1 f é", "EXEC 0.1 é"])
+@example([f"EXEC 0.1 {_b64('BCAST é')}"])
+def test_every_command_line_is_answered_once(lines):
+    world = World(pair_topology(), seed=1)
+    world.run_until_cs(200)
+    sink = world.open_session("m1")
+    sink.submit("REGISTER sink")
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.take_lines()
+    for line in lines:
+        session.submit(line)
+    world.run_until_cs(200 + 300 * len(lines))
+    answers = [line for line in session.take_lines() if _is_response(line)]
+    assert len(answers) == len(lines)
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.tuples(st.integers(0, 12), st.binary(max_size=40)).map(lambda t: bytes([t[0]]) + t[1]),
+))
+def test_decode_message_raises_only_protocol_error(data):
+    try:
+        msg = m.decode_message(data)
+    except m.ProtocolError:
+        return
+    assert m.encode_message(msg)[:1] == data[:1]

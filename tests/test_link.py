@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from modbot.link import EncodingError, LinkConfig, PortProtocol, TicketState
+from modbot.link import (
+    EncodingError, Frame, FrameType, LinkConfig, PortProtocol, TicketState, encode_frame,
+)
 from modbot.sim import Scheduler, US_PER_MS
 
 
@@ -159,3 +161,29 @@ def test_seq_wraps_past_255():
         a.send(p)
     scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
     assert delivered == payloads
+
+
+def test_retransmitted_data_frame_is_byte_identical():
+    scheduler, a, b, ab, ba, _, delivered = make_pair()
+    frames = []
+    transmit = ab.transmit
+    a._transmit = lambda data: (frames.append(data), transmit(data))
+    a.send(b"first")
+    ab.drop_plan = [True, True]  # the second payload goes out three times
+    a.send(b"second")
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert delivered == [b"first", b"second"]
+    second = encode_frame(Frame(FrameType.DATA, 1, b"second"))
+    assert frames == [encode_frame(Frame(FrameType.DATA, 0, b"first"))] + [second] * 3
+
+
+def test_ack_frames_match_their_encoding_for_every_seq():
+    scheduler, a, b, ab, ba, _, delivered = make_pair()
+    acks = []
+    transmit = ba.transmit
+    b._transmit = lambda data: (acks.append(data), transmit(data))
+    for i in range(260):
+        a.send(bytes([i & 0xFF]))
+    scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
+    assert len(delivered) == 260
+    assert acks == [encode_frame(Frame(FrameType.ACK, i & 0xFF)) for i in range(260)]

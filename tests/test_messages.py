@@ -1,6 +1,7 @@
 """Message codec, chunking, and reassembly."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -174,3 +175,94 @@ def test_message_ticket_delivers_over_pipe():
     for part in delivered:
         whole = reasm.feed(part) or whole
     assert m.decode_message(whole).body == msg.body
+
+
+def _announce(version: int = 3) -> m.ServiceMessage:
+    return m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId.parse("0.1"), None,
+                            m.version_body(version))
+
+
+def test_one_chunk_message_fails_after_every_retry_over_dead_pipe():
+    scheduler = Scheduler()
+    pipe = _DeadPipe()
+    port = PortProtocol(scheduler, pipe.transmit, lambda data: None,
+                        LinkConfig(ack_timeout_ms=10, max_retries=3))
+    ticket = m.send_message(port, _announce())
+    scheduler.run_until(10_000 * US_PER_MS)
+    assert ticket.state is TicketState.FAILED
+    assert pipe.sent == ticket.transmissions == 4  # initial + max_retries
+    assert port.stats.give_ups == 1
+
+
+def test_one_chunk_message_delivers_over_loopback_pipe():
+    scheduler = Scheduler()
+    delivered = []
+    ports = {}
+
+    def pipe_to(name: str):
+        return lambda data: scheduler.call_after(1000, lambda: ports[name].on_bytes(data))
+
+    ports["a"] = PortProtocol(scheduler, pipe_to("b"), lambda data: None)
+    ports["b"] = PortProtocol(scheduler, pipe_to("a"), delivered.append)
+    msg = _announce()
+    ticket = m.send_message(ports["a"], msg)
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert ticket.state is TicketState.DELIVERED
+    assert ticket.transmissions == 1
+    assert len(delivered) == 1
+    assert m.decode_message(m.LinkReassembler().feed(delivered[0])) == msg
+
+
+def test_message_link_chunks_are_built_once_and_reused():
+    msg = _announce()
+    assert msg.link_chunks == tuple(m.split_for_link(m.encode_message(msg)))
+    assert msg.link_chunks is msg.link_chunks
+
+
+class _ParentReassembler:
+    """LinkReassembler.feed as it was before its one-chunk fast path."""
+
+    def __init__(self):
+        self._parts: list[bytes] = []
+        self._total = 0
+        self.resets = 0
+
+    def feed(self, payload: bytes):
+        if len(payload) < 4:
+            self.resets += 1
+            self._parts, self._total = [], 0
+            return None
+        index, total = struct.unpack_from(">HH", payload)
+        data = payload[4:]
+        if index == 0:
+            if self._parts:
+                self.resets += 1
+            self._parts, self._total = [data], total
+        elif total != self._total or index != len(self._parts):
+            self.resets += 1
+            self._parts, self._total = [], 0
+            return None
+        else:
+            self._parts.append(data)
+        if self._total and len(self._parts) == self._total:
+            whole = b"".join(self._parts)
+            self._parts, self._total = [], 0
+            return whole
+        return None
+
+
+_header = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda h: struct.pack(">HH", *h))
+_payloads = st.one_of(
+    st.binary(max_size=600).map(m.split_for_link),  # a whole message
+    st.binary(max_size=600).map(lambda d: m.split_for_link(d)[:-1]),  # cut short
+    st.binary(max_size=3).map(lambda d: [d]),  # shorter than a header
+    st.tuples(_header, st.binary(max_size=8)).map(lambda t: [t[0] + t[1]]),  # out of step
+)
+
+
+@given(st.lists(_payloads, max_size=12).map(lambda runs: [p for run in runs for p in run]))
+def test_reassembler_matches_reference_feed(payloads):
+    fast, reference = m.LinkReassembler(), _ParentReassembler()
+    assert [fast.feed(p) for p in payloads] == [reference.feed(p) for p in payloads]
+    assert fast.resets == reference.resets

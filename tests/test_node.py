@@ -202,6 +202,26 @@ def test_send_bad_base64_rejected():
     assert session.take_lines()[-1] == "ERR 400 bad base64"
 
 
+@pytest.mark.parametrize("line", ["BCAST é", "SEND 0.1 sink é", "PUTFILE 0.1 f é", "EXEC 0.1 é"])
+def test_non_ascii_base64_argument_answers_400(line):
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.submit(line)
+    session.submit("VERSION")  # the session is free again
+    assert session.take_lines() == ["OK registered app", "ERR 400 bad base64", "OK version=1"]
+
+
+def test_remote_exec_of_non_ascii_bcast_answers_400():
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.take_lines()
+    session.submit(f"EXEC 0.1 {b64('BCAST é'.encode())}")
+    world.run_until_cs(400)
+    assert session.take_lines() == ["ERR 400 bad base64"]
+
+
 def test_bcast_zero_neighbors():
     topo = Topology(
         modules=[ModuleSpec("solo", "EAST_WEST", {})], links=[], root="solo")
