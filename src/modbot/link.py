@@ -27,7 +27,7 @@ from binascii import crc_hqx
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .sim import Scheduler, Timer, US_PER_MS
 
@@ -200,11 +200,11 @@ class TicketState(IntEnum):
 
 
 class Ticket:
-    """Resolves once. A link send is DELIVERED when its frame was
-    acknowledged and FAILED when retries ran out or the send was cancelled
-    before transmission. A message send (messages.send_message) returns
-    the link ticket itself for a one-chunk message and otherwise a ticket
-    that aggregates the tickets of its chunks."""
+    """Resolves once. A send (one message's payloads, see PortProtocol.send)
+    is DELIVERED when its last frame was acknowledged and FAILED when one
+    frame ran out of retries or the send was cancelled before transmission.
+    `transmissions` is 1 once the first frame left, plus 1 per
+    retransmission of any of its frames."""
 
     def __init__(self):
         self.state = TicketState.PENDING
@@ -246,8 +246,9 @@ _ACKS = tuple(Frame(FrameType.ACK, seq) for seq in range(256))
 
 @dataclass
 class _TxEntry:
-    payload: bytes
+    payloads: Sequence[bytes]
     ticket: Ticket
+    index: int = -1  # of the payload on the wire
     frame: bytes = b""  # encoded once its seq is known; retransmissions resend it
     seq: int = 0
     retries_used: int = 0
@@ -257,8 +258,9 @@ class _TxEntry:
 class PortProtocol:
     """Stop-and-wait protocol instance for one module port.
 
-    Outgoing payloads queue FIFO behind the single outstanding frame;
-    delivery order on a healthy link therefore matches submission order.
+    Outgoing messages queue FIFO, one entry each, behind the single
+    outstanding frame; delivery order on a healthy link therefore matches
+    submission order.
     """
 
     def __init__(
@@ -283,16 +285,22 @@ class PortProtocol:
     def crc_errors(self) -> int:
         return self._decoder.crc_errors
 
-    def send(self, payload: bytes) -> Ticket:
-        if len(payload) > MAX_PAYLOAD:
-            raise EncodingError(f"payload too long: {len(payload)}")
-        entry = _TxEntry(payload=bytes(payload), ticket=Ticket())
+    def send(self, payloads: Sequence[bytes]) -> Ticket:
+        """Queue one message's payloads (one or more) as one entry. They
+        leave back to back, each with the next seq and a fresh retry
+        budget; the first give-up fails the ticket and drops the payloads
+        not yet sent. The sequence is kept, not copied, so it must not
+        change afterwards."""
+        for payload in payloads:
+            if len(payload) > MAX_PAYLOAD:
+                raise EncodingError(f"payload too long: {len(payload)}")
+        entry = _TxEntry(payloads, Ticket())
         self._queue.append(entry)
         self._pump()
         return entry.ticket
 
     def cancel(self, ticket: Ticket) -> bool:
-        """Withdraw a still-queued send; fails its ticket without sending."""
+        """Withdraw a still-queued message; fails its ticket without sending."""
         for entry in self._queue:
             if entry.ticket is ticket:
                 self._queue.remove(entry)
@@ -309,16 +317,21 @@ class PortProtocol:
     def _pump(self) -> None:
         if self._outstanding is not None or not self._queue:
             return
-        entry = self._queue.popleft()
+        entry = self._outstanding = self._queue.popleft()
+        entry.ticket.transmissions = 1
+        self._start_next(entry)
+
+    def _start_next(self, entry: _TxEntry) -> None:
+        """Put the entry's next payload on the wire under the next seq."""
+        entry.index += 1
         entry.seq = self._next_seq
         self._next_seq = (self._next_seq + 1) & 0xFF
-        self._outstanding = entry
-        entry.frame = encode_frame(Frame(FrameType.DATA, entry.seq, entry.payload))
+        entry.retries_used = 0
+        entry.frame = encode_frame(Frame(FrameType.DATA, entry.seq, entry.payloads[entry.index]))
         self._transmit_entry(entry)
 
     def _transmit_entry(self, entry: _TxEntry) -> None:
         self._transmit(entry.frame)
-        entry.ticket.transmissions += 1
         self.stats.tx_data += 1
         entry.timer = self._scheduler.call_after(
             self.config.ack_timeout_ms * US_PER_MS, self._on_timeout
@@ -335,6 +348,7 @@ class PortProtocol:
             self._pump()
         else:
             entry.retries_used += 1
+            entry.ticket.transmissions += 1
             self._transmit_entry(entry)
 
     def _handle_frame(self, frame: Frame) -> None:
@@ -343,6 +357,9 @@ class PortProtocol:
             if entry is not None and entry.seq == frame.seq:
                 if entry.timer is not None:
                     entry.timer.cancel()
+                if entry.index + 1 < len(entry.payloads):
+                    self._start_next(entry)
+                    return
                 self._outstanding = None
                 entry.ticket._resolve(TicketState.DELIVERED)
                 self._pump()

@@ -19,7 +19,7 @@ from enum import IntEnum
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .link import PortProtocol, Ticket, TicketState
+from .link import PortProtocol, Ticket
 
 CHUNK_DATA_MAX = 250
 _CHUNK_HEADER = struct.Struct(">HH")  # index, count
@@ -312,34 +312,7 @@ class LinkReassembler:
 
 
 def send_message(port: PortProtocol, msg: ServiceMessage) -> Ticket:
-    """Send one message's link chunks; the ticket resolves DELIVERED only
-    when every chunk was acknowledged. A one-chunk message's ticket is its
-    link ticket. Otherwise, on the first chunk failure the remaining
-    queued chunks are withdrawn and the whole message fails."""
-    chunks = msg.link_chunks
-    if len(chunks) == 1:
-        return port.send(chunks[0])
-    ticket = Ticket()
-    remaining = len(chunks)
-    sub_tickets: list[Ticket] = []
-
-    def on_chunk(done: Ticket) -> None:
-        nonlocal remaining
-        if ticket.done:
-            return
-        if done.state is TicketState.FAILED:
-            for sub in sub_tickets:
-                if not sub.done:
-                    port.cancel(sub)
-            ticket._resolve(TicketState.FAILED)
-            return
-        remaining -= 1
-        if remaining == 0:
-            ticket._resolve(TicketState.DELIVERED)
-
-    for chunk in chunks:
-        sub = port.send(chunk)
-        sub_tickets.append(sub)
-    for sub in sub_tickets:
-        sub.on_done(on_chunk)
-    return ticket
+    """Send one message's link chunks as one port entry: the ticket is
+    DELIVERED when every chunk was acknowledged and FAILED at the first
+    chunk the link gave up on, whose later chunks are never sent."""
+    return port.send(msg.link_chunks)

@@ -144,9 +144,6 @@ class _ExecSession(Session):
             self._answered = True
             self._on_response(line)
 
-    def push(self, line: str) -> None:
-        pass
-
 
 @dataclass
 class _Pending:
@@ -197,14 +194,14 @@ class ServiceNode:
             self.version = 1
             self.code_image = make_image(1)
         self.host.log("boot", f"id={self.module_id} v={self.version}")
-        for port in self.host.connected_ports():
-            self._send_hello(port)
-        self._announce_all()
+        self._advertise()
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
     def _tick(self) -> None:
-        self._announce_all()
-        for port in self.host.connected_ports():
+        ports = self.host.connected_ports()
+        for port in ports:
+            self._announce(port)
+        for port in ports:
             self._maybe_push(port)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
@@ -225,9 +222,16 @@ class ServiceNode:
     def _announce(self, port: int) -> None:
         self.host.send_port(port, self._beacon(Kind.VERSION_ANNOUNCE))
 
-    def _announce_all(self) -> None:
-        for port in self.host.connected_ports():
+    def _advertise(self) -> None:
+        """A HELLO, then an announce, on every connected port, then a push
+        to each neighbour that runs an older version."""
+        ports = self.host.connected_ports()
+        for port in ports:
+            self._send_hello(port)
+        for port in ports:
             self._announce(port)
+        for port in ports:
+            self._maybe_push(port)
 
     def on_link_up(self, port: int) -> None:
         self._send_hello(port)
@@ -257,11 +261,7 @@ class ServiceNode:
         if self.module_id.unassigned:
             self.module_id = ROOT_ID
         self.host.log("version", str(self.version))
-        for port in self.host.connected_ports():
-            self._send_hello(port)
-        self._announce_all()
-        for port in self.host.connected_ports():
-            self._maybe_push(port)
+        self._advertise()
 
     def _learn_neighbor(self, port: int, module_id: ModuleId, version: int) -> None:
         self.neighbor_table[port] = (module_id, version)
@@ -327,11 +327,7 @@ class ServiceNode:
         for pending in self._pending.values():
             pending.timer.cancel()
         self._pending.clear()
-        for p in self.host.connected_ports():
-            self._send_hello(p)
-        self._announce_all()
-        for p in self.host.connected_ports():
-            self._maybe_push(p)
+        self._advertise()
 
     def _reset_sessions(self) -> None:
         """Sessions do not survive a version adoption; engines come back."""
@@ -403,16 +399,18 @@ class ServiceNode:
             self.host.send_port(port, ServiceMessage(
                 Kind.APPDATA, self.module_id, None, appdata_status_body(req_id, False)))
             return
-        self.host.log("appmsg", f"{msg.src or '-'} {src_app} {_b64(data)}")
-        session.push(f"MSG {msg.src or '-'} {src_app} {_b64(data)}")
+        text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
+        self.host.log("appmsg", text)
+        session.push(f"MSG {text}")
         self.host.send_port(port, ServiceMessage(
             Kind.APPDATA, self.module_id, None, appdata_status_body(req_id, True)))
 
     def _on_bcast(self, port: int, msg: ServiceMessage) -> None:
         src_app, data = parse_bcast(msg.body)
-        self.host.log("bcastmsg", f"{msg.src or '-'} {src_app} {_b64(data)}")
+        text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
+        self.host.log("bcastmsg", text)
         for session in list(self.apps.values()):
-            session.push(f"MSG {msg.src or '-'} {src_app} {_b64(data)}")
+            session.push(f"MSG {text}")
 
     def _accumulate(self, table: dict, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
         """Shared in-order chunk collection; returns the completed transfer."""

@@ -47,7 +47,7 @@ def make_pair(config_a=None, config_b=None):
 
 def test_lossless_delivery_single_transmission():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
-    ticket = a.send(b"hello")
+    ticket = a.send([b"hello"])
     scheduler.run_until(10 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED
     assert ticket.transmissions == 1
@@ -57,7 +57,7 @@ def test_lossless_delivery_single_transmission():
 def test_first_data_frame_dropped_delivers_after_two_transmissions():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     ab.drop_plan = [True]
-    ticket = a.send(b"retry me")
+    ticket = a.send([b"retry me"])
     scheduler.run_until(500 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED
     assert ticket.transmissions == 2
@@ -67,7 +67,7 @@ def test_first_data_frame_dropped_delivers_after_two_transmissions():
 def test_dead_channel_fails_after_initial_plus_retries():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     ab.drop_all = True
-    ticket = a.send(b"doomed")
+    ticket = a.send([b"doomed"])
     scheduler.run_until(5_000 * US_PER_MS)
     assert ticket.state is TicketState.FAILED
     assert ticket.transmissions == 6  # 1 initial + max_retries(5)
@@ -78,7 +78,7 @@ def test_dead_channel_fails_after_initial_plus_retries():
 def test_lost_ack_causes_duplicate_suppression():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     ba.drop_plan = [True]  # first ACK vanishes
-    ticket = a.send(b"once only")
+    ticket = a.send([b"once only"])
     scheduler.run_until(2_000 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED
     assert ticket.transmissions == 2
@@ -91,8 +91,8 @@ def test_garbage_between_frames_resynchronizes():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     real_receive = ab.receive
     ab.receive = lambda data: (real_receive(b"\xba\xad"), real_receive(data))
-    a.send(b"first")
-    a.send(b"second")
+    a.send([b"first"])
+    a.send([b"second"])
     scheduler.run_until(2_000 * US_PER_MS)
     assert delivered == [b"first", b"second"]
 
@@ -100,7 +100,7 @@ def test_garbage_between_frames_resynchronizes():
 def test_queued_sends_keep_order():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     payloads = [f"msg{i}".encode() for i in range(10)]
-    tickets = [a.send(p) for p in payloads]
+    tickets = [a.send([p]) for p in payloads]
     scheduler.run_until(2_000 * US_PER_MS)
     assert delivered == payloads
     assert all(t.state is TicketState.DELIVERED for t in tickets)
@@ -109,15 +109,15 @@ def test_queued_sends_keep_order():
 def test_stop_and_wait_single_outstanding():
     scheduler, a, b, ab, ba, _, _ = make_pair()
     for i in range(5):
-        a.send(bytes([i]))
+        a.send([bytes([i])])
     # Before anything is acknowledged only one frame can have gone out.
     assert ab.sent == 1
 
 
 def test_cancel_queued_send():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
-    a.send(b"keep")
-    ticket = a.send(b"withdraw")
+    a.send([b"keep"])
+    ticket = a.send([b"withdraw"])
     assert a.cancel(ticket)
     scheduler.run_until(1_000 * US_PER_MS)
     assert ticket.state is TicketState.FAILED
@@ -128,13 +128,13 @@ def test_cancel_queued_send():
 def test_oversized_payload_rejected():
     _, a, *_ = make_pair()
     with pytest.raises(EncodingError):
-        a.send(b"x" * 256)
+        a.send([b"x" * 256])
 
 
 def test_bidirectional_traffic_does_not_interfere():
     scheduler, a, b, ab, ba, delivered_a, delivered_b = make_pair()
-    a.send(b"a->b")
-    b.send(b"b->a")
+    a.send([b"a->b"])
+    b.send([b"b->a"])
     scheduler.run_until(1_000 * US_PER_MS)
     assert delivered_b == [b"a->b"]
     assert delivered_a == [b"b->a"]
@@ -148,7 +148,7 @@ def test_seeded_random_loss_exactly_once_in_order():
     ab.rng = random.Random(77)
     ba.rng = random.Random(78)
     payloads = [f"m{i:03d}".encode() for i in range(200)]
-    tickets = [a.send(p) for p in payloads]
+    tickets = [a.send([p]) for p in payloads]
     scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
     assert [t.state for t in tickets] == [TicketState.DELIVERED] * 200
     assert delivered == payloads  # exactly once, in order
@@ -158,7 +158,7 @@ def test_seq_wraps_past_255():
     scheduler, a, b, ab, ba, _, delivered = make_pair()
     payloads = [i.to_bytes(2, "big") for i in range(300)]
     for p in payloads:
-        a.send(p)
+        a.send([p])
     scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
     assert delivered == payloads
 
@@ -168,9 +168,9 @@ def test_retransmitted_data_frame_is_byte_identical():
     frames = []
     transmit = ab.transmit
     a._transmit = lambda data: (frames.append(data), transmit(data))
-    a.send(b"first")
+    a.send([b"first"])
     ab.drop_plan = [True, True]  # the second payload goes out three times
-    a.send(b"second")
+    a.send([b"second"])
     scheduler.run_until(1_000 * US_PER_MS)
     assert delivered == [b"first", b"second"]
     second = encode_frame(Frame(FrameType.DATA, 1, b"second"))
@@ -183,7 +183,7 @@ def test_ack_frames_match_their_encoding_for_every_seq():
     transmit = ba.transmit
     b._transmit = lambda data: (acks.append(data), transmit(data))
     for i in range(260):
-        a.send(bytes([i & 0xFF]))
+        a.send([bytes([i & 0xFF])])
     scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
     assert len(delivered) == 260
     assert acks == [encode_frame(Frame(FrameType.ACK, i & 0xFF)) for i in range(260)]

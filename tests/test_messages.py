@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modbot import messages as m
-from modbot.link import LinkConfig, MAX_PAYLOAD, PortProtocol, TicketState
+from modbot.link import LinkConfig, MAX_PAYLOAD, PortProtocol, TicketState, decode_frame
 from modbot.sim import Scheduler, US_PER_MS
 
 
@@ -133,19 +133,51 @@ class _DeadPipe:
         self.sent += 1
 
 
-def test_message_ticket_fails_whole_message_and_cancels_siblings():
+class _DyingPipe:
+    """Carries the first `alive` frames to `peer` after 1 ms, then drops
+    every frame; records each frame as (seq, payload)."""
+
+    def __init__(self, scheduler: Scheduler, alive: int):
+        self.scheduler = scheduler
+        self.alive = alive
+        self.peer = None
+        self.frames: list[tuple[int, bytes]] = []
+
+    def transmit(self, data: bytes) -> None:
+        frame = decode_frame(data)
+        self.frames.append((frame.seq, frame.payload))
+        if len(self.frames) <= self.alive:
+            self.scheduler.call_after(1000, lambda: self.peer.on_bytes(data))
+
+
+@pytest.mark.parametrize("dies", [0, 2, 4], ids=["first", "middle", "last"])
+def test_message_ticket_fails_whole_message_and_cancels_siblings(dies):
     scheduler = Scheduler()
-    pipe = _DeadPipe()
+    pipe = _DyingPipe(scheduler, alive=dies)
     port = PortProtocol(scheduler, pipe.transmit, lambda data: None,
                         LinkConfig(ack_timeout_ms=10, max_retries=1))
+    pipe.peer = PortProtocol(
+        scheduler, lambda data: scheduler.call_after(1000, lambda: port.on_bytes(data)),
+        lambda data: None)
     msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None,
                            m.chunk_body(1, 0, 1, "f", bytes(1000)))
+    chunks = msg.link_chunks
+    assert len(chunks) == 5
     ticket = m.send_message(port, msg)
+    behind = _announce()
+    m.send_message(port, behind)
+    outcomes = []
+    ticket.on_done(lambda t: outcomes.append((t.state, len(pipe.frames))))
     scheduler.run_until(10_000 * US_PER_MS)
     assert ticket.state is TicketState.FAILED
-    # Only the first chunk was ever transmitted (initial + 1 retry);
-    # the remaining chunks were withdrawn unsent.
-    assert pipe.sent == 2
+    # It failed once, after the chunks before the dying one went out once
+    # each and the dying one went out twice (initial + 1 retry); the
+    # remaining chunks were dropped unsent.
+    assert outcomes == [(TicketState.FAILED, dies + 2)]
+    assert pipe.frames[:dies + 2] == list(enumerate(chunks[:dies])) + [(dies, chunks[dies])] * 2
+    # The message queued behind it starts at the next seq (and dies too).
+    assert pipe.frames[dies + 2:] == [(dies + 1, behind.link_chunks[0])] * 2
+    assert ticket.transmissions == 1 + 1  # the first frame, plus one retransmission
 
 
 def test_message_ticket_delivers_over_pipe():

@@ -272,6 +272,23 @@ def test_bcast_reaches_all_apps_on_each_neighbor_once():
         [f"MSG 0 hubapp {b64(b'announce')}"]
 
 
+def test_sender_without_id_shows_as_dash():
+    # At 2 cs m1 has no id yet; its BCAST and SEND name the sender "-".
+    world = World(chain_topology(2))
+    world.run_until_cs(2)
+    sink = world.open_session("m0")
+    sink.submit("REGISTER sink")
+    sender = world.open_session("m1")
+    sender.submit("REGISTER a")
+    sender.submit(f"BCAST {b64(b'hi')}")
+    sender.submit(f"SEND 0 sink {b64(b'hi')}")
+    world.run_until_cs(60)
+    assert sender.take_lines()[1:3] == ["OK delivered=1", "OK delivered"]
+    assert [l for l in sink.take_lines() if l.startswith("MSG")] == [f"MSG - a {b64(b'hi')}"] * 2
+    assert [(r[2], r[3]) for r in world.log.records if r[2] in ("appmsg", "bcastmsg")] == \
+        [("bcastmsg", f"- a {b64(b'hi')}"), ("appmsg", f"- a {b64(b'hi')}")]
+
+
 def test_putfile_one_byte_and_large_are_stored_identically():
     world = settled_pair()
     session = world.open_session("m0")
