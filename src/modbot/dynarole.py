@@ -163,8 +163,9 @@ def _override_in_place(items) -> tuple[tuple[str, tuple[Action, ...]], ...]:
 class RoleProgram:
     """A validated program. `resolved` maps every role name to its
     ResolvedRole, built once here, so evaluation never walks the chain.
-    A program is never mutated after parsing: one world shares one parsed
-    program among every module that starts the same text."""
+    Its roles are never mutated after parsing: one world shares one parsed
+    program among every module that starts the same text. Its one growing
+    state is `assignments`, the memo of `assign_role` by invariant shape."""
 
     roles: list[RoleDefinition]
     source_text: str
@@ -172,6 +173,7 @@ class RoleProgram:
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.roles}
         self.resolved = {r.name: self._resolve(r.name) for r in self.roles}
+        self.assignments: dict[tuple, AssignResult] = {}
 
     def role(self, name: str) -> RoleDefinition:
         return self._by_name[name]
@@ -568,6 +570,12 @@ def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[i
     raise EvalError(f"cannot evaluate {op!r}")
 
 
+def invariant_shape(state: PhysSnapshot) -> tuple:
+    """What `_eval_operand` can read of `state`: the center and each non-empty
+    direction's connected-id count. An operand that reads more must extend it."""
+    return state.center, frozenset((d, len(ids)) for d, ids in state.connections.items() if ids)
+
+
 _ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -589,8 +597,10 @@ def eval_requires(program: RoleProgram, role_name: str, state: PhysSnapshot) -> 
     return all(eval_predicate(pred, state, role.constants) for pred in role.requires)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AssignResult:
+    """Read-only: one result is shared by every call with the same shape."""
+
     role: Optional[str]
     candidates: list[str]
     excluded: list[tuple[str, str]]  # (role, evaluation error)
@@ -603,7 +613,11 @@ class AssignResult:
 def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
     """Pure function of (program, state): the concrete roles whose
     invariants hold, with the lexicographically smallest name winning a
-    multi-candidate tie."""
+    multi-candidate tie. Memoised per program on `invariant_shape(state)`."""
+    shape = invariant_shape(state)
+    result = program.assignments.get(shape)
+    if result is not None:
+        return result
     candidates: list[str] = []
     excluded: list[tuple[str, str]] = []
     for role in program.concrete_roles():
@@ -613,7 +627,9 @@ def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
         except EvalError as exc:
             excluded.append((role.name, str(exc)))
     candidates.sort()
-    return AssignResult(candidates[0] if candidates else None, candidates, excluded)
+    result = program.assignments[shape] = AssignResult(
+        candidates[0] if candidates else None, candidates, excluded)
+    return result
 
 
 def measure_text(data: bytes) -> tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the rendered event log for three small worlds.
+"""Pinned sha256 digests of the rendered event log for small worlds.
 
 The event log is the simulator's contract: the same (topology, scenario,
 seed, horizon) must give a byte-identical log. A change that moves one of
@@ -8,7 +8,9 @@ these digests on purpose re-pins it and says why in CHANGES.md.
 import base64
 import hashlib
 
-from modbot.world import Scenario, ScenarioEvent, World, load_scenario, load_topology
+from modbot.world import (
+    LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World, load_scenario, load_topology,
+)
 
 from conftest import CORPUS, chain_topology, pair_topology, upgrade_scenario
 
@@ -72,3 +74,74 @@ def test_lossy_pair_send_series_digest():
         world.run_until_cs(170 + 20 * i)
     world.run_until_cs(2000)
     assert _digest(world) == PAIR_SEND_DIGEST
+
+
+# Every module starts this four-level program. Severs and restores move
+# modules between shapes (Hub/Relay/Leaf <-> Cut or unassigned), NORTH_SOUTH
+# leaves tie Leaf with Twin, and Ghost's undefined constant logs a
+# role-error on every evaluation, once per simulated second at least.
+TREE_ROLES = """
+abstract role Unit extends Module {
+  startup arm(_) { self.enable($EVENT_HANDLER_1); }
+  handle $EVENT_HANDLER_1 { Unit.evade(0); self.sleepcs(10); };
+  command evade(_) { self.$TURN_CONTINUOUSLY(-50); self.sleepcs(20); }
+}
+abstract role Linked extends Unit {
+  abstract constant speed;
+  require (sizeof(self.connected($WEST)) == 1);
+  behavior cruise(_) { self.$TURN_CONTINUOUSLY(speed); }
+}
+role Hub extends Linked { speed = 30; require (sizeof(self.connected($EAST)) >= 2); }
+role Relay extends Linked { speed = 20; require (sizeof(self.connected($EAST)) == 1); }
+role Leaf extends Linked { speed = 10; require (sizeof(self.connected($EAST)) == 0); }
+role Twin extends Leaf { require (self.center == $NORTH_SOUTH); }
+role Root extends Unit {
+  require (self.center == $UP_DOWN);
+  require (sizeof(self.connected($WEST)) == 0);
+}
+role Cut extends Unit {
+  require (self.center != $UP_DOWN);
+  require (sizeof(self.connected($WEST)) == 0);
+  require (sizeof(self.connected($EAST)) >= 1);
+}
+role Ghost extends Unit { require (sizeof(self.connected($EAST)) > threshold); }
+"""
+
+TREE_ROLES_DIGEST = "6fbb7d65698cbc671b165ce21a1ff4642431f1e65dc5453a7f17e9193058a34b"
+
+
+def _role_tree_world() -> World:
+    """r; a, b, c under r; two leaves under each of a, b, c."""
+    inner = {0: "WEST", 1: "EAST", 2: "EAST"}
+    modules = [ModuleSpec("r", "UP_DOWN", {1: "EAST", 2: "EAST", 3: "SOUTH"})]
+    modules += [ModuleSpec(m, "EAST_WEST", dict(inner), {1: 0}) for m in "abc"]
+    for parent, center in (("a", "EAST_WEST"), ("b", "NORTH_SOUTH"), ("c", "EAST_WEST")):
+        modules += [ModuleSpec(f"{parent}{i}", center, {0: "WEST"}, {1: 0}) for i in (1, 2)]
+    links = [LinkSpec("r", 1, "a", 0), LinkSpec("r", 2, "b", 0), LinkSpec("r", 3, "c", 0)]
+    links += [LinkSpec(p, i, f"{p}{i}", 0) for p in "abc" for i in (1, 2)]
+    for spec in modules:
+        spec.files["tree.role"] = TREE_ROLES
+    events = [ScenarioEvent(300, "start", (m.name, "tree.role")) for m in modules]
+    events += [
+        ScenarioEvent(600, "sensor", ("a1", 1, 1)),
+        ScenarioEvent(650, "sensor", ("a1", 1, 0)),
+        ScenarioEvent(800, "sever", ("r.2", "b.0")),
+        ScenarioEvent(1000, "sever", ("a.1", "a1.0")),
+        ScenarioEvent(1100, "sensor", ("b", 1, 1)),
+        ScenarioEvent(1150, "sensor", ("b", 1, 0)),
+        ScenarioEvent(1300, "restore", ("r.2", "b.0")),
+        ScenarioEvent(1400, "sever", ("c.1", "c1.0")),
+        ScenarioEvent(1450, "sever", ("c.2", "c2.0")),
+        ScenarioEvent(1500, "sensor", ("c", 1, 1)),
+        ScenarioEvent(1550, "sensor", ("c", 1, 0)),
+        ScenarioEvent(1600, "restore", ("a.1", "a1.0")),
+        ScenarioEvent(1700, "restore", ("c.1", "c1.0")),
+        ScenarioEvent(1750, "sensor", ("b2", 1, 1)),
+    ]
+    return World(Topology(modules=modules, links=links, root="r"), Scenario(events=events), seed=1)
+
+
+def test_role_tree_sever_restore_digest():
+    world = _role_tree_world()
+    world.run_until_cs(2000)
+    assert _digest(world) == TREE_ROLES_DIGEST

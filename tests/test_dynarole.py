@@ -2,8 +2,10 @@
 
 import gzip
 import random
+import typing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modbot import dynarole as dr
 
@@ -313,3 +315,67 @@ def test_deep_nesting_is_a_diagnostic():
     with pytest.raises(dr.RoleSyntaxError) as exc:
         dr.parse_program(_nested_program(2000))
     assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]
+
+
+# Memoised assignment. Ghost reads an undefined constant (always excluded);
+# Odd compares the center with an integer, an error only once its parent's
+# require holds; Alpha and Zeta tie on UP_DOWN.
+MEMO_PROGRAM = """
+abstract role East extends Module { require (sizeof(self.connected($EAST)) >= 1); }
+role Odd extends East { require (self.center > 0); }
+role Ghost extends Module { require (sizeof(self.connected($WEST)) == nothing); }
+role Alpha extends Module { require (self.center == $UP_DOWN); }
+role Zeta extends Module { require (self.center == $UP_DOWN); }
+role Pair extends Module {
+  require (sizeof(self.connected($WEST)) == 2);
+  require (sizeof(self.connected($EAST)) < 2);
+}
+"""
+
+_PEERS = ("p", "q", "r")
+_snapshots = st.builds(
+    dr.PhysSnapshot,
+    st.sampled_from(dr.CENTER_AXES),
+    st.dictionaries(st.sampled_from(("EAST", "WEST", "UP")),
+                    st.lists(st.sampled_from(_PEERS), max_size=3).map(tuple), max_size=3),
+    st.dictionaries(st.integers(1, 2), st.integers(0, 1), max_size=2),
+)
+
+
+def _fresh_assignment(program: dr.RoleProgram, state: dr.PhysSnapshot):
+    candidates, excluded = [], []
+    for role in program.concrete_roles():
+        try:
+            if dr.eval_requires(program, role.name, state):
+                candidates.append(role.name)
+        except dr.EvalError as exc:
+            excluded.append((role.name, str(exc)))
+    candidates.sort()
+    return (candidates[0] if candidates else None), candidates, excluded
+
+
+@pytest.fixture(scope="module")
+def memo_program() -> dr.RoleProgram:
+    return dr.parse_program(MEMO_PROGRAM)  # one memo across all examples, as in a world
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=st.lists(_snapshots, min_size=1, max_size=8))
+def test_memoised_assignment_equals_fresh_evaluation(memo_program, states):
+    program = memo_program
+    for state in states:
+        result = dr.assign_role(program, state)
+        assert (result.role, result.candidates, result.excluded) == _fresh_assignment(program, state)
+        renamed = dr.PhysSnapshot(
+            state.center,
+            {d: tuple("x" + peer for peer in ids) for d, ids in state.connections.items()},
+            {sid: 1 - value for sid, value in state.sensors.items()} or {3: 1},
+        )
+        assert dr.assign_role(program, renamed) is result
+
+
+def test_memo_keys_every_operand_kind():
+    # invariant_shape holds the center and per-direction counts, which is
+    # all these operands read. A new operand kind must extend the shape.
+    assert set(typing.get_args(dr.Operand)) == {
+        dr.Lit, dr.Sym, dr.ConstRef, dr.CenterRef, dr.ConnectedCount}

@@ -187,3 +187,16 @@ def test_ack_frames_match_their_encoding_for_every_seq():
     scheduler.run_until(10 * 60 * 1_000 * US_PER_MS)
     assert len(delivered) == 260
     assert acks == [encode_frame(Frame(FrameType.ACK, i & 0xFF)) for i in range(260)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP 1a: the receiver desyncs after a give-up")
+def test_give_up_then_heal_delivers_what_tickets_report():
+    scheduler, a, b, ab, ba, _, delivered = make_pair(LinkConfig(max_retries=2))
+    ab.drop_all = True
+    lost = a.send([b"lost"])
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert lost.state is TicketState.FAILED
+    ab.drop_all = False
+    sends = [(p, a.send([p])) for p in (f"after{i}".encode() for i in range(5))]
+    scheduler.run_until(2_000 * US_PER_MS)
+    assert delivered == [p for p, t in sends if t.state is TicketState.DELIVERED]
