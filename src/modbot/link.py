@@ -64,12 +64,23 @@ class FrameType(IntEnum):
     ACK = 0x02
 
 
+class TicketState(IntEnum):
+    PENDING = 0
+    DELIVERED = 1
+    FAILED = 2
+
+
+# Module globals load faster than enum members such as FrameType.DATA.
+_DATA, _ACK = FrameType
+_PENDING, _DELIVERED, _FAILED = TicketState
+
+
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE via binascii.crc_hqx; crc16(b"123456789") == 0x29B1."""
     return crc_hqx(data, 0xFFFF)
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     frame_type: FrameType
     seq: int
@@ -78,7 +89,7 @@ class Frame:
     def __post_init__(self):
         if not 0 <= self.seq <= 0xFF:
             raise EncodingError(f"seq out of range: {self.seq}")
-        if self.frame_type is FrameType.ACK and self.payload:
+        if self.frame_type is _ACK and self.payload:
             raise EncodingError("ACK frames carry no payload")
 
 
@@ -110,9 +121,9 @@ def _parse_at(data: bytes, pos: int):
         return "bad", None, pos
     ftype = data[pos + 1]
     if ftype == 0x01:
-        frame_type = FrameType.DATA
+        frame_type = _DATA
     elif ftype == 0x02 and not length:
-        frame_type = FrameType.ACK
+        frame_type = _ACK
     else:
         return "bad", None, pos
     frame = object.__new__(Frame)
@@ -193,12 +204,6 @@ class LinkConfig:
             raise ValueError("max_retries must be non-negative")
 
 
-class TicketState(IntEnum):
-    PENDING = 0
-    DELIVERED = 1
-    FAILED = 2
-
-
 class Ticket:
     """Resolves once. A send (one message's payloads, see PortProtocol.send)
     is DELIVERED when its last frame was acknowledged and FAILED when one
@@ -206,23 +211,25 @@ class Ticket:
     `transmissions` is 1 once the first frame left, plus 1 per
     retransmission of any of its frames."""
 
+    __slots__ = ("state", "transmissions", "_callbacks")
+
     def __init__(self):
-        self.state = TicketState.PENDING
+        self.state = _PENDING
         self.transmissions = 0
         self._callbacks: list[Callable[["Ticket"], None]] = []
 
     @property
     def done(self) -> bool:
-        return self.state is not TicketState.PENDING
+        return self.state is not _PENDING
 
     def on_done(self, fn: Callable[["Ticket"], None]) -> None:
-        if self.done:
+        if self.state is not _PENDING:
             fn(self)
         else:
             self._callbacks.append(fn)
 
     def _resolve(self, state: TicketState) -> None:
-        if self.done:
+        if self.state is not _PENDING:
             return
         self.state = state
         callbacks, self._callbacks = self._callbacks, []
@@ -241,10 +248,10 @@ class LinkStats:
 
 
 # Every ACK there can be; the receiver encodes the one it needs.
-_ACKS = tuple(Frame(FrameType.ACK, seq) for seq in range(256))
+_ACKS = tuple(Frame(_ACK, seq) for seq in range(256))
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxEntry:
     payloads: Sequence[bytes]
     ticket: Ticket
@@ -304,7 +311,7 @@ class PortProtocol:
         for entry in self._queue:
             if entry.ticket is ticket:
                 self._queue.remove(entry)
-                ticket._resolve(TicketState.FAILED)
+                ticket._resolve(_FAILED)
                 return True
         return False
 
@@ -327,15 +334,16 @@ class PortProtocol:
         entry.seq = self._next_seq
         self._next_seq = (self._next_seq + 1) & 0xFF
         entry.retries_used = 0
-        entry.frame = encode_frame(Frame(FrameType.DATA, entry.seq, entry.payloads[entry.index]))
+        frame = object.__new__(Frame)  # valid as built, like _parse_at's frames
+        frame.frame_type, frame.seq, frame.payload = _DATA, entry.seq, entry.payloads[entry.index]
+        entry.frame = encode_frame(frame)
         self._transmit_entry(entry)
 
     def _transmit_entry(self, entry: _TxEntry) -> None:
         self._transmit(entry.frame)
         self.stats.tx_data += 1
-        entry.timer = self._scheduler.call_after(
-            self.config.ack_timeout_ms * US_PER_MS, self._on_timeout
-        )
+        entry.timer = self._scheduler.call_at(
+            self._scheduler.now + self.config.ack_timeout_ms * US_PER_MS, self._on_timeout)
 
     def _on_timeout(self) -> None:
         entry = self._outstanding
@@ -344,7 +352,7 @@ class PortProtocol:
         if entry.retries_used >= self.config.max_retries:
             self._outstanding = None
             self.stats.give_ups += 1
-            entry.ticket._resolve(TicketState.FAILED)
+            entry.ticket._resolve(_FAILED)
             self._pump()
         else:
             entry.retries_used += 1
@@ -352,7 +360,7 @@ class PortProtocol:
             self._transmit_entry(entry)
 
     def _handle_frame(self, frame: Frame) -> None:
-        if frame.frame_type is FrameType.ACK:
+        if frame.frame_type is _ACK:
             entry = self._outstanding
             if entry is not None and entry.seq == frame.seq:
                 if entry.timer is not None:
@@ -361,8 +369,9 @@ class PortProtocol:
                     self._start_next(entry)
                     return
                 self._outstanding = None
-                entry.ticket._resolve(TicketState.DELIVERED)
-                self._pump()
+                entry.ticket._resolve(_DELIVERED)
+                if self._queue:
+                    self._pump()
             else:
                 self.stats.stale_acks += 1
             return

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from .link import PortProtocol, Ticket
@@ -47,6 +47,20 @@ class Kind(IntEnum):
 _KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
 
 
+class _memo:
+    """cached_property without its lock (taken before Python 3.12): the first
+    read stores the value in the instance dict, which later reads find first."""
+
+    def __init__(self, fn):
+        self._fn, self._name = fn, fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class ModuleId:
     """Dotted path of port indices; the diffusion root is "0"."""
@@ -75,7 +89,7 @@ class ModuleId:
     def __str__(self) -> str:
         return self._text
 
-    @cached_property
+    @_memo
     def _text(self) -> str:
         # Kept in the instance dict, outside the fields that eq and hash use.
         return ".".join(str(p) for p in self.path)
@@ -99,7 +113,7 @@ class ServiceMessage:
     dst_app: Optional[str]
     body: bytes = b""
 
-    @cached_property
+    @_memo
     def link_chunks(self) -> tuple[bytes, ...]:
         """The message encoded and split for the link, built on first send."""
         return tuple(split_for_link(encode_message(self)))

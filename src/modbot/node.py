@@ -33,6 +33,7 @@ from .messages import (
 from .sim import Timer, US_PER_MS, US_PER_S
 
 ANNOUNCE_PERIOD_US = US_PER_S  # re-announce once per simulated second
+_HELLO, _ANNOUNCE = Kind.HELLO, Kind.VERSION_ANNOUNCE  # bound once: the beacon kinds
 FILE_CHUNK_DATA = 512
 IMAGE_SIZE = 600
 
@@ -185,6 +186,7 @@ class ServiceNode:
         self._push_inflight: set[int] = set()
         self._beacon_key: Optional[tuple[ModuleId, int]] = None
         self._beacons: dict[Kind, ServiceMessage] = {}
+        self._last_beacon: dict[int, tuple[bytes, ServiceMessage]] = {}  # per port
 
     # bootstrap and periodic diffusion
 
@@ -213,14 +215,14 @@ class ServiceNode:
             self._beacon_key = key
             body = version_body(self.version)
             self._beacons = {k: ServiceMessage(k, self.module_id, None, body)
-                             for k in (Kind.HELLO, Kind.VERSION_ANNOUNCE)}
+                             for k in (_HELLO, _ANNOUNCE)}
         return self._beacons[kind]
 
     def _send_hello(self, port: int) -> None:
-        self.host.send_port(port, self._beacon(Kind.HELLO))
+        self.host.send_port(port, self._beacon(_HELLO))
 
     def _announce(self, port: int) -> None:
-        self.host.send_port(port, self._beacon(Kind.VERSION_ANNOUNCE))
+        self.host.send_port(port, self._beacon(_ANNOUNCE))
 
     def _advertise(self) -> None:
         """A HELLO, then an announce, on every connected port, then a push
@@ -349,11 +351,16 @@ class ServiceNode:
         whole = self._reassemblers[port].feed(payload)
         if whole is None:
             return
-        try:
-            msg = decode_message(whole)
-        except ProtocolError as exc:
-            self.host.log("protocol-error", str(exc))
-            return
+        # Beacons repeat byte for byte; messages are immutable, so reuse one.
+        seen, msg = self._last_beacon.get(port, (None, None))
+        if seen != whole:
+            try:
+                msg = decode_message(whole)
+            except ProtocolError as exc:
+                self.host.log("protocol-error", str(exc))
+                return
+            if msg.kind is _HELLO or msg.kind is _ANNOUNCE:
+                self._last_beacon[port] = (whole, msg)
         try:
             self._dispatch(port, msg)
         except ProtocolError as exc:
@@ -361,7 +368,7 @@ class ServiceNode:
 
     def _dispatch(self, port: int, msg: ServiceMessage) -> None:
         kind = msg.kind
-        if kind is Kind.HELLO or kind is Kind.VERSION_ANNOUNCE:
+        if kind is _HELLO or kind is _ANNOUNCE:
             self._learn_neighbor(port, msg.src, parse_version(msg.body))
         elif kind is Kind.APPDATA:
             self._on_appdata(port, msg)

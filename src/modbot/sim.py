@@ -12,8 +12,8 @@ are reproducible from the documented constants alone.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from typing import Callable
 
 US_PER_MS = 1_000
@@ -48,17 +48,19 @@ class Rng:
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
     def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        """Uniform float in [0, 1) from the top 53 bits of next_u64(), inlined."""
+        s = self._state
+        s ^= (s >> 12)
+        s ^= (s << 25) & _MASK64
+        s ^= (s >> 27)
+        self._state = s
+        return (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (2.0 ** -53)
 
 
 class Timer:
-    """Cancellable handle for a scheduled callback."""
+    """Cancellable handle for a scheduled callback; no __init__ to run."""
 
-    __slots__ = ("cancelled",)
-
-    def __init__(self):
-        self.cancelled = False
+    cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -68,33 +70,30 @@ class Scheduler:
     """Virtual-clock event loop with deterministic same-time ordering."""
 
     def __init__(self):
-        self._now = 0
+        self.now = 0  # virtual time in us; only run_until moves it
         self._queue: list[tuple[int, int, Timer, Callable[[], None]]] = []
         self._counter = itertools.count()
 
-    @property
-    def now(self) -> int:
-        return self._now
-
     def call_at(self, t_us: int, fn: Callable[[], None]) -> Timer:
-        if t_us < self._now:
-            t_us = self._now
+        if t_us < self.now:
+            t_us = self.now
         timer = Timer()
-        heapq.heappush(self._queue, (t_us, next(self._counter), timer, fn))
+        heappush(self._queue, (t_us, next(self._counter), timer, fn))
         return timer
 
     def call_after(self, delay_us: int, fn: Callable[[], None]) -> Timer:
-        return self.call_at(self._now + delay_us, fn)
+        return self.call_at(self.now + delay_us, fn)
 
     def run_until(self, t_us: int) -> None:
         """Process every event due at or before t_us, then set the clock."""
-        while self._queue and self._queue[0][0] <= t_us:
-            when, _, timer, fn = heapq.heappop(self._queue)
+        queue, pop = self._queue, heappop
+        while queue and queue[0][0] <= t_us:
+            when, _, timer, fn = pop(queue)
             if timer.cancelled:
                 continue
-            self._now = when
+            self.now = when
             fn()
-        self._now = max(self._now, t_us)
+        self.now = max(self.now, t_us)
 
 
 class EventLog:

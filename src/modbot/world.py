@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Optional
 
 from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot, RoleProgram
@@ -323,16 +325,23 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 class Channel:
-    """One direction of a link; a serial line with probabilistic loss."""
+    """One direction of a link; a serial line with probabilistic loss.
+
+    `transmit` queues its (immutable) bytes uncopied in a FIFO list and
+    schedules the bound `_arrive`, which pops the head. That is the right
+    frame: `_busy_until` only grows and `prop_us` is fixed, so a channel's
+    arrivals fall due, and fire, in the order they were scheduled.
+    """
 
     def __init__(self, world: "World", link: "SimLink", loss: float, prop_us: int, byte_us: int):
-        self._world = world
+        self._scheduler, self._rng = world.scheduler, world.rng
         self._link = link
         self.loss = loss
         self.prop_us = prop_us
         self.byte_us = byte_us
         self.receive: Callable[[bytes], None] = lambda data: None
         self._busy_until = 0
+        self._in_flight: list[bytes] = []
         self.transmissions = 0
         self.drops = 0
 
@@ -340,17 +349,19 @@ class Channel:
         if self._link.severed:
             self.drops += 1
             return
-        scheduler = self._world.scheduler
+        scheduler = self._scheduler
         start = max(scheduler.now, self._busy_until)
         finish = start + len(data) * self.byte_us
         self._busy_until = finish
         self.transmissions += 1
-        if self._world.rng.random() < self.loss:
+        if self._rng.random() < self.loss:
             self.drops += 1
             return
-        scheduler.call_at(finish + self.prop_us, lambda: self._arrive(bytes(data)))
+        self._in_flight.append(data)
+        scheduler.call_at(finish + self.prop_us, self._arrive)
 
-    def _arrive(self, data: bytes) -> None:
+    def _arrive(self) -> None:
+        data = self._in_flight.pop(0)
         if not self._link.severed:
             self.receive(data)
 
@@ -390,6 +401,7 @@ class SimModule:
         self.speed = 0
         self.ports: dict[int, PortRuntime] = {}
         self.programs = world.programs
+        self._snapshot: Optional[PhysSnapshot] = None  # dropped by World._apply
         self.node = ServiceNode(host=self)
         self.node.file_store.update(spec.files)
 
@@ -424,16 +436,19 @@ class SimModule:
         return " ".join(parts)
 
     def snapshot(self) -> PhysSnapshot:
-        connections: dict[str, list[str]] = {}
-        for idx in sorted(self.ports):
-            runtime = self.ports[idx]
-            if not runtime.link.severed:
-                connections.setdefault(self.port_labels[idx], []).append(runtime.peer_name)
-        return PhysSnapshot(
-            center=self.center,
-            connections={k: tuple(v) for k, v in connections.items()},
-            sensors=dict(self.sensors),
-        )
+        """Shared and read-only until World._apply changes a sensor or link."""
+        if self._snapshot is None:
+            connections: dict[str, list[str]] = {}
+            for idx in sorted(self.ports):
+                runtime = self.ports[idx]
+                if not runtime.link.severed:
+                    connections.setdefault(self.port_labels[idx], []).append(runtime.peer_name)
+            self._snapshot = PhysSnapshot(
+                center=self.center,
+                connections=MappingProxyType({k: tuple(v) for k, v in connections.items()}),
+                sensors=MappingProxyType(dict(self.sensors)),
+            )
+        return self._snapshot
 
     def actuate(self, value: int) -> None:
         if value != self.speed:
@@ -478,16 +493,10 @@ class World:
         link.backward = Channel(self, link, loss, prop_us, byte_us)
         mod_a = self.modules[spec.module_a]
         mod_b = self.modules[spec.module_b]
-        proto_a = PortProtocol(
-            self.scheduler, link.forward.transmit,
-            lambda data, m=mod_a, p=spec.port_a: m.node.on_link_payload(p, data),
-            self.link_config,
-        )
-        proto_b = PortProtocol(
-            self.scheduler, link.backward.transmit,
-            lambda data, m=mod_b, p=spec.port_b: m.node.on_link_payload(p, data),
-            self.link_config,
-        )
+        proto_a = PortProtocol(self.scheduler, link.forward.transmit,
+                               partial(mod_a.node.on_link_payload, spec.port_a), self.link_config)
+        proto_b = PortProtocol(self.scheduler, link.backward.transmit,
+                               partial(mod_b.node.on_link_payload, spec.port_b), self.link_config)
         link.forward.receive = proto_b.on_bytes
         link.backward.receive = proto_a.on_bytes
         mod_a.ports[spec.port_a] = PortRuntime(proto_a, link, spec.module_b)
@@ -525,6 +534,7 @@ class World:
         if event.kind == "sensor":
             _, sensor_id, value = event.args
             target.sensors[sensor_id] = value
+            target._snapshot = None
             target.log("sensor", f"{sensor_id} {value}")
             target.node.on_sensor(sensor_id, value)
             target.node.on_phys_change()
@@ -537,6 +547,7 @@ class World:
             mod_a = self.modules[spec.module_a]
             mod_b = self.modules[spec.module_b]
             mod_a.log(event.kind, f"{event.args[0]} {event.args[1]}")
+            mod_a._snapshot = mod_b._snapshot = None
             for module, port in ((mod_a, spec.port_a), (mod_b, spec.port_b)):
                 if not severed:
                     module.node.on_link_up(port)

@@ -4,6 +4,7 @@ import base64
 
 import pytest
 
+from modbot import node as node_module
 from modbot.link import TicketState
 from modbot.messages import (
     Kind, ModuleId, ServiceMessage, encode_message, split_for_link,
@@ -527,3 +528,24 @@ def test_deeply_nested_program_answers_422():
     session.submit("START 0.1 deep.role")
     world.run_until_cs(400)
     assert session.take_lines() == ["ERR 422 line 2: expression nested too deeply"]
+
+
+def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
+    world = settled_pair()
+    decoded = []
+    decode = node_module.decode_message
+    monkeypatch.setattr(node_module, "decode_message",
+                        lambda data: decoded.append(data[0]) or decode(data))
+    world.run_until_cs(800)  # six more announce rounds, byte for byte the same
+    assert decoded == []
+    m1 = world.modules["m1"].node
+    assert m1.neighbor_table[0] == (ModuleId((0,)), 1)
+    world.modules["m0"].node.upgrade_local(2)
+    world.run_until_cs(1200)  # new beacons both ways, and a push
+    assert decoded.count(Kind.VERSION_ANNOUNCE) == 2
+    assert decoded.count(Kind.CODE_CHUNK) == 2
+    assert m1.neighbor_table[0] == (ModuleId((0,)), 2)
+    assert world.modules["m0"].node.neighbor_table[1] == (ModuleId((0, 1)), 2)
+    decoded.clear()
+    world.run_until_cs(2000)
+    assert decoded == []

@@ -72,3 +72,10 @@ def test_event_log_lines_and_times():
     assert log.select("sensor") == [(25, "m1", "sensor", "1 1")]
     times = [r[0] for r in log.records]
     assert times == sorted(times)
+
+
+def test_random_is_the_top_53_bits_of_next_u64():
+    for seed in [0, 1, 2, 42, 2**32, 2**63, 2**64 - 1, -1, *range(100, 120)]:
+        rng, twin = Rng(seed), Rng(seed)
+        for _ in range(10_000):
+            assert rng.random() == (twin.next_u64() >> 11) * 2**-53

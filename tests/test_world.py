@@ -1,9 +1,12 @@
 """Topology/scenario loading, channels, isolation, determinism."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from modbot.sim import Rng, Scheduler
 from modbot.world import (
     Channel, LinkSpec, LoadError, ModuleSpec, Scenario, ScenarioEvent, SimLink,
     Topology, World, load_scenario, load_topology, parse_scenario, parse_topology, run,
@@ -169,6 +172,92 @@ def test_channel_drop_count_within_three_sigma():
     sigma = math.sqrt(n * 0.25)
     assert abs(channel.drops - n / 2) <= 3 * sigma
     assert counter.count == n - channel.drops
+
+
+class _ClosureChannel:
+    """Reference channel: one closure per frame, each carrying its own copy."""
+
+    def __init__(self, world, link, loss, prop_us, byte_us):
+        self._world, self._link = world, link
+        self.loss, self.prop_us, self.byte_us = loss, prop_us, byte_us
+        self.receive = lambda data: None
+        self._busy_until = 0
+
+    def transmit(self, data):
+        if self._link.severed:
+            return
+        scheduler = self._world.scheduler
+        start = max(scheduler.now, self._busy_until)
+        finish = start + len(data) * self.byte_us
+        self._busy_until = finish
+        if self._world.rng.random() < self.loss:
+            return
+        scheduler.call_at(finish + self.prop_us, lambda: self._arrive(bytes(data)))
+
+    def _arrive(self, data):
+        if not self._link.severed:
+            self.receive(data)
+
+
+def _delivered(channel_class, seed, loss, prop_us, byte_us, steps):
+    world = SimpleNamespace(scheduler=Scheduler(), rng=Rng(seed))
+    link = SimLink(spec=LinkSpec("x", 0, "y", 0))
+    channel = channel_class(world, link, loss, prop_us, byte_us)
+    arrivals = []
+    channel.receive = lambda data: arrivals.append((world.scheduler.now, data))
+    for index, (gap_us, action, length) in enumerate(steps):
+        world.scheduler.run_until(world.scheduler.now + gap_us)
+        if action == "send":
+            channel.transmit(bytes([index & 0xFF]) * length)
+        else:
+            link.severed = action == "sever"
+    world.scheduler.run_until(world.scheduler.now + 10**9)
+    return arrivals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    loss=st.sampled_from([0.0, 0.3]),
+    prop_us=st.integers(0, 5_000),
+    byte_us=st.sampled_from([0, 1, 300]),
+    steps=st.lists(st.tuples(st.integers(0, 6_000),
+                             st.sampled_from(["send", "send", "sever", "restore"]),
+                             st.integers(0, 40)), max_size=30),
+)
+# A frame lost to a sever while in flight, then one sent after the restore.
+@example(seed=1, loss=0.0, prop_us=1_000, byte_us=300,
+         steps=[(0, "send", 10), (1_000, "sever", 0), (4_000, "restore", 0), (0, "send", 10)])
+def test_fifo_channel_delivers_like_one_closure_per_frame(seed, loss, prop_us, byte_us, steps):
+    args = (seed, loss, prop_us, byte_us, steps)
+    assert _delivered(Channel, *args) == _delivered(_ClosureChannel, *args)
+
+
+def test_snapshot_is_shared_until_a_sensor_or_link_event():
+    topo = chain_topology(3)
+    topo.modules[1].sensors = {1: 0}
+    scen = Scenario(events=[
+        ScenarioEvent(100, "sensor", ("m1", 1, 7)),
+        ScenarioEvent(200, "sever", ("m0.1", "m1.0")),
+        ScenarioEvent(300, "restore", ("m0.1", "m1.0")),
+    ])
+    world = World(topo, scen)
+    m0, m1 = world.modules["m0"], world.modules["m1"]
+    first = m1.snapshot()
+    assert m1.snapshot() is first
+    assert dict(first.connections) == {"WEST": ("m0",), "EAST": ("m2",)}
+    with pytest.raises(TypeError):
+        first.sensors[1] = 5
+    with pytest.raises(TypeError):
+        first.connections["WEST"] = ()
+    world.run_until_cs(150)
+    assert m1.snapshot().sensors == {1: 7}
+    world.run_until_cs(250)
+    assert dict(m1.snapshot().connections) == {"EAST": ("m2",)}
+    assert dict(m0.snapshot().connections) == {}
+    world.run_until_cs(350)
+    assert dict(m1.snapshot().connections) == dict(first.connections)
+    assert dict(m0.snapshot().connections) == {"EAST": ("m1",)}
 
 
 def test_neighbor_tables_match_adjacency_after_hello():
