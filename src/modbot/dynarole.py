@@ -547,9 +547,6 @@ class PhysSnapshot:
     connections: Mapping[str, tuple[str, ...]]  # direction label -> connected ids
     sensors: Mapping[int, int] = field(default_factory=dict)
 
-    def connected_ids(self, direction: str) -> tuple[str, ...]:
-        return tuple(self.connections.get(direction, ()))
-
 
 def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[int, str]]):
     if isinstance(op, Lit):
@@ -566,7 +563,7 @@ def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[i
         direction = _eval_operand(op.direction, state, consts)
         if not isinstance(direction, str):
             raise EvalError(f"connected() needs a direction, got {direction!r}")
-        return len(state.connected_ids(direction))
+        return len(state.connections.get(direction, ()))
     raise EvalError(f"cannot evaluate {op!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .dynarole import (
     Action, AssignResult, Enable, EvalError, Invoke, RoleProgram, SleepCs,
@@ -39,16 +39,19 @@ class _Run:
 
 
 class RoleEngine:
-    """Drives one program against a host exposing the module's world.
+    """Drives one program against the module that hosts it.
 
-    The host duck type provides: `scheduler`, `snapshot() -> PhysSnapshot`,
-    `actuate(value)`, `log(kind, payload)` and
-    `invoke_neighbors(role, command)`.
+    The host duck type (the module, `world.SimModule`) provides
+    `scheduler`, `snapshot() -> PhysSnapshot`, `actuate(value)` and
+    `log(kind, payload)`. `invoke_neighbors(role, command)` sends a
+    cross-role invocation to every neighbour on the program's behalf.
     """
 
-    def __init__(self, host, program: RoleProgram):
+    def __init__(self, host, program: RoleProgram,
+                 invoke_neighbors: Callable[[str, str], None]):
         self.host = host
         self.program = program
+        self.invoke_neighbors = invoke_neighbors
         self.assigned: Optional[str] = None
         self._enabled: set[int] = set()
         self._current: Optional[_Run] = None
@@ -81,9 +84,6 @@ class RoleEngine:
         if result.role != self.assigned or not self._evaluated_once:
             self._reassign(result.role)
         self._evaluated_once = True
-
-    def on_phys_change(self) -> None:
-        self.evaluate()
 
     def _arm_reeval(self) -> None:
         def tick() -> None:
@@ -141,7 +141,6 @@ class RoleEngine:
             # Same command again: restart its timer rather than queueing.
             if current.timer is not None:
                 current.timer.cancel()
-                current.timer = None
             current.index = 0
             self._step(current)
             return
@@ -172,6 +171,7 @@ class RoleEngine:
         self.host.log("run-end", f"{run.kind} {run.name}")
 
     def _step(self, run: _Run) -> None:
+        run.timer = None
         if self._current is not run:
             return
         consts = self.program.resolved[self.assigned].constants if self.assigned else {}
@@ -192,7 +192,7 @@ class RoleEngine:
                 self._enabled.add(action.event)
             elif isinstance(action, Invoke):
                 self.host.log("invoke", f"{action.role}.{action.command}")
-                self.host.invoke_neighbors(action.role, action.command)
+                self.invoke_neighbors(action.role, action.command)
             elif isinstance(action, SleepCs):
                 if state is None:
                     state = self.host.snapshot()
@@ -205,14 +205,10 @@ class RoleEngine:
                     self.host.log("action-error", f"bad sleepcs amount {amount!r}")
                     continue
                 run.timer = self.host.scheduler.call_after(
-                    amount * US_PER_CS, lambda r=run: self._resume(r)
+                    amount * US_PER_CS, lambda r=run: self._step(r)
                 )
                 return
         self._finish(run)
-
-    def _resume(self, run: _Run) -> None:
-        run.timer = None
-        self._step(run)
 
     def _finish(self, run: _Run) -> None:
         if self._current is not run:

@@ -205,18 +205,26 @@ class LinkConfig:
 
 
 class Ticket:
-    """Resolves once. A send (one message's payloads, see PortProtocol.send)
-    is DELIVERED when its last frame was acknowledged and FAILED when one
-    frame ran out of retries or the send was cancelled before transmission.
-    `transmissions` is 1 once the first frame left, plus 1 per
-    retransmission of any of its frames."""
+    """One send (one message's payloads, see PortProtocol.send) and the
+    sender's queue entry for it. Resolves once: DELIVERED when its last
+    frame was acknowledged and FAILED when one frame ran out of retries or
+    the send was cancelled before transmission. `transmissions` is 1 once
+    the first frame left, plus 1 per retransmission of any of its frames.
+    The underscored fields belong to the sending PortProtocol."""
 
-    __slots__ = ("state", "transmissions", "_callbacks")
+    __slots__ = ("state", "transmissions", "_callbacks",
+                 "_payloads", "_index", "_frame", "_seq", "_retries_used", "_timer")
 
-    def __init__(self):
+    def __init__(self, payloads: Sequence[bytes]):
         self.state = _PENDING
         self.transmissions = 0
         self._callbacks: list[Callable[["Ticket"], None]] = []
+        self._payloads = payloads
+        self._index = -1  # of the payload on the wire
+        self._frame = b""  # encoded once its seq is known; retransmissions resend it
+        self._seq = 0
+        self._retries_used = 0
+        self._timer: Optional[Timer] = None
 
     @property
     def done(self) -> bool:
@@ -251,21 +259,10 @@ class LinkStats:
 _ACKS = tuple(Frame(_ACK, seq) for seq in range(256))
 
 
-@dataclass(slots=True)
-class _TxEntry:
-    payloads: Sequence[bytes]
-    ticket: Ticket
-    index: int = -1  # of the payload on the wire
-    frame: bytes = b""  # encoded once its seq is known; retransmissions resend it
-    seq: int = 0
-    retries_used: int = 0
-    timer: Optional[Timer] = None
-
-
 class PortProtocol:
     """Stop-and-wait protocol instance for one module port.
 
-    Outgoing messages queue FIFO, one entry each, behind the single
+    Outgoing messages queue FIFO, one ticket each, behind the single
     outstanding frame; delivery order on a healthy link therefore matches
     submission order.
     """
@@ -283,8 +280,8 @@ class PortProtocol:
         self.config = config or LinkConfig()
         self.stats = LinkStats()
         self._decoder = FrameDecoder()
-        self._queue: deque[_TxEntry] = deque()
-        self._outstanding: _TxEntry | None = None
+        self._queue: deque[Ticket] = deque()
+        self._outstanding: Ticket | None = None
         self._next_seq = 0
         self._expected_seq = 0
 
@@ -293,7 +290,7 @@ class PortProtocol:
         return self._decoder.crc_errors
 
     def send(self, payloads: Sequence[bytes]) -> Ticket:
-        """Queue one message's payloads (one or more) as one entry. They
+        """Queue one message's payloads (one or more) as one ticket. They
         leave back to back, each with the next seq and a fresh retry
         budget; the first give-up fails the ticket and drops the payloads
         not yet sent. The sequence is kept, not copied, so it must not
@@ -301,19 +298,18 @@ class PortProtocol:
         for payload in payloads:
             if len(payload) > MAX_PAYLOAD:
                 raise EncodingError(f"payload too long: {len(payload)}")
-        entry = _TxEntry(payloads, Ticket())
-        self._queue.append(entry)
+        ticket = Ticket(payloads)
+        self._queue.append(ticket)
         self._pump()
-        return entry.ticket
+        return ticket
 
     def cancel(self, ticket: Ticket) -> bool:
         """Withdraw a still-queued message; fails its ticket without sending."""
-        for entry in self._queue:
-            if entry.ticket is ticket:
-                self._queue.remove(entry)
-                ticket._resolve(_FAILED)
-                return True
-        return False
+        if ticket not in self._queue:
+            return False
+        self._queue.remove(ticket)
+        ticket._resolve(_FAILED)
+        return True
 
     def on_bytes(self, data: bytes) -> None:
         for frame in self._decoder.feed(data):
@@ -324,52 +320,52 @@ class PortProtocol:
     def _pump(self) -> None:
         if self._outstanding is not None or not self._queue:
             return
-        entry = self._outstanding = self._queue.popleft()
-        entry.ticket.transmissions = 1
-        self._start_next(entry)
+        ticket = self._outstanding = self._queue.popleft()
+        ticket.transmissions = 1
+        self._start_next(ticket)
 
-    def _start_next(self, entry: _TxEntry) -> None:
-        """Put the entry's next payload on the wire under the next seq."""
-        entry.index += 1
-        entry.seq = self._next_seq
-        self._next_seq = (self._next_seq + 1) & 0xFF
-        entry.retries_used = 0
+    def _start_next(self, ticket: Ticket) -> None:
+        """Put the ticket's next payload on the wire under the next seq."""
+        ticket._index += 1
+        seq = ticket._seq = self._next_seq
+        self._next_seq = (seq + 1) & 0xFF
+        ticket._retries_used = 0
         frame = object.__new__(Frame)  # valid as built, like _parse_at's frames
-        frame.frame_type, frame.seq, frame.payload = _DATA, entry.seq, entry.payloads[entry.index]
-        entry.frame = encode_frame(frame)
-        self._transmit_entry(entry)
+        frame.frame_type, frame.seq, frame.payload = _DATA, seq, ticket._payloads[ticket._index]
+        ticket._frame = encode_frame(frame)
+        self._transmit_ticket(ticket)
 
-    def _transmit_entry(self, entry: _TxEntry) -> None:
-        self._transmit(entry.frame)
+    def _transmit_ticket(self, ticket: Ticket) -> None:
+        self._transmit(ticket._frame)
         self.stats.tx_data += 1
-        entry.timer = self._scheduler.call_at(
+        ticket._timer = self._scheduler.call_at(
             self._scheduler.now + self.config.ack_timeout_ms * US_PER_MS, self._on_timeout)
 
     def _on_timeout(self) -> None:
-        entry = self._outstanding
-        if entry is None:
+        ticket = self._outstanding
+        if ticket is None:
             return
-        if entry.retries_used >= self.config.max_retries:
+        if ticket._retries_used >= self.config.max_retries:
             self._outstanding = None
             self.stats.give_ups += 1
-            entry.ticket._resolve(_FAILED)
+            ticket._resolve(_FAILED)
             self._pump()
         else:
-            entry.retries_used += 1
-            entry.ticket.transmissions += 1
-            self._transmit_entry(entry)
+            ticket._retries_used += 1
+            ticket.transmissions += 1
+            self._transmit_ticket(ticket)
 
     def _handle_frame(self, frame: Frame) -> None:
         if frame.frame_type is _ACK:
-            entry = self._outstanding
-            if entry is not None and entry.seq == frame.seq:
-                if entry.timer is not None:
-                    entry.timer.cancel()
-                if entry.index + 1 < len(entry.payloads):
-                    self._start_next(entry)
+            ticket = self._outstanding
+            if ticket is not None and ticket._seq == frame.seq:
+                if ticket._timer is not None:
+                    ticket._timer.cancel()
+                if ticket._index + 1 < len(ticket._payloads):
+                    self._start_next(ticket)
                     return
                 self._outstanding = None
-                entry.ticket._resolve(_DELIVERED)
+                ticket._resolve(_DELIVERED)
                 if self._queue:
                     self._pump()
             else:

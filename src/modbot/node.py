@@ -18,6 +18,7 @@ import base64
 import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from .dynarole import RoleProgram, RoleSyntaxError, parse_program
@@ -97,26 +98,13 @@ class Session:
 
 
 class EngineSession(Session):
-    """Registry entry for a role engine and the engine's host: routes MSG
-    payloads into the engine and gives it its view of the module."""
+    """Registry entry for a role engine: routes MSG payloads into the
+    engine, which the module hosts and which invokes under this app name."""
 
     def __init__(self, node: "ServiceNode", name: str, program: RoleProgram):
         super().__init__(node)
         self.name = name
-        self.scheduler = node.host.scheduler
-        self.engine = RoleEngine(self, program)
-
-    def snapshot(self):
-        return self.node.host.snapshot()
-
-    def actuate(self, value: int) -> None:
-        self.node.host.actuate(value)
-
-    def log(self, kind: str, payload: str = "") -> None:
-        self.node.host.log(kind, payload)
-
-    def invoke_neighbors(self, role: str, command: str) -> None:
-        self.node.invoke_neighbors(self.name, role, command)
+        self.engine = RoleEngine(node.host, program, partial(node.invoke_neighbors, name))
 
     def push(self, line: str) -> None:
         parts = line.split()
@@ -162,10 +150,12 @@ class _Transfer:
 class ServiceNode:
     """Middleware state machine for one module.
 
-    The host duck type supplies the simulated world surface: `scheduler`,
-    `log(kind, payload)`, `state_text()`, `snapshot()`, `actuate(value)`,
-    `send_port(port, msg) -> Ticket`, `connected_ports()`, `link_config`
-    and `programs`, the parsed role programs by text, shared world-wide.
+    The host duck type (the module, `world.SimModule`) supplies the
+    simulated world surface: `scheduler`, `log(kind, payload)`,
+    `state_text()`, `snapshot()`, `actuate(value)`, `send_port(port, msg)
+    -> Ticket`, `connected_ports()`, `link_config` and `programs`, the
+    parsed role programs by text, shared world-wide. The role engines the
+    node starts are hosted by the same module (see `RoleEngine`).
     """
 
     def __init__(self, host):
@@ -186,7 +176,7 @@ class ServiceNode:
         self._push_inflight: set[int] = set()
         self._beacon_key: Optional[tuple[ModuleId, int]] = None
         self._beacons: dict[Kind, ServiceMessage] = {}
-        self._last_beacon: dict[int, tuple[bytes, ServiceMessage]] = {}  # per port
+        self._last_beacon: dict[int, tuple[bytes, tuple[ModuleId, int]]] = {}  # per port
 
     # bootstrap and periodic diffusion
 
@@ -202,7 +192,7 @@ class ServiceNode:
     def _tick(self) -> None:
         ports = self.host.connected_ports()
         for port in ports:
-            self._announce(port)
+            self.host.send_port(port, self._beacon(_ANNOUNCE))
         for port in ports:
             self._maybe_push(port)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
@@ -218,31 +208,25 @@ class ServiceNode:
                              for k in (_HELLO, _ANNOUNCE)}
         return self._beacons[kind]
 
-    def _send_hello(self, port: int) -> None:
-        self.host.send_port(port, self._beacon(_HELLO))
-
-    def _announce(self, port: int) -> None:
-        self.host.send_port(port, self._beacon(_ANNOUNCE))
-
     def _advertise(self) -> None:
         """A HELLO, then an announce, on every connected port, then a push
         to each neighbour that runs an older version."""
         ports = self.host.connected_ports()
         for port in ports:
-            self._send_hello(port)
+            self.host.send_port(port, self._beacon(_HELLO))
         for port in ports:
-            self._announce(port)
+            self.host.send_port(port, self._beacon(_ANNOUNCE))
         for port in ports:
             self._maybe_push(port)
 
     def on_link_up(self, port: int) -> None:
-        self._send_hello(port)
-        self._announce(port)
+        self.host.send_port(port, self._beacon(_HELLO))
+        self.host.send_port(port, self._beacon(_ANNOUNCE))
 
     def on_phys_change(self) -> None:
         for session in self.apps.values():
             if isinstance(session, EngineSession):
-                session.engine.on_phys_change()
+                session.engine.evaluate()
 
     def on_sensor(self, sensor_id: int, value: int) -> None:
         for session in list(self.apps.values()):
@@ -264,10 +248,6 @@ class ServiceNode:
             self.module_id = ROOT_ID
         self.host.log("version", str(self.version))
         self._advertise()
-
-    def _learn_neighbor(self, port: int, module_id: ModuleId, version: int) -> None:
-        self.neighbor_table[port] = (module_id, version)
-        self._maybe_push(port)
 
     def _maybe_push(self, port: int) -> None:
         if self.version == 0 or port in self._push_inflight:
@@ -351,26 +331,28 @@ class ServiceNode:
         whole = self._reassemblers[port].feed(payload)
         if whole is None:
             return
-        # Beacons repeat byte for byte; messages are immutable, so reuse one.
-        seen, msg = self._last_beacon.get(port, (None, None))
-        if seen != whole:
+        # Beacons repeat byte for byte: a repeat only stores its (id, version) again.
+        beacon = self._last_beacon.get(port)
+        if beacon is None or beacon[0] != whole:
             try:
                 msg = decode_message(whole)
             except ProtocolError as exc:
                 self.host.log("protocol-error", str(exc))
                 return
-            if msg.kind is _HELLO or msg.kind is _ANNOUNCE:
-                self._last_beacon[port] = (whole, msg)
-        try:
-            self._dispatch(port, msg)
-        except ProtocolError as exc:
-            self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
+            try:
+                if msg.kind is not _HELLO and msg.kind is not _ANNOUNCE:
+                    self._dispatch(port, msg)
+                    return
+                beacon = self._last_beacon[port] = (whole, (msg.src, parse_version(msg.body)))
+            except ProtocolError as exc:
+                self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
+                return
+        self.neighbor_table[port] = beacon[1]
+        self._maybe_push(port)
 
     def _dispatch(self, port: int, msg: ServiceMessage) -> None:
         kind = msg.kind
-        if kind is _HELLO or kind is _ANNOUNCE:
-            self._learn_neighbor(port, msg.src, parse_version(msg.body))
-        elif kind is Kind.APPDATA:
+        if kind is Kind.APPDATA:
             self._on_appdata(port, msg)
         elif kind is Kind.BCAST:
             self._on_bcast(port, msg)
@@ -494,23 +476,23 @@ class ServiceNode:
 
     def _request(self, session: Session, port: int, kind: Kind,
                  body_of: Callable[[int], bytes], on_reply: Callable,
-                 timeout_line: str, fail_line: Optional[str] = None,
-                 dst_app: Optional[str] = None) -> None:
+                 verb: str, dst_app: Optional[str] = None) -> None:
         """Send the request message body_of(req_id) and answer the session
-        exactly once: on_reply(*reply) when the reply arrives, timeout_line
-        when none came in time, fail_line (default timeout_line) when the
-        link gave up on the request. The reply timer is armed before the
-        send, which fixes its place in the scheduler's same-time order."""
+        exactly once: on_reply(*reply) when the reply arrives, `ERR 409
+        delivery failed` when the link gave up on the request and `ERR 504
+        <verb> timeout` when no reply came in time. The reply timer is armed
+        before the send, which fixes its place in the scheduler's same-time
+        order."""
         req_id = next(self._req_counter)
 
         def expire() -> None:
             if self._pending.pop(req_id, None) is not None:
-                session.respond(timeout_line)
+                session.respond(f"ERR 504 {verb} timeout")
 
         def on_sent(ticket: Ticket) -> None:
             if ticket.state is TicketState.FAILED and req_id in self._pending:
                 self._pending.pop(req_id).timer.cancel()
-                session.respond(fail_line or timeout_line)
+                session.respond("ERR 409 delivery failed")
 
         timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
         self._pending[req_id] = _Pending(timer, on_reply)
@@ -620,7 +602,7 @@ class ServiceNode:
             session.respond("ERR 404 unknown module")
             return
         self._request(session, port, Kind.STATE_REQ, state_req_body,
-                      lambda text: session.respond(f"OK {text}"), "ERR 504 state timeout")
+                      lambda text: session.respond(f"OK {text}"), "state")
 
     def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
         entries = [
@@ -644,7 +626,7 @@ class ServiceNode:
             session, port, Kind.APPDATA,
             lambda req_id: appdata_body(session.name or "", req_id, data),
             lambda ok: session.respond("OK delivered" if ok else "ERR 404 unknown app"),
-            "ERR 504 send timeout", fail_line="ERR 409 delivery failed", dst_app=args[1])
+            "send", dst_app=args[1])
 
     def _cmd_bcast(self, session: Session, args: list[str]) -> None:
         if len(args) != 1:
@@ -704,7 +686,7 @@ class ServiceNode:
             return
         self._request(session, port, Kind.EXEC,
                       lambda req_id: request_body(req_id, command_line),
-                      session.respond, "ERR 504 exec timeout")
+                      session.respond, "exec")
 
     def _cmd_start(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:
@@ -715,7 +697,7 @@ class ServiceNode:
             return
         self._request(session, port, Kind.START,
                       lambda req_id: request_body(req_id, args[1]),
-                      session.respond, "ERR 504 start timeout")
+                      session.respond, "start")
 
     def _cmd_version(self, session: Session, args: list[str]) -> None:
         session.respond(f"OK version={self.version}")

@@ -261,9 +261,10 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
     default_root = modules[0].name if modules else ""
     return Topology(
         modules=modules, links=links, root=root or default_root,
-        link_config=LinkConfig(config.get("ack_timeout_ms", 100), config.get("max_retries", 5)),
+        link_config=LinkConfig(**{key: config[key] for key in ("ack_timeout_ms", "max_retries")
+                                  if key in config}),
         default_loss=config.get("loss", DEFAULT_LOSS),
-        default_prop_us=config.get("prop_ms", 1) * US_PER_MS,
+        default_prop_us=config["prop_ms"] * US_PER_MS if "prop_ms" in config else DEFAULT_PROP_US,
         default_byte_us=config.get("byte_us", DEFAULT_BYTE_US),
     )
 
@@ -400,20 +401,14 @@ class SimModule:
         self.sensors = dict(spec.sensors)
         self.speed = 0
         self.ports: dict[int, PortRuntime] = {}
+        self.scheduler: Scheduler = world.scheduler
+        self.link_config: LinkConfig = world.link_config
         self.programs = world.programs
         self._snapshot: Optional[PhysSnapshot] = None  # dropped by World._apply
         self.node = ServiceNode(host=self)
         self.node.file_store.update(spec.files)
 
     # host surface consumed by ServiceNode and the role engine
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.world.scheduler
-
-    @property
-    def link_config(self) -> LinkConfig:
-        return self.world.link_config
 
     def log(self, kind: str, payload: str = "") -> None:
         self.world.log.log(self.name, kind, payload)

@@ -189,3 +189,121 @@ def test_sensor_events_pushed_to_plain_sessions():
     probe.take_lines()
     world.run_until_cs(1100)  # scenario fires sensor 1 at t=1000
     assert "EVENT sensor 1 1" in probe.take_lines()
+
+
+# The run queue: one run at a time, commands and handlers pre-empt the
+# behavior, later arrivals queue behind the current run.
+
+_WORKER = (
+    "role Worker extends Module {\n"
+    " require (self.center == $UP_DOWN);\n"
+    " require (sizeof(self.connected($EAST)) == 1);\n"
+    " startup init(_) { (self.enable($EVENT_HANDLER_1)); }\n"
+    " handle $EVENT_HANDLER_1 { self.$TURN_CONTINUOUSLY(7); (self.sleepcs(5)); }\n"
+    " behavior roam(_) { self.$TURN_CONTINUOUSLY(1); (self.sleepcs(50)); }\n"
+    " command halt(_) { self.$TURN_CONTINUOUSLY(0); (self.sleepcs(10)); }\n"
+    "}\n"
+)
+_RUN_KINDS = ("run-begin", "run-end", "TURN_CONTINUOUSLY", "role", "action-error")
+
+
+def worker_world(program: str = _WORKER, events=()) -> World:
+    """Worker module w, the root so no code push restarts its engine, with a
+    peer to its east; the program starts at 10 cs."""
+    modules = [
+        ModuleSpec("w", "UP_DOWN", {0: "EAST"}, sensors={1: 0}, files={"w.role": program}),
+        ModuleSpec("p", "UP_DOWN", {0: "WEST"}),
+    ]
+    scenario = Scenario(events=[ScenarioEvent(10, "start", ("w", "w.role")), *events])
+    return World(Topology(modules, [LinkSpec("w", 0, "p", 0)], root="w"), scenario)
+
+
+def run_log(world: World, since_cs: int) -> list[tuple[int, str, str]]:
+    return [(t, kind, payload) for t, module, kind, payload in world.log.records
+            if module == "w" and t >= since_cs and kind in _RUN_KINDS]
+
+
+def test_command_preempts_a_sleeping_behavior():
+    world = worker_world()
+    world.run_until_cs(20)
+    engine = world.modules["w"].node.apps["w.role"].engine
+    behavior = engine._current
+    engine.on_invoke("Worker", "halt")
+    world.run_until_cs(45)
+    assert behavior.timer.cancelled
+    assert run_log(world, 20) == [
+        (20, "run-end", "behavior roam"),
+        (20, "run-begin", "command halt"),
+        (20, "TURN_CONTINUOUSLY", "0"),
+        (30, "run-end", "command halt"),
+        (30, "run-begin", "behavior roam"),
+        (30, "TURN_CONTINUOUSLY", "1"),
+    ]
+
+
+def test_handler_during_a_command_begins_when_the_command_ends():
+    world = worker_world(events=[ScenarioEvent(25, "sensor", ("w", 1, 1))])
+    world.run_until_cs(20)
+    world.modules["w"].node.apps["w.role"].engine.on_invoke("Worker", "halt")
+    world.run_until_cs(45)
+    assert run_log(world, 21) == [
+        (30, "run-end", "command halt"),
+        (30, "run-begin", "handler h0"),
+        (30, "TURN_CONTINUOUSLY", "7"),
+        (35, "run-end", "handler h0"),
+        (35, "run-begin", "behavior roam"),
+        (35, "TURN_CONTINUOUSLY", "1"),
+    ]
+
+
+def test_duplicate_queued_run_coalesces():
+    world = worker_world(events=[ScenarioEvent(25, "sensor", ("w", 1, 1)),
+                                 ScenarioEvent(26, "sensor", ("w", 1, 2))])
+    world.run_until_cs(20)
+    world.modules["w"].node.apps["w.role"].engine.on_invoke("Worker", "halt")
+    world.run_until_cs(100)
+    assert [r for r in run_log(world, 21) if r[1] == "run-begin"] == [
+        (30, "run-begin", "handler h0"),
+        (35, "run-begin", "behavior roam"),
+        (85, "run-begin", "behavior roam"),
+    ]
+
+
+def test_reassignment_mid_sleep_cancels_the_sleeping_run():
+    world = worker_world(events=[ScenarioEvent(30, "sever", ("w.0", "p.0"))])
+    world.run_until_cs(20)
+    behavior = world.modules["w"].node.apps["w.role"].engine._current
+    assert behavior is not None and behavior.name == "roam"
+    world.run_until_cs(200)
+    assert behavior.timer.cancelled
+    assert run_log(world, 20) == [
+        (30, "run-end", "behavior roam"),
+        (30, "role", "none"),
+    ]
+
+
+def test_bad_sleep_amount_and_undefined_constant_log_action_errors():
+    program = (
+        "role Worker extends Module {\n"
+        " require (self.center == $UP_DOWN);\n"
+        " behavior roam(_) {\n"
+        "  self.$TURN_CONTINUOUSLY(nope);\n"
+        "  (self.sleepcs(later));\n"
+        "  (self.sleepcs(-5));\n"
+        "  (self.sleepcs($EAST));\n"
+        "  self.$TURN_CONTINUOUSLY(3);\n"
+        " }\n"
+        "}\n"
+    )
+    world = worker_world(program)
+    world.run_until_cs(50)
+    assert run_log(world, 10) == [
+        (10, "role", "Worker"),
+        (10, "run-begin", "behavior roam"),
+        (10, "action-error", "undefined constant 'nope'"),
+        (10, "action-error", "undefined constant 'later'"),
+        (10, "action-error", "bad sleepcs amount -5"),
+        (10, "action-error", "bad sleepcs amount 'EAST'"),
+        (10, "TURN_CONTINUOUSLY", "3"),
+        (10, "run-end", "behavior roam"),
+    ]

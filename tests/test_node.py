@@ -89,10 +89,10 @@ def test_state_unknown_module_404():
 # Each request verb: (command, answer when the link gives up on the
 # request, answer when the request arrived but the reply never comes).
 _REQUESTS = {
-    "STATE": ("STATE 0.1", "ERR 504 state timeout", "ERR 504 state timeout"),
+    "STATE": ("STATE 0.1", "ERR 409 delivery failed", "ERR 504 state timeout"),
     "SEND": (f"SEND 0.1 sink {b64(b'hi')}", "ERR 409 delivery failed", "ERR 504 send timeout"),
-    "EXEC": (f"EXEC 0.1 {b64(b'VERSION')}", "ERR 504 exec timeout", "ERR 504 exec timeout"),
-    "START": ("START 0.1 missing.role", "ERR 504 start timeout", "ERR 504 start timeout"),
+    "EXEC": (f"EXEC 0.1 {b64(b'VERSION')}", "ERR 409 delivery failed", "ERR 504 exec timeout"),
+    "START": ("START 0.1 missing.role", "ERR 409 delivery failed", "ERR 504 start timeout"),
 }
 
 
@@ -434,6 +434,20 @@ def test_malformed_message_body_logged_and_dropped():
     assert any("STATE_REQ" in r[3] for r in world.log.select("protocol-error", "m0"))
 
 
+def test_malformed_beacon_logged_again_when_repeated():
+    world = settled_pair()
+    node = world.modules["m0"].node
+    before = dict(node.neighbor_table)
+    bad = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId.parse("0.1"), None, b"\x01")
+    for _ in range(2):
+        for part in split_for_link(encode_message(bad)):
+            node.on_link_payload(1, part)
+    errors = [r[3] for r in world.log.select("protocol-error", "m0")]
+    assert len(errors) == 2 and errors[0] == errors[1]
+    assert errors[0].startswith("VERSION_ANNOUNCE: ")
+    assert node.neighbor_table == before
+
+
 def test_unknown_kind_byte_logged_and_dropped():
     world = settled_pair()
     node = world.modules["m0"].node
@@ -536,8 +550,12 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     decode = node_module.decode_message
     monkeypatch.setattr(node_module, "decode_message",
                         lambda data: decoded.append(data[0]) or decode(data))
+    parsed = []
+    parse_version = node_module.parse_version
+    monkeypatch.setattr(node_module, "parse_version",
+                        lambda body: parsed.append(body) or parse_version(body))
     world.run_until_cs(800)  # six more announce rounds, byte for byte the same
-    assert decoded == []
+    assert decoded == [] and parsed == []
     m1 = world.modules["m1"].node
     assert m1.neighbor_table[0] == (ModuleId((0,)), 1)
     world.modules["m0"].node.upgrade_local(2)
@@ -546,6 +564,8 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     assert decoded.count(Kind.CODE_CHUNK) == 2
     assert m1.neighbor_table[0] == (ModuleId((0,)), 2)
     assert world.modules["m0"].node.neighbor_table[1] == (ModuleId((0, 1)), 2)
+    assert len(parsed) == decoded.count(Kind.HELLO) + decoded.count(Kind.VERSION_ANNOUNCE) == 4
     decoded.clear()
+    parsed.clear()
     world.run_until_cs(2000)
-    assert decoded == []
+    assert decoded == [] and parsed == []

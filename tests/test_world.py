@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from modbot.link import LinkConfig
 from modbot.sim import Rng, Scheduler
 from modbot.world import (
-    Channel, LinkSpec, LoadError, ModuleSpec, Scenario, ScenarioEvent, SimLink,
+    DEFAULT_PROP_US, Channel, LinkSpec, LoadError, ModuleSpec, Scenario, ScenarioEvent, SimLink,
     Topology, World, load_scenario, load_topology, parse_scenario, parse_topology, run,
 )
 
@@ -427,6 +428,10 @@ def test_later_config_line_overrides_earlier():
     assert topo.default_byte_us == 9
     assert topo.link_config.max_retries == 3
     assert topo.link_config.ack_timeout_ms == 100
+    assert topo.default_prop_us == DEFAULT_PROP_US
+    bare = parse_topology("module a center=EAST_WEST ports=0:EAST\n")
+    assert bare.link_config == LinkConfig()
+    assert bare.default_prop_us == DEFAULT_PROP_US
 
 
 @pytest.mark.parametrize("text,expected", [
