@@ -5,19 +5,21 @@ Binary layouts are documented in docs/protocol.md. Every message is
     kind(1) | src_id pstr | dst_app pstr | body
 
 where pstr is a 1-byte length followed by that many UTF-8 bytes (length 0
-in the dst_app slot means "none"). A serialized message larger than one
-link payload is split into link chunks, each prefixed with a 4-byte
-(index, count) header; the reliable link keeps chunks in order, so
-reassembly is a straight concatenation.
+in the dst_app slot means "none"). Each body shape is declared once, as a
+`Layout`. A serialized message larger than one link payload is split into
+link chunks, each prefixed with a 4-byte (index, count) header; the
+reliable link keeps chunks in order, so reassembly is a straight
+concatenation.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .link import PortProtocol, Ticket
 
@@ -46,6 +48,13 @@ class Kind(IntEnum):
 
 _KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
 
+# Numbers travel as text in ids and in the CODE_CHUNK version label. Only
+# ASCII digits without a leading zero are accepted, so each number has one
+# text and a decoded message encodes back to the same bytes.
+_NUMERAL = "(?:0|[1-9][0-9]*)"
+_ID_TEXT = re.compile(rf"{_NUMERAL}(?:\.{_NUMERAL})*")
+is_numeral = re.compile(_NUMERAL).fullmatch
+
 
 class _memo:
     """cached_property without its lock (taken before Python 3.12): the first
@@ -69,15 +78,12 @@ class ModuleId:
 
     @classmethod
     def parse(cls, text: str) -> "ModuleId":
+        """The id whose text this is; no other text names the same id."""
         if text == "":
             return cls(())
-        try:
-            parts = tuple(int(p) for p in text.split("."))
-        except ValueError:
-            raise ProtocolError(f"bad module id {text!r}") from None
-        if any(p < 0 for p in parts):
+        if _ID_TEXT.fullmatch(text) is None:
             raise ProtocolError(f"bad module id {text!r}")
-        return cls(parts)
+        return cls(tuple(map(int, text.split("."))))
 
     def child(self, port: int) -> "ModuleId":
         return ModuleId(self.path + (port,))
@@ -119,18 +125,15 @@ class ServiceMessage:
         return tuple(split_for_link(encode_message(self)))
 
 
-def _pstr(text: str) -> bytes:
+def _put_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 255:
         raise ProtocolError("string field too long")
     return bytes([len(raw)]) + raw
 
 
-def _read_pstr(data: bytes, pos: int) -> tuple[str, int]:
-    if pos >= len(data):
-        raise ProtocolError("truncated string field")
-    n = data[pos]
-    end = pos + 1 + n
+def _get_text(data: bytes, pos: int) -> tuple[str, int]:
+    end = pos + 1 + (data[pos] if pos < len(data) else 0)
     if end > len(data):
         raise ProtocolError("truncated string field")
     try:
@@ -139,11 +142,25 @@ def _read_pstr(data: bytes, pos: int) -> tuple[str, int]:
         raise ProtocolError("bad string encoding") from None
 
 
+# The module-id codec, for the message header's src and ID_ASSIGN's new id.
+
+def _put_id(module_id: ModuleId) -> bytes:
+    return _put_text(str(module_id))
+
+
+def _get_id(data: bytes, pos: int) -> tuple[ModuleId, int]:
+    text, pos = _get_text(data, pos)
+    return _parse_id(text), pos
+
+
+_FIELDS = {str: (_put_text, _get_text), ModuleId: (_put_id, _get_id)}
+
+
 def encode_message(msg: ServiceMessage) -> bytes:
     return (
         bytes([msg.kind])
-        + _pstr(str(msg.src))
-        + _pstr(msg.dst_app or "")
+        + _put_id(msg.src)
+        + _put_text(msg.dst_app or "")
         + msg.body
     )
 
@@ -155,125 +172,73 @@ def decode_message(data: bytes) -> ServiceMessage:
         kind = _KINDS[data[0]]
     except KeyError:
         raise ProtocolError(f"unknown message kind {data[0]}") from None
-    src_text, pos = _read_pstr(data, 1)
-    dst_app, pos = _read_pstr(data, pos)
-    return ServiceMessage(kind, _parse_id(src_text), dst_app or None, bytes(data[pos:]))
+    src, pos = _get_id(data, 1)
+    dst_app, pos = _get_text(data, pos)
+    return ServiceMessage(kind, src, dst_app or None, bytes(data[pos:]))
 
 
-# Body codecs. Each *_body builder has a matching parse_* that raises
-# ProtocolError on malformed input.
+class Layout:
+    """One message body shape: a fixed big-endian `struct` prefix (one
+    format letter per value), then at most one pstr `field` holding `str`
+    text or a `ModuleId`, then at most a `tail` that runs to the end of
+    the body, as `bytes` or as UTF-8 `str`. `pack(*values)` takes the
+    values in that order and `unpack(body)` returns them as a tuple or
+    raises ProtocolError; bytes after a body with no tail are ignored.
+    `check` is None or (rule, error): unpack raises ProtocolError(error)
+    unless rule(*values) holds for the prefix and field values."""
 
-def _need(data: bytes, n: int) -> None:
-    if len(data) < n:
-        raise ProtocolError("truncated body")
+    def __init__(self, prefix: str, field: Optional[type], tail: Optional[type],
+                 check: Optional[tuple[Callable[..., bool], str]]):
+        self._prefix = struct.Struct(">" + prefix)
+        self._count = len(prefix)
+        self._put, self._get = _FIELDS.get(field, (None, None))
+        self._tail = tail
+        self._check = check
 
+    def pack(self, *values) -> bytes:
+        body = self._prefix.pack(*values[:self._count])
+        if self._put is not None:
+            body += self._put(values[self._count])
+        if self._tail is not None:  # always the last value
+            body += values[-1].encode("utf-8") if self._tail is str else values[-1]
+        return body
 
-def version_body(version: int) -> bytes:
-    return struct.pack(">I", version)
-
-
-def parse_version(body: bytes) -> int:
-    _need(body, 4)
-    return struct.unpack_from(">I", body)[0]
-
-
-def appdata_body(src_app: str, req_id: int, data: bytes) -> bytes:
-    return b"\x00" + struct.pack(">I", req_id) + _pstr(src_app) + data
-
-
-def appdata_status_body(req_id: int, ok: bool) -> bytes:
-    return b"\x01" + struct.pack(">IB", req_id, 0 if ok else 1)
-
-
-def parse_appdata(body: bytes):
-    """Returns ("data", src_app, req_id, payload) or ("status", req_id, ok)."""
-    _need(body, 1)
-    if body[0] == 0:
-        _need(body, 5)
-        req_id = struct.unpack_from(">I", body, 1)[0]
-        src_app, pos = _read_pstr(body, 5)
-        return "data", src_app, req_id, bytes(body[pos:])
-    if body[0] == 1:
-        _need(body, 6)
-        req_id, code = struct.unpack_from(">IB", body, 1)
-        return "status", req_id, code == 0
-    raise ProtocolError("bad appdata subtype")
-
-
-def bcast_body(src_app: str, data: bytes) -> bytes:
-    return _pstr(src_app) + data
-
-
-def parse_bcast(body: bytes) -> tuple[str, bytes]:
-    src_app, pos = _read_pstr(body, 0)
-    return src_app, bytes(body[pos:])
+    def unpack(self, body: bytes) -> tuple:
+        prefix = self._prefix
+        if len(body) < prefix.size:
+            raise ProtocolError("truncated body")
+        values = prefix.unpack_from(body)
+        pos = prefix.size
+        if self._get is not None:
+            value, pos = self._get(body, pos)
+            values += (value,)
+        if self._check is not None and not self._check[0](*values):
+            raise ProtocolError(self._check[1])
+        if self._tail is bytes:
+            values += (bytes(body[pos:]),)
+        elif self._tail is str:
+            try:
+                values += (body[pos:].decode("utf-8"),)
+            except UnicodeDecodeError:
+                raise ProtocolError("bad string encoding") from None
+        return values
 
 
-def state_req_body(req_id: int) -> bytes:
-    return struct.pack(">I", req_id)
+# Every body shape on the wire, with the values in order (docs/protocol.md).
+VERSION = Layout("I", None, None, None)  # HELLO, VERSION_ANNOUNCE: version
+APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
+    lambda subtype, _req_id, _src_app: subtype == 0, "bad appdata subtype"))
+APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
+BCAST = Layout("", str, bytes, None)  # src_app, data
+STATE_REQ = Layout("I", None, None, None)  # req_id
+STATE_REP = Layout("I", None, str, None)  # req_id, state text
+CHUNK = Layout("IHH", str, bytes, (  # CODE_CHUNK, FILE_CHUNK; index < total rules out total 0
+    lambda _transfer_id, index, total, _label: index < total, "bad chunk position"))
+REQUEST = Layout("BI", None, str, (  # EXEC, START: reply (0 or 1), req_id, text
+    lambda reply, _req_id: reply <= 1, "bad request subtype"))
+ID_ASSIGN = Layout("I", ModuleId, None, None)  # version, new id
 
-
-def parse_state_req(body: bytes) -> int:
-    _need(body, 4)
-    return struct.unpack_from(">I", body)[0]
-
-
-def state_rep_body(req_id: int, text: str) -> bytes:
-    return struct.pack(">I", req_id) + text.encode("utf-8")
-
-
-def parse_state_rep(body: bytes) -> tuple[int, str]:
-    _need(body, 4)
-    req_id = struct.unpack_from(">I", body)[0]
-    try:
-        return req_id, body[4:].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("bad state text") from None
-
-
-def chunk_body(transfer_id: int, index: int, total: int, name: str, data: bytes) -> bytes:
-    """Shared CODE_CHUNK/FILE_CHUNK body: transfer id, position, label, data.
-
-    CODE_CHUNK uses the label slot for the pushed version number (decimal
-    text); FILE_CHUNK uses it for the destination file name.
-    """
-    return struct.pack(">IHH", transfer_id, index, total) + _pstr(name) + data
-
-
-def parse_chunk(body: bytes) -> tuple[int, int, int, str, bytes]:
-    _need(body, 8)
-    transfer_id, index, total = struct.unpack_from(">IHH", body)
-    name, pos = _read_pstr(body, 8)
-    if total == 0 or index >= total:
-        raise ProtocolError("bad chunk position")
-    return transfer_id, index, total, name, bytes(body[pos:])
-
-
-def request_body(req_id: int, text: str, reply: bool = False) -> bytes:
-    """EXEC/START body: request carries a line of text, reply carries one back."""
-    return bytes([1 if reply else 0]) + struct.pack(">I", req_id) + text.encode("utf-8")
-
-
-def parse_request(body: bytes) -> tuple[bool, int, str]:
-    _need(body, 5)
-    if body[0] not in (0, 1):
-        raise ProtocolError("bad request subtype")
-    req_id = struct.unpack_from(">I", body, 1)[0]
-    try:
-        return body[0] == 1, req_id, body[5:].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("bad request text") from None
-
-
-def id_assign_body(version: int, new_id: ModuleId) -> bytes:
-    return struct.pack(">I", version) + _pstr(str(new_id))
-
-
-def parse_id_assign(body: bytes) -> tuple[int, ModuleId]:
-    _need(body, 4)
-    version = struct.unpack_from(">I", body)[0]
-    text, _ = _read_pstr(body, 4)
-    return version, ModuleId.parse(text)
+chunk_body = CHUNK.pack  # the name bench/micro.py imports
 
 
 # Link-payload chunking.

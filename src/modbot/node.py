@@ -25,11 +25,9 @@ from .dynarole import RoleProgram, RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    Kind, LinkReassembler, ModuleId, ProtocolError, ROOT_ID,
-    ServiceMessage, appdata_body, appdata_status_body, bcast_body, chunk_body,
-    decode_message, id_assign_body, parse_appdata, parse_bcast, parse_chunk,
-    parse_id_assign, parse_request, parse_state_rep, parse_state_req,
-    parse_version, request_body, state_rep_body, state_req_body, version_body,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, ROOT_ID, STATE_REP, STATE_REQ,
+    VERSION, Kind, LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
+    is_numeral,
 )
 from .sim import Timer, US_PER_MS, US_PER_S
 
@@ -203,7 +201,7 @@ class ServiceNode:
         key = (self.module_id, self.version)
         if key != self._beacon_key:
             self._beacon_key = key
-            body = version_body(self.version)
+            body = VERSION.pack(self.version)
             self._beacons = {k: ServiceMessage(k, self.module_id, None, body)
                              for k in (_HELLO, _ANNOUNCE)}
         return self._beacons[kind]
@@ -263,7 +261,7 @@ class ServiceNode:
         child = self.module_id.child(port)
         msgs = self._chunk_messages(Kind.CODE_CHUNK, str(version), self.code_image)
         msgs.append(ServiceMessage(Kind.ID_ASSIGN, self.module_id, None,
-                                   id_assign_body(version, child)))
+                                   ID_ASSIGN.pack(version, child)))
         self.host.log("push", f"v={version} port={port} id={child}")
 
         def done(ok: bool) -> None:
@@ -280,7 +278,7 @@ class ServiceNode:
         parts = [blob[i:i + FILE_CHUNK_DATA] for i in range(0, len(blob), FILE_CHUNK_DATA)] or [b""]
         return [
             ServiceMessage(kind, self.module_id, None,
-                           chunk_body(transfer_id, i, len(parts), label, part))
+                           CHUNK.pack(transfer_id, i, len(parts), label, part))
             for i, part in enumerate(parts)
         ]
 
@@ -343,7 +341,7 @@ class ServiceNode:
                 if msg.kind is not _HELLO and msg.kind is not _ANNOUNCE:
                     self._dispatch(port, msg)
                     return
-                beacon = self._last_beacon[port] = (whole, (msg.src, parse_version(msg.body)))
+                beacon = self._last_beacon[port] = (whole, (msg.src, VERSION.unpack(msg.body)[0]))
             except ProtocolError as exc:
                 self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
                 return
@@ -357,13 +355,12 @@ class ServiceNode:
         elif kind is Kind.BCAST:
             self._on_bcast(port, msg)
         elif kind is Kind.STATE_REQ:
-            req_id = parse_state_req(msg.body)
+            (req_id,) = STATE_REQ.unpack(msg.body)
             self.host.send_port(port, ServiceMessage(
                 Kind.STATE_REP, self.module_id, None,
-                state_rep_body(req_id, self.host.state_text())))
+                STATE_REP.pack(req_id, self.host.state_text())))
         elif kind is Kind.STATE_REP:
-            req_id, text = parse_state_rep(msg.body)
-            self._resolve_pending(req_id, text)
+            self._resolve_pending(*STATE_REP.unpack(msg.body))
         elif kind is Kind.CODE_CHUNK:
             self._on_code_chunk(port, msg)
         elif kind is Kind.FILE_CHUNK:
@@ -376,26 +373,24 @@ class ServiceNode:
             self.host.log("drop", f"unhandled kind {kind.name}")
 
     def _on_appdata(self, port: int, msg: ServiceMessage) -> None:
-        parsed = parse_appdata(msg.body)
-        if parsed[0] == "status":
-            _, req_id, ok = parsed
-            self._resolve_pending(req_id, ok, quiet=True)
+        if msg.body[:1] == b"\x01":
+            _, req_id, code = APPDATA_STATUS.unpack(msg.body)
+            self._resolve_pending(req_id, code == 0, quiet=True)
             return
-        _, src_app, req_id, data = parsed
+        _, req_id, src_app, data = APPDATA.unpack(msg.body)
         session = self.apps.get(msg.dst_app or "")
         if session is None:
             self.host.log("drop", f"appdata for unknown app {msg.dst_app}")
-            self.host.send_port(port, ServiceMessage(
-                Kind.APPDATA, self.module_id, None, appdata_status_body(req_id, False)))
-            return
-        text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
-        self.host.log("appmsg", text)
-        session.push(f"MSG {text}")
+        else:
+            text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
+            self.host.log("appmsg", text)
+            session.push(f"MSG {text}")
+        code = 1 if session is None else 0  # 1 = unknown app
         self.host.send_port(port, ServiceMessage(
-            Kind.APPDATA, self.module_id, None, appdata_status_body(req_id, True)))
+            Kind.APPDATA, self.module_id, None, APPDATA_STATUS.pack(1, req_id, code)))
 
     def _on_bcast(self, port: int, msg: ServiceMessage) -> None:
-        src_app, data = parse_bcast(msg.body)
+        src_app, data = BCAST.unpack(msg.body)
         text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
         self.host.log("bcastmsg", text)
         for session in list(self.apps.values()):
@@ -403,7 +398,7 @@ class ServiceNode:
 
     def _accumulate(self, table: dict, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
         """Shared in-order chunk collection; returns the completed transfer."""
-        transfer_id, index, total, label, data = parse_chunk(msg.body)
+        transfer_id, index, total, label, data = CHUNK.unpack(msg.body)
         key = (port, transfer_id)
         if index == 0:
             table[key] = _Transfer(total=total, label=label, parts=[data])
@@ -424,14 +419,12 @@ class ServiceNode:
         entry = self._accumulate(self._code_transfers, port, msg)
         if entry is None:
             return
-        try:
-            version = int(entry.label)
-        except ValueError:
+        if not is_numeral(entry.label):
             raise ProtocolError(f"bad code version label {entry.label!r}")
-        self._code_ready[port] = (version, b"".join(entry.parts))
+        self._code_ready[port] = (int(entry.label), b"".join(entry.parts))
 
     def _on_id_assign(self, port: int, msg: ServiceMessage) -> None:
-        version, new_id = parse_id_assign(msg.body)
+        version, new_id = ID_ASSIGN.unpack(msg.body)
         ready = self._code_ready.pop(port, None)
         if version > self.version and ready is not None and ready[0] == version:
             self._adopt(port, version, new_id, ready[1], msg.src)
@@ -454,14 +447,14 @@ class ServiceNode:
     def _serve(self, port: int, msg: ServiceMessage) -> None:
         """EXEC/START: a reply resolves our request; a request runs here
         and is answered once with a reply of the same kind."""
-        is_reply, req_id, text = parse_request(msg.body)
-        if is_reply:
+        reply, req_id, text = REQUEST.unpack(msg.body)
+        if reply:
             self._resolve_pending(req_id, text)
             return
 
         def answer(line: str) -> None:
             self.host.send_port(port, ServiceMessage(
-                msg.kind, self.module_id, None, request_body(req_id, line, reply=True)))
+                msg.kind, self.module_id, None, REQUEST.pack(1, req_id, line)))
 
         if msg.kind is Kind.EXEC:
             _ExecSession(self, answer).submit(text)
@@ -515,8 +508,7 @@ class ServiceNode:
         for port in self.host.connected_ports():
             req_id = next(self._req_counter)
             self.host.send_port(port, ServiceMessage(
-                Kind.APPDATA, self.module_id, app_name,
-                appdata_body(app_name, req_id, data)))
+                Kind.APPDATA, self.module_id, app_name, APPDATA.pack(0, req_id, app_name, data)))
 
     def start_program(self, filename: str) -> str:
         text = self.file_store.get(filename)
@@ -601,7 +593,7 @@ class ServiceNode:
         if port is None:
             session.respond("ERR 404 unknown module")
             return
-        self._request(session, port, Kind.STATE_REQ, state_req_body,
+        self._request(session, port, Kind.STATE_REQ, STATE_REQ.pack,
                       lambda text: session.respond(f"OK {text}"), "state")
 
     def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
@@ -624,7 +616,7 @@ class ServiceNode:
             return
         self._request(
             session, port, Kind.APPDATA,
-            lambda req_id: appdata_body(session.name or "", req_id, data),
+            lambda req_id: APPDATA.pack(0, req_id, session.name or "", data),
             lambda ok: session.respond("OK delivered" if ok else "ERR 404 unknown app"),
             "send", dst_app=args[1])
 
@@ -650,7 +642,7 @@ class ServiceNode:
                 line += " failed=" + ",".join(failed)
             session.respond(line)
 
-        body = bcast_body(session.name or "", data)
+        body = BCAST.pack(session.name or "", data)
         for port in ports:
             ticket = self.host.send_port(port, ServiceMessage(
                 Kind.BCAST, self.module_id, None, body))
@@ -685,7 +677,7 @@ class ServiceNode:
             session.respond("ERR 404 unknown module")
             return
         self._request(session, port, Kind.EXEC,
-                      lambda req_id: request_body(req_id, command_line),
+                      lambda req_id: REQUEST.pack(0, req_id, command_line),
                       session.respond, "exec")
 
     def _cmd_start(self, session: Session, args: list[str]) -> None:
@@ -696,7 +688,7 @@ class ServiceNode:
             session.respond("ERR 404 unknown module")
             return
         self._request(session, port, Kind.START,
-                      lambda req_id: request_body(req_id, args[1]),
+                      lambda req_id: REQUEST.pack(0, req_id, args[1]),
                       session.respond, "start")
 
     def _cmd_version(self, session: Session, args: list[str]) -> None:

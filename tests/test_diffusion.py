@@ -3,7 +3,7 @@
 import re
 
 from modbot.link import FrameType, decode_frame
-from modbot.messages import Kind, decode_message, parse_version
+from modbot.messages import VERSION, Kind, decode_message
 from modbot.world import World
 
 from conftest import (
@@ -138,7 +138,7 @@ def _beacons_on_wire(port) -> list[tuple[str, str, int]]:
         if frame.frame_type is FrameType.DATA and frame.payload[:4] == b"\x00\x00\x00\x01":
             msg = decode_message(frame.payload[4:])
             if msg.kind in (Kind.HELLO, Kind.VERSION_ANNOUNCE):
-                seen.append((msg.kind.name, str(msg.src), parse_version(msg.body)))
+                seen.append((msg.kind.name, str(msg.src), VERSION.unpack(msg.body)[0]))
         transmit(data)
 
     port._transmit = tap

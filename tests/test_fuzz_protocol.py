@@ -49,14 +49,28 @@ def test_every_command_line_is_answered_once(lines):
     assert len(answers) == len(lines)
 
 
-@settings(max_examples=300)
+def _pstr(raw: bytes) -> bytes:
+    return bytes([len(raw)]) + raw
+
+
+# Id texts close to canonical: other digits, signs, separators and spaces,
+# and a non-ASCII digit.
+_near_ids = st.text(alphabet="0123456789.+-_ \u0661", max_size=8).map(lambda t: t.encode("utf-8"))
+
+
+@settings(max_examples=400)
 @given(st.one_of(
     st.binary(max_size=64),
     st.tuples(st.integers(0, 12), st.binary(max_size=40)).map(lambda t: bytes([t[0]]) + t[1]),
+    st.tuples(st.integers(1, 11), _near_ids, st.binary(max_size=4), st.binary(max_size=8)).map(
+        lambda t: bytes([t[0]]) + _pstr(t[1]) + _pstr(t[2]) + t[3]),
 ))
+@example(bytes([1, 2]) + b"01\x00")  # src "01" once decoded as id 1, which encodes as "1"
 def test_decode_message_raises_only_protocol_error(data):
+    """Any bytes decode or raise ProtocolError, and what decodes encodes
+    back to the same bytes."""
     try:
         msg = m.decode_message(data)
     except m.ProtocolError:
         return
-    assert m.encode_message(msg)[:1] == data[:1]
+    assert m.encode_message(msg) == data

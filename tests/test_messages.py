@@ -4,7 +4,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from modbot import messages as m
 from modbot.link import LinkConfig, MAX_PAYLOAD, PortProtocol, TicketState, decode_frame
@@ -17,8 +17,11 @@ def test_module_id_basics():
     assert str(m.ModuleId.parse("0").child(3)) == "0.3"
     assert str(m.ModuleId.parse("0.3").child(1)) == "0.3.1"
     assert m.ModuleId.parse("").unassigned
-    with pytest.raises(m.ProtocolError):
-        m.ModuleId.parse("0.x")
+    for text in ("0.x", " 1", "01", "0.01", "+1", "-1", "1_0", "\u0661", "0.", ".0", "0..1", "1\n"):
+        with pytest.raises(m.ProtocolError):
+            m.ModuleId.parse(text)
+    numerals = ("0", "7", "10", "01", "00", " 1", "+1", "1_0", "\u0661", "1.0", "")
+    assert [text for text in numerals if m.is_numeral(text)] == ["0", "7", "10"]
 
 
 def test_decoded_ids_are_shared_without_changing_identity_semantics():
@@ -36,40 +39,140 @@ def test_decoded_ids_are_shared_without_changing_identity_semantics():
         m.decode_message(bytes([1, 3]) + b"0.x" + b"\x00")
 
 
-def _roundtrip(msg: m.ServiceMessage) -> m.ServiceMessage:
-    return m.decode_message(m.encode_message(msg))
+# The body builders the layouts replaced, kept as the byte-level reference.
+
+def _pstr(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return bytes([len(raw)]) + raw
+
+
+def version_body(version: int) -> bytes:
+    return struct.pack(">I", version)
+
+
+def appdata_body(src_app: str, req_id: int, data: bytes) -> bytes:
+    return b"\x00" + struct.pack(">I", req_id) + _pstr(src_app) + data
+
+
+def appdata_status_body(req_id: int, ok: bool) -> bytes:
+    return b"\x01" + struct.pack(">IB", req_id, 0 if ok else 1)
+
+
+def bcast_body(src_app: str, data: bytes) -> bytes:
+    return _pstr(src_app) + data
+
+
+def state_req_body(req_id: int) -> bytes:
+    return struct.pack(">I", req_id)
+
+
+def state_rep_body(req_id: int, text: str) -> bytes:
+    return struct.pack(">I", req_id) + text.encode("utf-8")
+
+
+def chunk_body(transfer_id: int, index: int, total: int, name: str, data: bytes) -> bytes:
+    return struct.pack(">IHH", transfer_id, index, total) + _pstr(name) + data
+
+
+def request_body(req_id: int, text: str, reply: bool = False) -> bytes:
+    return bytes([1 if reply else 0]) + struct.pack(">I", req_id) + text.encode("utf-8")
+
+
+def id_assign_body(version: int, new_id: m.ModuleId) -> bytes:
+    return struct.pack(">I", version) + _pstr(str(new_id))
 
 
 def test_message_roundtrip_every_kind():
     samples = [
-        m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.version_body(3)),
+        m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)),
         m.ServiceMessage(m.Kind.APPDATA, m.ModuleId.parse("0.1"), "ctl",
-                         m.appdata_body("src", 7, b"\x00\x01payload")),
-        m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.appdata_status_body(7, False)),
-        m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.bcast_body("app", b"data")),
-        m.ServiceMessage(m.Kind.STATE_REQ, m.ROOT_ID, None, m.state_req_body(1)),
-        m.ServiceMessage(m.Kind.STATE_REP, m.ROOT_ID, None, m.state_rep_body(1, "center=EAST_WEST")),
-        m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.version_body(0)),
-        m.ServiceMessage(m.Kind.CODE_CHUNK, m.ROOT_ID, None, m.chunk_body(9, 0, 2, "2", b"blob")),
-        m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.chunk_body(9, 1, 2, "a.role", b"text")),
-        m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.request_body(4, "STATE")),
-        m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.request_body(4, "OK started", reply=True)),
-        m.ServiceMessage(m.Kind.ID_ASSIGN, m.ROOT_ID, None, m.id_assign_body(2, m.ModuleId.parse("0.3"))),
+                         m.APPDATA.pack(0, 7, "src", b"\x00\x01payload")),
+        m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.APPDATA_STATUS.pack(1, 7, 1)),
+        m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
+        m.ServiceMessage(m.Kind.STATE_REQ, m.ROOT_ID, None, m.STATE_REQ.pack(1)),
+        m.ServiceMessage(m.Kind.STATE_REP, m.ROOT_ID, None, m.STATE_REP.pack(1, "center=EAST_WEST")),
+        m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
+        m.ServiceMessage(m.Kind.CODE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 0, 2, "2", b"blob")),
+        m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 1, 2, "a.role", b"text")),
+        m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(0, 4, "STATE")),
+        m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(1, 4, "OK started")),
+        m.ServiceMessage(m.Kind.ID_ASSIGN, m.ROOT_ID, None, m.ID_ASSIGN.pack(2, m.ModuleId.parse("0.3"))),
     ]
     for msg in samples:
-        back = _roundtrip(msg)
+        back = m.decode_message(m.encode_message(msg))
         assert back == msg
 
 
 def test_body_parsers():
-    assert m.parse_version(m.version_body(9)) == 9
-    assert m.parse_appdata(m.appdata_body("a", 3, b"xy")) == ("data", "a", 3, b"xy")
-    assert m.parse_appdata(m.appdata_status_body(3, True)) == ("status", 3, True)
-    assert m.parse_bcast(m.bcast_body("a", b"zz")) == ("a", b"zz")
-    assert m.parse_state_rep(m.state_rep_body(5, "ok")) == (5, "ok")
-    assert m.parse_chunk(m.chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
-    assert m.parse_request(m.request_body(2, "line")) == (False, 2, "line")
-    assert m.parse_id_assign(m.id_assign_body(2, m.ModuleId.parse("0.1"))) == (2, m.ModuleId.parse("0.1"))
+    assert m.VERSION.unpack(version_body(9)) == (9,)
+    assert m.APPDATA.unpack(appdata_body("a", 3, b"xy")) == (0, 3, "a", b"xy")
+    assert m.APPDATA_STATUS.unpack(appdata_status_body(3, True)) == (1, 3, 0)
+    assert m.BCAST.unpack(bcast_body("a", b"zz")) == ("a", b"zz")
+    assert m.STATE_REP.unpack(state_rep_body(5, "ok")) == (5, "ok")
+    assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
+    assert m.REQUEST.unpack(request_body(2, "line")) == (0, 2, "line")
+    assert m.ID_ASSIGN.unpack(id_assign_body(2, m.ModuleId.parse("0.1"))) == (2, m.ModuleId.parse("0.1"))
+
+
+_u32 = st.integers(0, 2**32 - 1)
+_text = st.text(max_size=16)  # at most 64 UTF-8 bytes, so it fits a pstr
+_ids = st.lists(st.integers(0, 255), max_size=6).map(lambda path: m.ModuleId(tuple(path)))
+_positions = st.integers(1, 0xFFFF).flatmap(
+    lambda total: st.tuples(st.integers(0, total - 1), st.just(total)))
+
+# layout name: (kinds that carry it, values strategy, reference builder of the values)
+_LAYOUTS = {
+    "VERSION": ((m.Kind.HELLO, m.Kind.VERSION_ANNOUNCE), st.tuples(_u32), version_body),
+    "APPDATA": ((m.Kind.APPDATA,), st.tuples(st.just(0), _u32, _text, st.binary(max_size=64)),
+                lambda _, req_id, src_app, data: appdata_body(src_app, req_id, data)),
+    "APPDATA_STATUS": ((m.Kind.APPDATA,), st.tuples(st.just(1), _u32, st.integers(0, 1)),
+                       lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
+    "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
+    "STATE_REQ": ((m.Kind.STATE_REQ,), st.tuples(_u32), state_req_body),
+    "STATE_REP": ((m.Kind.STATE_REP,), st.tuples(_u32, st.text(max_size=64)), state_rep_body),
+    "CHUNK": ((m.Kind.CODE_CHUNK, m.Kind.FILE_CHUNK),
+              st.tuples(_u32, _positions, _text, st.binary(max_size=64)).map(
+                  lambda v: (v[0], *v[1], v[2], v[3])),
+              chunk_body),
+    "REQUEST": ((m.Kind.EXEC, m.Kind.START), st.tuples(st.integers(0, 1), _u32, st.text(max_size=64)),
+                lambda reply, req_id, text: request_body(req_id, text, reply=reply == 1)),
+    "ID_ASSIGN": ((m.Kind.ID_ASSIGN,), st.tuples(_u32, _ids), id_assign_body),
+}
+
+
+@st.composite
+def _messages(draw):
+    """(layout name, values, message whose body the layout packs)."""
+    name = draw(st.sampled_from(sorted(_LAYOUTS)))
+    kinds, values, _ = _LAYOUTS[name]
+    values = draw(values)
+    msg = m.ServiceMessage(draw(st.sampled_from(kinds)), draw(_ids),
+                           draw(st.none() | st.text(min_size=1, max_size=16)),
+                           getattr(m, name).pack(*values))
+    return name, values, msg
+
+
+@settings(max_examples=100, deadline=None)
+@given(_messages())
+def test_layouts_pack_the_reference_bytes_and_round_trip(case):
+    name, values, msg = case
+    assert msg.body == _LAYOUTS[name][2](*values)
+    assert getattr(m, name).unpack(msg.body) == values
+    assert m.decode_message(m.encode_message(msg)) == msg
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_LAYOUTS)), st.one_of(
+    st.binary(max_size=64),
+    _messages().flatmap(lambda case: st.integers(0, len(case[2].body)).map(
+        lambda n: case[2].body[:n])),
+))
+def test_layouts_unpack_any_bytes_to_a_tuple_or_protocol_error(name, body):
+    try:
+        values = getattr(m, name).unpack(body)
+    except m.ProtocolError:
+        return
+    assert isinstance(values, tuple)
 
 
 def test_decode_rejects_malformed():
@@ -80,7 +183,11 @@ def test_decode_rejects_malformed():
     with pytest.raises(m.ProtocolError):
         m.decode_message(bytes([1, 200]))  # truncated pstr
     with pytest.raises(m.ProtocolError):
-        m.parse_chunk(m.chunk_body(1, 0, 3, "f", b"")[:6])
+        m.CHUNK.unpack(m.CHUNK.pack(1, 0, 3, "f", b"")[:6])
+    for layout, values in [(m.CHUNK, (1, 0, 0, "f", b"")), (m.CHUNK, (1, 3, 3, "f", b"")),
+                           (m.APPDATA, (2, 1, "a", b"")), (m.REQUEST, (2, 1, "line"))]:
+        with pytest.raises(m.ProtocolError, match="bad (chunk position|.* subtype)"):
+            layout.unpack(layout.pack(*values))
 
 
 @given(st.binary(min_size=0, max_size=4096))
@@ -96,12 +203,12 @@ def test_split_concat_identity(data):
 
 def test_small_appdata_fits_one_link_frame():
     msg = m.ServiceMessage(m.Kind.APPDATA, m.ModuleId.parse("0.1"), "ctl",
-                           m.appdata_body("app", 1, b"x" * 100))
+                           m.APPDATA.pack(0, 1, "app", b"x" * 100))
     assert len(m.split_for_link(m.encode_message(msg))) == 1
 
 
 def test_600_byte_chunk_body_takes_three_link_frames():
-    body = m.chunk_body(1, 0, 1, "big.role", b"t" * 583)
+    body = m.CHUNK.pack(1, 0, 1, "big.role", b"t" * 583)
     assert len(body) == 600
     msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ModuleId.parse("0"), None, body)
     parts = m.split_for_link(m.encode_message(msg))
@@ -160,7 +267,7 @@ def test_message_ticket_fails_whole_message_and_cancels_siblings(dies):
         scheduler, lambda data: scheduler.call_after(1000, lambda: port.on_bytes(data)),
         lambda data: None)
     msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None,
-                           m.chunk_body(1, 0, 1, "f", bytes(1000)))
+                           m.CHUNK.pack(1, 0, 1, "f", bytes(1000)))
     chunks = msg.link_chunks
     assert len(chunks) == 5
     ticket = m.send_message(port, msg)
@@ -198,7 +305,7 @@ def test_message_ticket_delivers_over_pipe():
     up.peer = port_a
     payload = random.Random(5).randbytes(5000)
     msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None,
-                           m.chunk_body(1, 0, 1, "f", payload))
+                           m.CHUNK.pack(1, 0, 1, "f", payload))
     ticket = m.send_message(port_a, msg)
     scheduler.run_until(60_000 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED
@@ -211,7 +318,7 @@ def test_message_ticket_delivers_over_pipe():
 
 def _announce(version: int = 3) -> m.ServiceMessage:
     return m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId.parse("0.1"), None,
-                            m.version_body(version))
+                            m.VERSION.pack(version))
 
 
 def test_one_chunk_message_fails_after_every_retry_over_dead_pipe():

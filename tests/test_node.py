@@ -3,11 +3,13 @@
 import base64
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from modbot import node as node_module
 from modbot.link import TicketState
 from modbot.messages import (
-    Kind, ModuleId, ServiceMessage, encode_message, split_for_link,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, STATE_REP, STATE_REQ, VERSION,
+    Kind, ModuleId, ProtocolError, ServiceMessage, encode_message, is_numeral, split_for_link,
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
 
@@ -457,6 +459,49 @@ def test_unknown_kind_byte_logged_and_dropped():
                for r in world.log.select("protocol-error", "m0"))
 
 
+_BODY_LAYOUTS = {
+    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST,
+    Kind.STATE_REQ: STATE_REQ, Kind.STATE_REP: STATE_REP, Kind.CODE_CHUNK: CHUNK,
+    Kind.FILE_CHUNK: CHUNK, Kind.EXEC: REQUEST, Kind.START: REQUEST, Kind.ID_ASSIGN: ID_ASSIGN,
+}
+
+
+def _rejects(kind: Kind, body: bytes) -> bool:
+    """Whether the node must log this body as a protocol error."""
+    if kind is Kind.APPDATA:
+        layout = APPDATA_STATUS if body[:1] == b"\x01" else APPDATA
+    else:
+        layout = _BODY_LAYOUTS[kind]
+    try:
+        values = layout.unpack(body)
+    except ProtocolError:
+        return True
+    # A one-chunk code transfer completes at once, and its label must be a version.
+    return kind is Kind.CODE_CHUNK and values[1:3] == (0, 1) and not is_numeral(values[3])
+
+
+# Small byte values make plausible lengths, subtypes and chunk positions.
+_bodies = st.binary(max_size=24) | st.lists(
+    st.sampled_from(b"\x00\x01\x02\x03\x050129.\xff"), max_size=24).map(bytes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(Kind), _bodies, st.sampled_from([None, "app", "x"])),
+                min_size=1, max_size=4))
+@example([(Kind.CODE_CHUNK, CHUNK.pack(1, 0, 1, label, b""), None) for label in ("01", "x", "2")])
+def test_every_kind_with_any_body_is_handled_or_logged_as_protocol_error(messages):
+    world = settled_pair()
+    node = world.modules["m0"].node
+    world.open_session("m0").submit("REGISTER app")
+    for kind, body, dst_app in messages:
+        before = len(world.log.select("protocol-error", "m0"))
+        for part in ServiceMessage(kind, ModuleId.parse("0.1"), dst_app, body).link_chunks:
+            node.on_link_payload(1, part)
+        errors = world.log.select("protocol-error", "m0")[before:]
+        assert [r[3].split(":")[0] for r in errors] == [kind.name] * _rejects(kind, body)
+    world.run_until_cs(600)
+
+
 def test_64kib_transfer_under_20_percent_loss_byte_identical():
     # Large chunked transfer across a lossy link reassembles exactly.
     world = World(pair_topology(loss=0.2, max_retries=20), seed=31)
@@ -551,9 +596,8 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     monkeypatch.setattr(node_module, "decode_message",
                         lambda data: decoded.append(data[0]) or decode(data))
     parsed = []
-    parse_version = node_module.parse_version
-    monkeypatch.setattr(node_module, "parse_version",
-                        lambda body: parsed.append(body) or parse_version(body))
+    unpack = VERSION.unpack
+    monkeypatch.setattr(VERSION, "unpack", lambda body: parsed.append(body) or unpack(body))
     world.run_until_cs(800)  # six more announce rounds, byte for byte the same
     assert decoded == [] and parsed == []
     m1 = world.modules["m1"].node
