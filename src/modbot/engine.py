@@ -121,16 +121,12 @@ class RoleEngine:
         """Cross-module command dispatch; a mismatch is a logged no-op."""
         if self._stopped:
             return
-        if self.assigned is None:
-            self.host.log("invoke-skip", f"{role_name}.{command}")
-            return
-        if not self.program.has_role(role_name) or not self.program.descends(self.assigned, role_name):
-            self.host.log("invoke-skip", f"{role_name}.{command}")
-            return
-        for name, actions in self.program.resolved[self.assigned].commands:
-            if name == command:
-                self._submit(_Run("command", name, actions))
-                return
+        program, assigned = self.program, self.assigned
+        if assigned is not None and program.has_role(role_name) and program.descends(assigned, role_name):
+            for name, actions in program.resolved[assigned].commands:
+                if name == command:
+                    self._submit(_Run("command", name, actions))
+                    return
         self.host.log("invoke-skip", f"{role_name}.{command}")
 
     # execution core: at most one run active at a time

@@ -98,7 +98,7 @@ class ModuleId:
     @_memo
     def _text(self) -> str:
         # Kept in the instance dict, outside the fields that eq and hash use.
-        return ".".join(str(p) for p in self.path)
+        return ".".join(map(str, self.path))
 
 
 # ModuleId is immutable, so one parsed instance can serve every message

@@ -473,10 +473,13 @@ class ServiceNode:
         """Send the request message body_of(req_id) and answer the session
         exactly once: on_reply(*reply) when the reply arrives, `ERR 409
         delivery failed` when the link gave up on the request and `ERR 504
-        <verb> timeout` when no reply came in time. The reply timer is armed
-        before the send, which fixes its place in the scheduler's same-time
-        order."""
+        <verb> timeout` when no reply came in time. The message is encoded
+        first, so a field too long for the wire raises ProtocolError with
+        nothing pending. The reply timer is armed before the send, which
+        fixes its place in the scheduler's same-time order."""
         req_id = next(self._req_counter)
+        msg = ServiceMessage(kind, self.module_id, dst_app, body_of(req_id))
+        msg.link_chunks  # encoded here, before anything is pending
 
         def expire() -> None:
             if self._pending.pop(req_id, None) is not None:
@@ -489,8 +492,7 @@ class ServiceNode:
 
         timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
         self._pending[req_id] = _Pending(timer, on_reply)
-        self.host.send_port(port, ServiceMessage(
-            kind, self.module_id, dst_app, body_of(req_id))).on_done(on_sent)
+        self.host.send_port(port, msg).on_done(on_sent)
 
     def _resolve_pending(self, req_id: int, *args, quiet: bool = False) -> None:
         pending = self._pending.pop(req_id, None)
@@ -546,38 +548,37 @@ class ServiceNode:
             self.host.log("deregister", session.name)
 
     def execute(self, session: Session, line: str) -> None:
+        """Run one command line; it is answered exactly once, here when the
+        answer is decided before the command returns."""
         parts = line.split()
-        if not parts:
-            session.respond("ERR 400 empty command")
-            return
-        verb = parts[0]
-        args = parts[1:]
-        if verb != "REGISTER" and session.name is None:
-            session.respond("ERR 401 register first")
-            return
-        handler = _COMMANDS.get(verb)
-        if handler is None:
-            session.respond(f"ERR 400 unknown command {verb}")
-            return
         try:
-            handler(self, session, args)
-        except _BadArgs as exc:
+            if not parts:
+                raise _Answer("ERR 400 empty command")
+            verb = parts[0]
+            if verb != "REGISTER" and session.name is None:
+                raise _Answer("ERR 401 register first")
+            handler = _COMMANDS.get(verb)
+            if handler is None:
+                raise _Answer(f"ERR 400 unknown command {verb}")
+            handler(self, session, parts[1:])
+        except _Answer as answer:
+            session.respond(str(answer))
+        except ProtocolError as exc:  # a name or argument too long for its wire field
             session.respond(f"ERR 400 {exc}")
 
-    # individual commands; each responds exactly once
+    # individual commands; each answers exactly once, by response or _Answer
 
     def _cmd_register(self, session: Session, args: list[str]) -> None:
         if len(args) != 1:
-            raise _BadArgs("usage: REGISTER <app>")
+            raise _Answer("ERR 400 usage: REGISTER <app>")
         name = args[0]
-        if len(name) > 64 or not name.isprintable():
-            raise _BadArgs("bad app name")
+        # The app name travels in 255-byte wire fields.
+        if len(name) > 64 or len(name.encode("utf-8")) > 255 or not name.isprintable():
+            raise _Answer("ERR 400 bad app name")
         if session.name is not None:
-            session.respond("ERR 409 already registered")
-            return
+            raise _Answer("ERR 409 already registered")
         if name in self.apps:
-            session.respond("ERR 409 app name in use")
-            return
+            raise _Answer("ERR 409 app name in use")
         session.name = name
         self.apps[name] = session
         self.host.log("register", name)
@@ -588,12 +589,8 @@ class ServiceNode:
             session.respond(f"OK {self.host.state_text()}")
             return
         if len(args) != 1:
-            raise _BadArgs("usage: STATE [<module>]")
-        port = self._port_of(args[0])
-        if port is None:
-            session.respond("ERR 404 unknown module")
-            return
-        self._request(session, port, Kind.STATE_REQ, STATE_REQ.pack,
+            raise _Answer("ERR 400 usage: STATE [<module>]")
+        self._request(session, self._port_of(args[0]), Kind.STATE_REQ, STATE_REQ.pack,
                       lambda text: session.respond(f"OK {text}"), "state")
 
     def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
@@ -608,58 +605,42 @@ class ServiceNode:
 
     def _cmd_send(self, session: Session, args: list[str]) -> None:
         if len(args) != 3:
-            raise _BadArgs("usage: SEND <module> <app> <b64>")
+            raise _Answer("ERR 400 usage: SEND <module> <app> <b64>")
         data = _decode_b64(args[2])
-        port = self._port_of(args[0])
-        if port is None:
-            session.respond("ERR 404 unknown module")
-            return
         self._request(
-            session, port, Kind.APPDATA,
+            session, self._port_of(args[0]), Kind.APPDATA,
             lambda req_id: APPDATA.pack(0, req_id, session.name or "", data),
             lambda ok: session.respond("OK delivered" if ok else "ERR 404 unknown app"),
             "send", dst_app=args[1])
 
     def _cmd_bcast(self, session: Session, args: list[str]) -> None:
         if len(args) != 1:
-            raise _BadArgs("usage: BCAST <b64>")
-        data = _decode_b64(args[0])
-        ports = self.host.connected_ports()
-        if not ports:
-            session.respond("OK delivered=0")
-            return
-        results: dict[int, TicketState] = {}
+            raise _Answer("ERR 400 usage: BCAST <b64>")
+        msg = ServiceMessage(Kind.BCAST, self.module_id, None,
+                             BCAST.pack(session.name or "", _decode_b64(args[0])))
+        sent = [(port, self.host.send_port(port, msg)) for port in self.host.connected_ports()]
+        if not sent:
+            raise _Answer("OK delivered=0")
 
-        def on_port(port: int, state: TicketState) -> None:
-            results[port] = state
-            if len(results) < len(ports):
-                return
-            delivered = sum(1 for s in results.values() if s is TicketState.DELIVERED)
-            failed = [self._peer_label(p) for p in sorted(results)
-                      if results[p] is not TicketState.DELIVERED]
-            line = f"OK delivered={delivered}"
-            if failed:
-                line += " failed=" + ",".join(failed)
-            session.respond(line)
+        def answer(_ticket: Ticket) -> None:
+            if all(ticket.done for _port, ticket in sent):
+                failed = [self._peer_label(port) for port, ticket in sent
+                          if ticket.state is not TicketState.DELIVERED]
+                line = f"OK delivered={len(sent) - len(failed)}"
+                session.respond(f"{line} failed={','.join(failed)}" if failed else line)
 
-        body = BCAST.pack(session.name or "", data)
-        for port in ports:
-            ticket = self.host.send_port(port, ServiceMessage(
-                Kind.BCAST, self.module_id, None, body))
-            ticket.on_done(lambda t, p=port: on_port(p, t.state))
+        for _port, ticket in sent:
+            ticket.on_done(answer)
 
     def _cmd_putfile(self, session: Session, args: list[str]) -> None:
         if len(args) != 3:
-            raise _BadArgs("usage: PUTFILE <module> <name> <b64>")
+            raise _Answer("ERR 400 usage: PUTFILE <module> <name> <b64>")
         raw = _decode_b64(args[2])
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise _BadArgs("file content must be utf-8 text")
+            raise _Answer("ERR 400 file content must be utf-8 text")
         port = self._port_of(args[0])
-        if port is None:
-            session.respond("ERR 404 unknown module")
-            return
         name = args[1]
         msgs = self._chunk_messages(Kind.FILE_CHUNK, name, raw)
         self._run_job(port, msgs, lambda ok: session.respond(
@@ -667,27 +648,19 @@ class ServiceNode:
 
     def _cmd_exec(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:
-            raise _BadArgs("usage: EXEC <module> <b64-of-command-line>")
+            raise _Answer("ERR 400 usage: EXEC <module> <b64-of-command-line>")
         try:
             command_line = _decode_b64(args[1]).decode("utf-8")
         except UnicodeDecodeError:
-            raise _BadArgs("command line must be utf-8 text")
-        port = self._port_of(args[0])
-        if port is None:
-            session.respond("ERR 404 unknown module")
-            return
-        self._request(session, port, Kind.EXEC,
+            raise _Answer("ERR 400 command line must be utf-8 text")
+        self._request(session, self._port_of(args[0]), Kind.EXEC,
                       lambda req_id: REQUEST.pack(0, req_id, command_line),
                       session.respond, "exec")
 
     def _cmd_start(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:
-            raise _BadArgs("usage: START <module> <name>")
-        port = self._port_of(args[0])
-        if port is None:
-            session.respond("ERR 404 unknown module")
-            return
-        self._request(session, port, Kind.START,
+            raise _Answer("ERR 400 usage: START <module> <name>")
+        self._request(session, self._port_of(args[0]), Kind.START,
                       lambda req_id: REQUEST.pack(0, req_id, args[1]),
                       session.respond, "start")
 
@@ -699,26 +672,27 @@ class ServiceNode:
 
     # helpers
 
-    def _port_of(self, module_text: str) -> Optional[int]:
+    def _port_of(self, module_text: str) -> int:
         for port, (mid, _version) in sorted(self.neighbor_table.items()):
             if str(mid) == module_text:
                 return port
-        return None
+        raise _Answer("ERR 404 unknown module")
 
     def _peer_label(self, port: int) -> str:
         entry = self.neighbor_table.get(port)
         return str(entry[0]) if entry else f"port:{port}"
 
 
-class _BadArgs(Exception):
-    pass
+class _Answer(Exception):
+    """A command's whole response line, decided before the command could
+    return; `execute` sends it."""
 
 
 def _decode_b64(text: str) -> bytes:
     try:
         return base64.b64decode(text, validate=True)
     except ValueError:  # binascii.Error, or a non-ASCII character
-        raise _BadArgs("bad base64") from None
+        raise _Answer("ERR 400 bad base64") from None
 
 
 _COMMANDS: dict[str, Callable] = {

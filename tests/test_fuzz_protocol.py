@@ -21,6 +21,7 @@ _ARGS = [
     "0", "0.1", "9.9", "sink", "f", "é", "ü²", "=", "!!", "AAAA", "AA==", "QQ", "",
     _b64("VERSION"), _b64("BCAST é"), _b64("SEND 0 sink é"), _b64("STATE"), _b64("hé"),
     _b64("EXEC 0 " + _b64("ID")), _b64("START 0 f"), base64.b64encode(b"\xff\xfe").decode(),
+    "n" * 300,  # longer than any 255-byte wire field
 ]
 _LINES = st.tuples(st.sampled_from(_VERBS), st.lists(st.sampled_from(_ARGS), max_size=4)).map(
     lambda t: " ".join((t[0], *t[1])))
@@ -34,6 +35,8 @@ def _is_response(line: str) -> bool:
 @given(st.lists(_LINES, min_size=1, max_size=6))
 @example(["BCAST é", "SEND 0.1 sink é", "PUTFILE 0.1 f é", "EXEC 0.1 é"])
 @example([f"EXEC 0.1 {_b64('BCAST é')}"])
+@example(["SEND 0.1 " + "a" * 300 + " AAAA", "PUTFILE 0.1 " + "b" * 300 + " AAAA"])
+@example([f"EXEC 0.1 {_b64('SEND 0 ' + 'a' * 300 + ' AAAA')}"])
 def test_every_command_line_is_answered_once(lines):
     world = World(pair_topology(), seed=1)
     world.run_until_cs(200)
@@ -47,6 +50,9 @@ def test_every_command_line_is_answered_once(lines):
     world.run_until_cs(200 + 300 * len(lines))
     answers = [line for line in session.take_lines() if _is_response(line)]
     assert len(answers) == len(lines)
+    # Every message a command sends is well formed, so a remote EXEC is
+    # answered by the line its command gave, never dropped on arrival.
+    assert not world.log.select("protocol-error")
 
 
 def _pstr(raw: bytes) -> bytes:

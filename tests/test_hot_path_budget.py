@@ -16,7 +16,7 @@ from modbot.world import World
 
 from conftest import tree_topology
 
-CALLS_PER_FRAME_BUDGET = 23.21  # 23.21 measured (28,964 calls, 1,248 frames); 23.43 (29,236) before; 32.44 with a closure per frame
+CALLS_PER_FRAME_BUDGET = 22.99  # 22.985 measured (28,685 calls, 1,248 frames); 23.21 (28,964) before; 32.44 with a closure per frame
 
 _SRC = str(Path(modbot.__file__).resolve().parent)
 

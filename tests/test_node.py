@@ -59,6 +59,17 @@ def test_bad_app_name_rejected():
     assert session.take_lines()[0].startswith("ERR 400")
 
 
+def test_app_name_must_fit_its_255_byte_wire_field():
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER " + "\U0001F600" * 64)  # 64 characters, 256 UTF-8 bytes
+    session.submit("REGISTER " + "é" * 64)  # 128 bytes
+    session.submit(f"BCAST {b64(b'hi')}")
+    world.run_until_cs(400)
+    assert session.take_lines() == [
+        "ERR 400 bad app name", "OK registered " + "é" * 64, "OK delivered=1"]
+
+
 def test_state_self_matches_ground_truth():
     world = settled_pair()
     session = world.open_session("m0")
@@ -223,6 +234,23 @@ def test_remote_exec_of_non_ascii_bcast_answers_400():
     session.submit(f"EXEC 0.1 {b64('BCAST é'.encode())}")
     world.run_until_cs(400)
     assert session.take_lines() == ["ERR 400 bad base64"]
+
+
+@pytest.mark.parametrize("line", [
+    "SEND 0.1 " + "a" * 300 + " AAAA",
+    "PUTFILE 0.1 " + "b" * 300 + " AAAA",
+    f"EXEC 0.1 {b64(('SEND 0 ' + 'a' * 300 + ' AAAA').encode())}",  # answered by m1, relayed
+], ids=["SEND", "PUTFILE", "remote-EXEC"])
+def test_field_too_long_for_the_wire_answers_400(line):
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.submit(line)
+    session.submit("VERSION")  # the session is free again
+    world.run_until_cs(400)
+    assert session.take_lines() == [
+        "OK registered app", "ERR 400 string field too long", "OK version=1"]
+    assert not world.log.select("protocol-error")
 
 
 def test_bcast_zero_neighbors():
@@ -574,6 +602,46 @@ def test_bcast_reports_failed_neighbors_individually():
     world.run_until_cs(3000)
     lines = session.take_lines()
     assert lines == ["OK delivered=1 failed=0.1"]
+
+
+def test_bcast_answers_once_when_its_last_ticket_resolves():
+    # hub - a, b, c. The hub never hears from c, so port 2 has no
+    # neighbour entry. Ports 1 and 2 are cut with the BCAST in flight;
+    # port 1 also has a SEND queued ahead of it, so port 2 fails first.
+    modules = [
+        ModuleSpec("hub", "EAST_WEST", {0: "EAST", 1: "WEST", 2: "UP"}),
+        ModuleSpec("a", "EAST_WEST", {0: "WEST"}),
+        ModuleSpec("b", "EAST_WEST", {0: "EAST"}),
+        ModuleSpec("c", "EAST_WEST", {0: "DOWN"}),
+    ]
+    links = [LinkSpec("hub", 0, "a", 0), LinkSpec("hub", 1, "b", 0), LinkSpec("hub", 2, "c", 0)]
+    world = World(Topology(modules=modules, links=links, root="hub"))
+    world.links[2].severed = True
+    world.run_until_cs(370)  # the hub's give-ups toward c are over
+    world.links[2].severed = False
+    hub = world.modules["hub"]
+    assert sorted(hub.node.neighbor_table) == [0, 1]
+    sender = world.open_session("hub")
+    sender.submit("REGISTER sender")
+    session = world.open_session("hub")
+    session.submit("REGISTER app")
+    resolved = []
+    send_port = hub.send_port
+
+    def capture(port, msg):
+        ticket = send_port(port, msg)
+        ticket.on_done(lambda t: resolved.append((port, msg.kind)))
+        return ticket
+
+    hub.send_port = capture
+    sender.submit(f"SEND 0.1 sink {b64(bytes(2000))}")
+    session.take_lines()
+    session.submit(f"BCAST {b64(b'ping')}")
+    del hub.send_port
+    world.links[1].severed = world.links[2].severed = True
+    world.run_until_cs(1000)
+    assert resolved == [(0, Kind.BCAST), (1, Kind.APPDATA), (2, Kind.BCAST), (1, Kind.BCAST)]
+    assert session.take_lines() == ["OK delivered=1 failed=0.1,port:2"]
 
 
 def test_deeply_nested_program_answers_422():
