@@ -18,6 +18,10 @@ gives up after max_retries, reporting the failure on the send ticket. The
 receiver acknowledges every valid DATA frame and delivers a payload upward
 only when its sequence number is the expected one, so duplicates caused by
 lost ACKs are re-acknowledged but never re-delivered.
+
+The 256 ACK frames are encoded once, at import. A port takes bytes equal
+to one of them, met on an empty decoder buffer, by table lookup; the
+decoder parses bytes that are exactly one DATA frame in place.
 """
 
 from __future__ import annotations
@@ -93,7 +97,17 @@ class Frame:
             raise EncodingError("ACK frames carry no payload")
 
 
+# Every ACK there can be, encoded, and its inverse: bytes equal to one of
+# these frames are that ACK, CRC included.
+_ACKS = tuple(Frame(_ACK, seq) for seq in range(256))
+_ACK_BYTES = tuple(_START + body + _CRC.pack(crc16(body))
+                   for body in (_HEADER.pack(_ACK, seq, 0) for seq in range(256)))
+_ACK_SEQ = {frame: seq for seq, frame in enumerate(_ACK_BYTES)}
+
+
 def encode_frame(frame: Frame) -> bytes:
+    if frame.frame_type is _ACK:
+        return _ACK_BYTES[frame.seq]
     payload = frame.payload
     if len(payload) > MAX_PAYLOAD:
         raise EncodingError(f"payload too long: {len(payload)} > {MAX_PAYLOAD}")
@@ -159,12 +173,18 @@ class FrameDecoder:
         self.junk_bytes = 0
 
     def feed(self, data: bytes) -> list[Frame]:
+        """The frames data completes, in order. A port feeds only bytes that
+        meet a non-empty buffer or are not one whole ACK frame."""
         buf = self._buf
-        if not buf and data and data[0] == START_BYTE:
-            # Fast path: nothing buffered and data is exactly one frame.
-            status, frame, end = _parse_at(data, 0)
-            if status == "frame" and end == len(data):
-                return [frame]
+        n = len(data)
+        if (not buf and _MIN_FRAME <= n <= _MIN_FRAME + MAX_PAYLOAD and data[0] == START_BYTE
+                and data[1] == 0x01 and n == _MIN_FRAME + ((data[3] << 8) | data[4])
+                and crc16(data[1:-2]) == (data[-2] << 8) | data[-1]):
+            # Fast path: nothing buffered and data is exactly one DATA frame;
+            # built the way _parse_at builds one.
+            frame = object.__new__(Frame)
+            frame.frame_type, frame.seq, frame.payload = _DATA, data[2], bytes(data[5:-2])
+            return [frame]
         buf.extend(data)
         frames: list[Frame] = []
         pos = 0
@@ -255,16 +275,15 @@ class LinkStats:
     give_ups: int = 0
 
 
-# Every ACK there can be; the receiver encodes the one it needs.
-_ACKS = tuple(Frame(_ACK, seq) for seq in range(256))
-
-
 class PortProtocol:
     """Stop-and-wait protocol instance for one module port.
 
     Outgoing messages queue FIFO, one ticket each, behind the single
     outstanding frame; delivery order on a healthy link therefore matches
     submission order.
+
+    `on_bytes` takes a whole ACK met on an empty decoder buffer from the
+    ACK table and feeds all other bytes to `FrameDecoder.feed`.
     """
 
     def __init__(
@@ -295,12 +314,20 @@ class PortProtocol:
         budget; the first give-up fails the ticket and drops the payloads
         not yet sent. The sequence is kept, not copied, so it must not
         change afterwards."""
+        if not payloads:
+            raise EncodingError("empty message")
         for payload in payloads:
             if len(payload) > MAX_PAYLOAD:
                 raise EncodingError(f"payload too long: {len(payload)}")
         ticket = Ticket(payloads)
-        self._queue.append(ticket)
-        self._pump()
+        if self._outstanding is None and not self._queue:  # idle: on the wire at once
+            self._outstanding = ticket
+            ticket.transmissions = 1
+            self._start_next(ticket)
+        else:
+            self._queue.append(ticket)
+            if self._outstanding is None:  # sent from a callback of the ticket just done
+                self._pump()
         return ticket
 
     def cancel(self, ticket: Ticket) -> bool:
@@ -312,8 +339,23 @@ class PortProtocol:
         return True
 
     def on_bytes(self, data: bytes) -> None:
+        if not self._decoder._buf and len(data) == _MIN_FRAME and data in _ACK_SEQ:
+            self._on_ack(_ACK_SEQ[data])
+            return
         for frame in self._decoder.feed(data):
-            self._handle_frame(frame)
+            seq = frame.seq
+            if frame.frame_type is _ACK:
+                self._on_ack(seq)
+                continue
+            # DATA: always acknowledge, deliver only the expected sequence.
+            self._transmit(encode_frame(_ACKS[seq]))
+            self.stats.tx_acks += 1
+            if seq == self._expected_seq:
+                self._expected_seq = (seq + 1) & 0xFF
+                self.stats.rx_delivered += 1
+                self._deliver(frame.payload)
+            else:
+                self.stats.rx_duplicates += 1
 
     # internal
 
@@ -330,10 +372,13 @@ class PortProtocol:
         seq = ticket._seq = self._next_seq
         self._next_seq = (seq + 1) & 0xFF
         ticket._retries_used = 0
-        frame = object.__new__(Frame)  # valid as built, like _parse_at's frames
+        frame = object.__new__(Frame)  # valid as built, like the decoder's frames
         frame.frame_type, frame.seq, frame.payload = _DATA, seq, ticket._payloads[ticket._index]
         ticket._frame = encode_frame(frame)
-        self._transmit_ticket(ticket)
+        self._transmit(ticket._frame)  # _transmit_ticket, inlined on the per-frame path
+        self.stats.tx_data += 1
+        ticket._timer = self._scheduler.call_at(
+            self._scheduler.now + self.config.ack_timeout_ms * US_PER_MS, self._on_timeout)
 
     def _transmit_ticket(self, ticket: Ticket) -> None:
         self._transmit(ticket._frame)
@@ -355,28 +400,16 @@ class PortProtocol:
             ticket.transmissions += 1
             self._transmit_ticket(ticket)
 
-    def _handle_frame(self, frame: Frame) -> None:
-        if frame.frame_type is _ACK:
-            ticket = self._outstanding
-            if ticket is not None and ticket._seq == frame.seq:
-                if ticket._timer is not None:
-                    ticket._timer.cancel()
-                if ticket._index + 1 < len(ticket._payloads):
-                    self._start_next(ticket)
-                    return
-                self._outstanding = None
-                ticket._resolve(_DELIVERED)
-                if self._queue:
-                    self._pump()
-            else:
-                self.stats.stale_acks += 1
+    def _on_ack(self, seq: int) -> None:
+        ticket = self._outstanding
+        if ticket is None or ticket._seq != seq:
+            self.stats.stale_acks += 1
             return
-        # DATA: always acknowledge, deliver only the expected sequence.
-        self._transmit(encode_frame(_ACKS[frame.seq]))
-        self.stats.tx_acks += 1
-        if frame.seq == self._expected_seq:
-            self._expected_seq = (frame.seq + 1) & 0xFF
-            self.stats.rx_delivered += 1
-            self._deliver(frame.payload)
-        else:
-            self.stats.rx_duplicates += 1
+        ticket._timer.cancel()  # an outstanding ticket always has its timer armed
+        if ticket._index + 1 < len(ticket._payloads):
+            self._start_next(ticket)
+            return
+        self._outstanding = None
+        ticket._resolve(_DELIVERED)
+        if self._queue:
+            self._pump()

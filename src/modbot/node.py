@@ -19,7 +19,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .dynarole import RoleProgram, RoleSyntaxError, parse_program
 from .engine import RoleEngine
@@ -189,10 +189,10 @@ class ServiceNode:
 
     def _tick(self) -> None:
         ports = self.host.connected_ports()
+        announce = self._beacon(_ANNOUNCE)
         for port in ports:
-            self.host.send_port(port, self._beacon(_ANNOUNCE))
-        for port in ports:
-            self._maybe_push(port)
+            self.host.send_port(port, announce)
+        self._push_older(ports)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
     def _beacon(self, kind: Kind) -> ServiceMessage:
@@ -210,12 +210,12 @@ class ServiceNode:
         """A HELLO, then an announce, on every connected port, then a push
         to each neighbour that runs an older version."""
         ports = self.host.connected_ports()
+        hello, announce = self._beacon(_HELLO), self._beacon(_ANNOUNCE)
         for port in ports:
-            self.host.send_port(port, self._beacon(_HELLO))
+            self.host.send_port(port, hello)
         for port in ports:
-            self.host.send_port(port, self._beacon(_ANNOUNCE))
-        for port in ports:
-            self._maybe_push(port)
+            self.host.send_port(port, announce)
+        self._push_older(ports)
 
     def on_link_up(self, port: int) -> None:
         self.host.send_port(port, self._beacon(_HELLO))
@@ -247,13 +247,13 @@ class ServiceNode:
         self.host.log("version", str(self.version))
         self._advertise()
 
-    def _maybe_push(self, port: int) -> None:
-        if self.version == 0 or port in self._push_inflight:
-            return
-        entry = self.neighbor_table.get(port)
-        if entry is None or entry[1] >= self.version:
-            return
-        self._start_push(port)
+    def _push_older(self, ports: Iterable[int]) -> None:
+        """Push to each of these ports whose neighbour runs an older version
+        and has no push in flight (versions are never negative, so v0 never pushes)."""
+        for port in ports:
+            entry = self.neighbor_table.get(port)
+            if entry is not None and entry[1] < self.version and port not in self._push_inflight:
+                self._start_push(port)
 
     def _start_push(self, port: int) -> None:
         self._push_inflight.add(port)
@@ -346,7 +346,7 @@ class ServiceNode:
                 self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
                 return
         self.neighbor_table[port] = beacon[1]
-        self._maybe_push(port)
+        self._push_older((port,))
 
     def _dispatch(self, port: int, msg: ServiceMessage) -> None:
         kind = msg.kind

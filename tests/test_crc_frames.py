@@ -1,5 +1,6 @@
 """Frame codec tests against an independent bitwise CRC reference."""
 
+import binascii
 import random
 
 import pytest
@@ -41,6 +42,16 @@ def test_ack_frame_encoding_frozen():
     assert crc16_reference(bytes([0x02, 0x00, 0x00, 0x00])) == 0x69A8
     encoded = encode_frame(Frame(FrameType.ACK, 0))
     assert encoded == bytes([0x7E, 0x02, 0x00, 0x00, 0x00, 0x69, 0xA8])
+
+
+def test_every_ack_frame_matches_its_wire_layout():
+    # Built here from the layout, not through encode_frame, which serves
+    # ACKs from a table it fills at import.
+    for seq in range(256):
+        expected = bytes([0x7E, 0x02, seq, 0x00, 0x00]) + binascii.crc_hqx(
+            bytes([0x02, seq, 0x00, 0x00]), 0xFFFF).to_bytes(2, "big")
+        assert encode_frame(Frame(FrameType.ACK, seq)) == expected
+        assert decode_frame(expected) == Frame(FrameType.ACK, seq)
 
 
 def test_empty_data_frame_differs_only_in_type_and_crc():

@@ -131,6 +131,47 @@ def test_oversized_payload_rejected():
         a.send([b"x" * 256])
 
 
+def test_empty_send_raises_and_leaves_the_port_usable():
+    scheduler, a, b, ab, ba, _, delivered = make_pair()
+    with pytest.raises(EncodingError):
+        a.send([])
+    ticket = a.send([b"x"])
+    scheduler.run_until(10 * US_PER_MS)
+    assert ticket.state is TicketState.DELIVERED
+    assert delivered == [b"x"]
+
+
+def test_ack_bytes_on_a_partial_candidate_are_stream_bytes():
+    scheduler, a, b, ab, ba, _, _ = make_pair()
+    ticket = a.send([b"waiting"])  # seq 0, outstanding until its ACK
+    partial = encode_frame(Frame(FrameType.DATA, 9, bytes(20)))[:5]
+    a.on_bytes(partial)
+    a.on_bytes(encode_frame(Frame(FrameType.ACK, 0)))
+    assert a._outstanding is ticket and ticket.state is TicketState.PENDING
+    assert not ticket._timer.cancelled
+    assert a.stats.stale_acks == 0
+    assert len(a._decoder._buf) == len(partial) + 7
+
+
+def test_send_from_a_delivered_callback_starts_the_queued_head_at_once():
+    scheduler, a, b, ab, ba, _, delivered = make_pair()
+    frames = []
+    transmit = ab.transmit
+    a._transmit = lambda data: (frames.append(data), transmit(data))
+    first = a.send([b"first"])
+    a.send([b"second"])
+    seen = []
+
+    def resend(ticket):
+        a.send([b"third"])
+        seen.append(frames[-1])  # what the callback put on the wire
+
+    first.on_done(resend)
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert seen == [encode_frame(Frame(FrameType.DATA, 1, b"second"))]
+    assert delivered == [b"first", b"second", b"third"]
+
+
 def test_bidirectional_traffic_does_not_interfere():
     scheduler, a, b, ab, ba, delivered_a, delivered_b = make_pair()
     a.send([b"a->b"])
