@@ -303,6 +303,7 @@ class PortProtocol:
         self._outstanding: Ticket | None = None
         self._next_seq = 0
         self._expected_seq = 0
+        self._on_timeout = self._on_timeout  # bound once: armed for every DATA frame
 
     @property
     def crc_errors(self) -> int:

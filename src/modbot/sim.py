@@ -7,7 +7,10 @@ and seed.
 
 The RNG is xorshift64* (shift triple 12/25/27, multiplier
 0x2545F4914F6CDD1D) seeded through one splitmix64 step, chosen so that runs
-are reproducible from the documented constants alone.
+are reproducible from the documented constants alone. A draw may be
+counted without being read; its state step is still taken, before the next
+draw that is read, so a value read is the same whether or not the draws
+before it were read.
 """
 
 from __future__ import annotations
@@ -32,29 +35,33 @@ def splitmix64(x: int) -> int:
 
 
 class Rng:
-    """xorshift64* generator; state is never zero."""
+    """xorshift64* generator; state is never zero.
+
+    `unread` is part of the state: the number of draws a caller counted but
+    did not read (a lossless link's, see world.Channel). The next draw that
+    is read first steps the state past them, so every value read is the one
+    an eager generator gives; only their output multiply is never computed.
+    """
 
     def __init__(self, seed: int):
         self._state = splitmix64(seed & _MASK64)
         if self._state == 0:
             self._state = 0x9E3779B97F4A7C15
+        self.unread = 0
 
     def next_u64(self) -> int:
-        s = self._state
-        s ^= (s >> 12)
-        s ^= (s << 25) & _MASK64
-        s ^= (s >> 27)
-        self._state = s
+        s, n = self._state, self.unread
+        while n >= 0:  # the unread draws' state steps, then this draw's
+            s ^= (s >> 12)
+            s ^= (s << 25) & _MASK64
+            s ^= (s >> 27)
+            n -= 1
+        self._state, self.unread = s, 0
         return (s * 0x2545F4914F6CDD1D) & _MASK64
 
     def random(self) -> float:
-        """Uniform float in [0, 1) from the top 53 bits of next_u64(), inlined."""
-        s = self._state
-        s ^= (s >> 12)
-        s ^= (s << 25) & _MASK64
-        s ^= (s >> 27)
-        self._state = s
-        return (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * (2.0 ** -53)
+        """Uniform float in [0, 1) from the top 53 bits of next_u64()."""
+        return (self.next_u64() >> 11) * (2.0 ** -53)
 
 
 class Timer:

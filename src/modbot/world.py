@@ -17,7 +17,9 @@ A directed channel models the serial medium: a transmission occupies the
 line for len(bytes) * byte_us, is lost with the link's loss
 probability, and otherwise arrives propagation_delay after the last byte
 went out. Loss decisions come from the world's seeded generator, so a run
-is a deterministic function of (topology, scenario, seed, until).
+is a deterministic function of (topology, scenario, seed, until). Every
+transmission on an unsevered link takes one draw, whatever its loss; a
+lossless link's draw is counted, not computed (see sim.Rng).
 """
 
 from __future__ import annotations
@@ -329,9 +331,11 @@ class Channel:
     """One direction of a link; a serial line with probabilistic loss.
 
     `transmit` queues its (immutable) bytes uncopied in a FIFO list and
-    schedules the bound `_arrive`, which pops the head. That is the right
-    frame: `_busy_until` only grows and `prop_us` is fixed, so a channel's
-    arrivals fall due, and fire, in the order they were scheduled.
+    schedules `_arrive`, bound once per channel, which pops the head. That
+    is the right frame: `_busy_until` only grows and `prop_us` is fixed, so
+    a channel's arrivals fall due, and fire, in the order they were
+    scheduled. `drops` counts the frames refused on a severed link, lost to
+    the loss draw, or lost in flight to a sever.
     """
 
     def __init__(self, world: "World", link: "SimLink", loss: float, prop_us: int, byte_us: int):
@@ -343,6 +347,7 @@ class Channel:
         self.receive: Callable[[bytes], None] = lambda data: None
         self._busy_until = 0
         self._in_flight: list[bytes] = []
+        self._arrive = self._arrive  # bound once: scheduled for every frame
         self.transmissions = 0
         self.drops = 0
 
@@ -351,11 +356,15 @@ class Channel:
             self.drops += 1
             return
         scheduler = self._scheduler
-        start = max(scheduler.now, self._busy_until)
+        start = scheduler.now
+        if start < self._busy_until:
+            start = self._busy_until
         finish = start + len(data) * self.byte_us
         self._busy_until = finish
         self.transmissions += 1
-        if self._rng.random() < self.loss:
+        if not self.loss:
+            self._rng.unread += 1  # a draw nobody reads: counted, not computed
+        elif self._rng.random() < self.loss:
             self.drops += 1
             return
         self._in_flight.append(data)
@@ -363,7 +372,9 @@ class Channel:
 
     def _arrive(self) -> None:
         data = self._in_flight.pop(0)
-        if not self._link.severed:
+        if self._link.severed:
+            self.drops += 1
+        else:
             self.receive(data)
 
 

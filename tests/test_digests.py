@@ -7,6 +7,10 @@ these digests on purpose re-pins it and says why in CHANGES.md.
 
 import base64
 import hashlib
+import sys
+from pathlib import Path
+
+import pytest
 
 from modbot.world import (
     LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World, load_scenario, load_topology,
@@ -14,11 +18,28 @@ from modbot.world import (
 
 from conftest import CORPUS, chain_topology, pair_topology, upgrade_scenario
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
 CAR_DIGEST = "22299e71bb51742900ec9684bddfa4edf5fe69c47269df0a790573883fa90b7f"
 CHAIN10_DIGEST = "47470b3c3d8d1d031d6d3e8118c4af09d84fbe88a3d185b000cd2f3ccc548a09"
 PAIR_SEND_DIGEST = "bf74022fabf40484db2c103e0aa11f0232710c401d756af74b9e5cc62da533bf"
 CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e483f2c"
 CHAIN6_TWO_UPGRADES_DIGEST = "0e15098b74ebe0e7488afae5e522a2eee40535663d20ffdea36466388c3b646f"
+CHAIN12_MIXED_LOSS_DIGEST = "b29380c88f3af8f449dfb88c3efddf529b329a397fcce502f07a9fcea71f46ac"
+
+# Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
+BENCH_SEED1 = {
+    "diffuse_tree": (
+        "0bded25bd5f6695a849d5856ac05100aa88eec81d05cc556ea5ca41eb1b5f0b1", 4433, 1393, 0),
+    "apps_lossy": (
+        "6e2d3e303d357a4018432674b7a883d20ee22919f991ef15259396f8d103b434", 2745, 2667, 67),
+    "roles_swarm": (
+        "0a5c72e394c8ad62f82c06f6f91b16c3b232af5d76469f333c1a72cda078faea", 10414, 819, 0),
+}
 
 
 def _digest(world: World) -> str:
@@ -44,6 +65,29 @@ def test_chain10_lossy_upgrade_digest():
     world = World(chain_topology(10, loss=0.1), upgrade_scenario("m0", 2, 500), seed=3)
     world.run_until_cs(6000)
     assert _digest(world) == CHAIN10_DIGEST
+
+
+def test_chain12_mixed_loss_upgrade_digest():
+    # Every third link is lossy and the rest are lossless, all drawing from
+    # the one world generator.
+    topology = chain_topology(12)
+    for i, link in enumerate(topology.links):
+        if i % 3 == 1:
+            link.loss = 0.25
+    world = World(topology, upgrade_scenario("m0", 2, 500), seed=3)
+    world.run_until_cs(6000)
+    assert len(world.log.records) == 81
+    assert _digest(world) == CHAIN12_MIXED_LOSS_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEED1))
+def test_bench_workload_seed1_digest(name):
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.generate(1)
+    world = workloads.build_world(inputs, 1)
+    observed = workload.drive(world, inputs, world.scheduler.run_until)
+    outcome = workload.evaluate(world, inputs, observed)
+    assert (outcome.digest, outcome.records, outcome.attempted, outcome.failed) == BENCH_SEED1[name]
 
 
 def test_chain6_upgraded_twice_across_sever_restore_digest():

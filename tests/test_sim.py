@@ -1,5 +1,7 @@
 """Scheduler ordering, RNG reproducibility, event log shape."""
 
+from hypothesis import example, given, settings, strategies as st
+
 from modbot.sim import EventLog, Rng, Scheduler, US_PER_CS, splitmix64
 
 
@@ -79,3 +81,24 @@ def test_random_is_the_top_53_bits_of_next_u64():
         rng, twin = Rng(seed), Rng(seed)
         for _ in range(10_000):
             assert rng.random() == (twin.next_u64() >> 11) * 2**-53
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-2**64, 2**64),
+    ops=st.lists(st.one_of(st.integers(1, 2_000), st.sampled_from(["random", "next_u64"])),
+                 max_size=25),
+)
+@example(seed=1, ops=[100_000, "random", 1, "next_u64", 3, 7, "random"])
+def test_unread_draws_read_like_an_eager_twin(seed, ops):
+    # An integer is a run of draws counted unread on one generator and
+    # computed, then discarded, on its twin.
+    lazy, eager = Rng(seed), Rng(seed)
+    for op in ops:
+        if isinstance(op, int):
+            lazy.unread += op
+            for _ in range(op):
+                eager.next_u64()
+        else:
+            assert getattr(lazy, op)() == getattr(eager, op)()
+            assert lazy.unread == 0

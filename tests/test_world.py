@@ -152,6 +152,20 @@ def test_channel_loss_one_never_arrives():
     assert channel.drops == 100
 
 
+def test_frame_lost_in_flight_to_a_sever_counts_as_a_drop():
+    world = World(pair_topology())
+    link = SimLink(spec=LinkSpec("x", 0, "y", 0))
+    channel = Channel(world, link, loss=0.0, prop_us=1000, byte_us=300)
+    received = []
+    channel.receive = received.append
+    channel.transmit(b"x" * 10)  # arrives at 4_000us
+    world.scheduler.run_until(2_000)
+    link.severed = True
+    world.scheduler.run_until(1_000_000)
+    assert received == []
+    assert (channel.transmissions, channel.drops) == (1, 1)
+
+
 def test_channel_serializes_back_to_back_transmissions():
     world = World(pair_topology())
     channel, _ = _bare_channel(world, loss=0.0)
@@ -176,7 +190,8 @@ def test_channel_drop_count_within_three_sigma():
 
 
 class _ClosureChannel:
-    """Reference channel: one closure per frame, each carrying its own copy."""
+    """Reference channel: one closure per frame, each carrying its own copy,
+    and a loss draw computed for every transmission, whatever its loss."""
 
     def __init__(self, world, link, loss, prop_us, byte_us):
         self._world, self._link = world, link
@@ -200,16 +215,20 @@ class _ClosureChannel:
             self.receive(data)
 
 
-def _delivered(channel_class, seed, loss, prop_us, byte_us, steps):
+def _delivered(channel_class, seed, prop_us, byte_us, steps):
+    """Arrivals on a lossless and a lossy (0.3) channel of one link, both
+    drawing from the world generator."""
     world = SimpleNamespace(scheduler=Scheduler(), rng=Rng(seed))
     link = SimLink(spec=LinkSpec("x", 0, "y", 0))
-    channel = channel_class(world, link, loss, prop_us, byte_us)
+    channels = [channel_class(world, link, loss, prop_us, byte_us) for loss in (0.0, 0.3)]
     arrivals = []
-    channel.receive = lambda data: arrivals.append((world.scheduler.now, data))
-    for index, (gap_us, action, length) in enumerate(steps):
+    for lane, channel in enumerate(channels):
+        channel.receive = lambda data, lane=lane: arrivals.append(
+            (world.scheduler.now, lane, data))
+    for index, (gap_us, action, lane, length) in enumerate(steps):
         world.scheduler.run_until(world.scheduler.now + gap_us)
         if action == "send":
-            channel.transmit(bytes([index & 0xFF]) * length)
+            channels[lane].transmit(bytes([index & 0xFF]) * length)
         else:
             link.severed = action == "sever"
     world.scheduler.run_until(world.scheduler.now + 10**9)
@@ -219,18 +238,21 @@ def _delivered(channel_class, seed, loss, prop_us, byte_us, steps):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    loss=st.sampled_from([0.0, 0.3]),
     prop_us=st.integers(0, 5_000),
     byte_us=st.sampled_from([0, 1, 300]),
     steps=st.lists(st.tuples(st.integers(0, 6_000),
                              st.sampled_from(["send", "send", "sever", "restore"]),
-                             st.integers(0, 40)), max_size=30),
+                             st.integers(0, 1), st.integers(0, 40)), max_size=30),
 )
 # A frame lost to a sever while in flight, then one sent after the restore.
-@example(seed=1, loss=0.0, prop_us=1_000, byte_us=300,
-         steps=[(0, "send", 10), (1_000, "sever", 0), (4_000, "restore", 0), (0, "send", 10)])
-def test_fifo_channel_delivers_like_one_closure_per_frame(seed, loss, prop_us, byte_us, steps):
-    args = (seed, loss, prop_us, byte_us, steps)
+@example(seed=1, prop_us=1_000, byte_us=300,
+         steps=[(0, "send", 0, 10), (1_000, "sever", 0, 0), (4_000, "restore", 0, 0),
+                (0, "send", 0, 10)])
+# Lossless draws between lossy ones: each lossy frame must read its own draw.
+@example(seed=1, prop_us=1_000, byte_us=300,
+         steps=[(0, "send", lane, 5) for lane in (0, 0, 1, 0, 1, 1, 0, 0, 0, 1)])
+def test_fifo_channel_delivers_like_one_closure_per_frame(seed, prop_us, byte_us, steps):
+    args = (seed, prop_us, byte_us, steps)
     assert _delivered(Channel, *args) == _delivered(_ClosureChannel, *args)
 
 
