@@ -376,12 +376,6 @@ class PortProtocol:
         frame = object.__new__(Frame)  # valid as built, like the decoder's frames
         frame.frame_type, frame.seq, frame.payload = _DATA, seq, ticket._payloads[ticket._index]
         ticket._frame = encode_frame(frame)
-        self._transmit(ticket._frame)  # _transmit_ticket, inlined on the per-frame path
-        self.stats.tx_data += 1
-        ticket._timer = self._scheduler.call_at(
-            self._scheduler.now + self.config.ack_timeout_ms * US_PER_MS, self._on_timeout)
-
-    def _transmit_ticket(self, ticket: Ticket) -> None:
         self._transmit(ticket._frame)
         self.stats.tx_data += 1
         ticket._timer = self._scheduler.call_at(
@@ -399,7 +393,10 @@ class PortProtocol:
         else:
             ticket._retries_used += 1
             ticket.transmissions += 1
-            self._transmit_ticket(ticket)
+            self._transmit(ticket._frame)
+            self.stats.tx_data += 1
+            ticket._timer = self._scheduler.call_at(
+                self._scheduler.now + self.config.ack_timeout_ms * US_PER_MS, self._on_timeout)
 
     def _on_ack(self, seq: int) -> None:
         ticket = self._outstanding

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .dynarole import RoleProgram, RoleSyntaxError, parse_program
+from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
@@ -88,32 +88,11 @@ class Session:
             return  # a synchronous respond() re-entered; the loop below continues
         self._advancing = True
         try:
-            while not self._busy and self._commands:
+            while not self._busy and self._commands and not self.closed:
                 self._busy = True
                 self.node.execute(self, self._commands.popleft())
         finally:
             self._advancing = False
-
-
-class EngineSession(Session):
-    """Registry entry for a role engine: routes MSG payloads into the
-    engine, which the module hosts and which invokes under this app name."""
-
-    def __init__(self, node: "ServiceNode", name: str, program: RoleProgram):
-        super().__init__(node)
-        self.name = name
-        self.engine = RoleEngine(node.host, program, partial(node.invoke_neighbors, name))
-
-    def push(self, line: str) -> None:
-        parts = line.split()
-        if len(parts) == 4 and parts[0] == "MSG":
-            try:
-                text = base64.b64decode(parts[3], validate=True).decode("utf-8")
-            except ValueError:  # binascii.Error and UnicodeDecodeError are ValueErrors
-                return
-            words = text.split()
-            if len(words) == 3 and words[0] == "INVOKE":
-                self.engine.on_invoke(words[1], words[2])
 
 
 class _ExecSession(Session):
@@ -153,7 +132,9 @@ class ServiceNode:
     `state_text()`, `snapshot()`, `actuate(value)`, `send_port(port, msg)
     -> Ticket`, `connected_ports()`, `link_config` and `programs`, the
     parsed role programs by text, shared world-wide. The role engines the
-    node starts are hosted by the same module (see `RoleEngine`).
+    node starts are hosted by the same module (see `RoleEngine`); they sit
+    in `engines` under their program's file name, which apps cannot
+    register, and take data `INVOKE <role> <command>` sent to that name.
     """
 
     def __init__(self, host):
@@ -162,6 +143,7 @@ class ServiceNode:
         self.version = 0
         self.neighbor_table: dict[int, tuple[ModuleId, int]] = {}
         self.apps: dict[str, Session] = {}
+        self.engines: dict[str, RoleEngine] = {}
         self.file_store: dict[str, str] = {}
         self.code_image = b""
         self._reassemblers: defaultdict[int, LinkReassembler] = defaultdict(LinkReassembler)
@@ -222,16 +204,15 @@ class ServiceNode:
         self.host.send_port(port, self._beacon(_ANNOUNCE))
 
     def on_phys_change(self) -> None:
-        for session in self.apps.values():
-            if isinstance(session, EngineSession):
-                session.engine.evaluate()
+        for engine in self.engines.values():
+            engine.evaluate()
 
     def on_sensor(self, sensor_id: int, value: int) -> None:
         for session in list(self.apps.values()):
-            if not isinstance(session, EngineSession):
-                session.push(f"EVENT sensor {sensor_id} {value}")
-            elif value != 0:
-                session.engine.on_event(sensor_id)
+            session.push(f"EVENT sensor {sensor_id} {value}")
+        if value != 0:
+            for engine in self.engines.values():
+                engine.on_event(sensor_id)
 
     # code diffusion
 
@@ -310,17 +291,15 @@ class ServiceNode:
         self._advertise()
 
     def _reset_sessions(self) -> None:
-        """Sessions do not survive a version adoption; engines come back."""
-        engine_files = []
-        for name, session in self.apps.items():
-            if isinstance(session, EngineSession):
-                session.engine.stop()
-                engine_files.append(name)
-            else:
-                session.push(f"EVENT reset {self.version}")
-                session.closed = True
+        """Sessions do not survive a version adoption; engines are restarted."""
+        for session in self.apps.values():
+            session.push(f"EVENT reset {self.version}")
+            session.closed = True
         self.apps.clear()
-        for name in engine_files:
+        engines, self.engines = self.engines, {}
+        for engine in engines.values():
+            engine.stop()
+        for name in engines:
             self.start_program(name)
 
     # inbound message path
@@ -378,14 +357,17 @@ class ServiceNode:
             self._resolve_pending(req_id, code == 0, quiet=True)
             return
         _, req_id, src_app, data = APPDATA.unpack(msg.body)
-        session = self.apps.get(msg.dst_app or "")
-        if session is None:
+        name = msg.dst_app or ""
+        code = 0 if name in self.apps or name in self.engines else 1  # 1 = unknown app
+        if code:
             self.host.log("drop", f"appdata for unknown app {msg.dst_app}")
         else:
             text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
             self.host.log("appmsg", text)
-            session.push(f"MSG {text}")
-        code = 1 if session is None else 0  # 1 = unknown app
+            if name in self.apps:
+                self.apps[name].push(f"MSG {text}")
+            else:
+                _invoke(self.engines[name], data)
         self.host.send_port(port, ServiceMessage(
             Kind.APPDATA, self.module_id, None, APPDATA_STATUS.pack(1, req_id, code)))
 
@@ -395,6 +377,8 @@ class ServiceNode:
         self.host.log("bcastmsg", text)
         for session in list(self.apps.values()):
             session.push(f"MSG {text}")
+        for engine in self.engines.values():
+            _invoke(engine, data)
 
     def _accumulate(self, table: dict, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
         """Shared in-order chunk collection; returns the completed transfer."""
@@ -523,16 +507,15 @@ class ServiceNode:
             except RoleSyntaxError as exc:
                 return f"ERR 422 {exc.diagnostics[0]}"
             self.host.programs[text] = program
-        old = self.apps.get(filename)
-        if isinstance(old, EngineSession):
-            old.engine.stop()
-            self.apps.pop(filename)
-        elif old is not None:
+        if filename in self.apps:
             return "ERR 409 app name in use"
-        session = EngineSession(self, filename, program)
-        self.apps[filename] = session
+        old = self.engines.pop(filename, None)  # a restart moves the engine to the end
+        if old is not None:
+            old.stop()
+        engine = self.engines[filename] = RoleEngine(
+            self.host, program, partial(self.invoke_neighbors, filename))
         self.host.log("start-program", filename)
-        session.engine.start()
+        engine.start()
         return f"OK started {filename}"
 
     # command protocol
@@ -543,8 +526,6 @@ class ServiceNode:
     def _deregister(self, session: Session) -> None:
         if session.name and self.apps.get(session.name) is session:
             self.apps.pop(session.name)
-            if isinstance(session, EngineSession):
-                session.engine.stop()
             self.host.log("deregister", session.name)
 
     def execute(self, session: Session, line: str) -> None:
@@ -577,7 +558,7 @@ class ServiceNode:
             raise _Answer("ERR 400 bad app name")
         if session.name is not None:
             raise _Answer("ERR 409 already registered")
-        if name in self.apps:
+        if name in self.apps or name in self.engines:
             raise _Answer("ERR 409 app name in use")
         session.name = name
         self.apps[name] = session
@@ -686,6 +667,16 @@ class ServiceNode:
 class _Answer(Exception):
     """A command's whole response line, decided before the command could
     return; `execute` sends it."""
+
+
+def _invoke(engine: RoleEngine, data: bytes) -> None:
+    """Run data `INVOKE <role> <command>` sent to an engine; other data is ignored."""
+    try:
+        words = data.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return
+    if len(words) == 3 and words[0] == "INVOKE":
+        engine.on_invoke(words[1], words[2])
 
 
 def _decode_b64(text: str) -> bytes:

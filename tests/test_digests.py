@@ -30,6 +30,7 @@ PAIR_SEND_DIGEST = "bf74022fabf40484db2c103e0aa11f0232710c401d756af74b9e5cc62da5
 CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e483f2c"
 CHAIN6_TWO_UPGRADES_DIGEST = "0e15098b74ebe0e7488afae5e522a2eee40535663d20ffdea36466388c3b646f"
 CHAIN12_MIXED_LOSS_DIGEST = "b29380c88f3af8f449dfb88c3efddf529b329a397fcce502f07a9fcea71f46ac"
+CAR_INVOKE_PROBE_DIGEST = "b0308710e3cbebb487df295c97527afc01312f95fc72629897e049d132f2a799"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
@@ -59,6 +60,30 @@ def test_car_corpus_upgraded_head_digest():
     world = World(load_topology(CORPUS / "car.topo"), scenario, seed=1)
     world.run_until_cs(6000)
     assert _digest(world) == CAR_UPGRADE_DIGEST
+
+
+def test_car_corpus_invoke_probe_digest():
+    # Apps invoke the engines the way the head's engine does: a SEND and a
+    # BCAST of `INVOKE Wheel evade` to car.role from the head, the same
+    # SEND from the left wheel to the head (whose Head role skips it), and
+    # a re-START of the right wheel's engine while its evade runs.
+    world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
+    world.run_until_cs(600)
+    evade = base64.b64encode(b"INVOKE Wheel evade").decode()
+    head, wheel = world.open_session("head"), world.open_session("wl")
+    head.submit("REGISTER probe")
+    wheel.submit("REGISTER probe")
+    head.submit(f"SEND 0.2 car.role {evade}")
+    wheel.submit(f"SEND 0 car.role {evade}")
+    world.run_until_cs(700)
+    head.submit(f"BCAST {evade}")
+    world.run_until_cs(710)
+    head.submit("START 0.2 car.role")
+    world.run_until_cs(6000)
+    assert head.take_lines()[:4] == [
+        "OK registered probe", "OK delivered", "OK delivered=2", "OK started car.role"]
+    assert wheel.take_lines()[:2] == ["OK registered probe", "OK delivered"]
+    assert _digest(world) == CAR_INVOKE_PROBE_DIGEST
 
 
 def test_chain10_lossy_upgrade_digest():

@@ -1,5 +1,8 @@
 """Role engine semantics exercised through small simulated worlds."""
 
+import base64
+
+from modbot.node import Session
 from modbot.world import (
     LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World,
     load_scenario, load_topology,
@@ -175,7 +178,7 @@ def test_engines_survive_version_adoption():
         assert world.modules[module].node.version == 2
         roles = [r[3] for r in world.log.select("role", module)]
         assert roles[0] == role and roles[-1] == role
-        assert "car.role" in world.modules[module].node.apps
+        assert "car.role" in world.modules[module].node.engines
     # actuators kept spinning: no spurious stop, same setpoint throughout
     assert [v for _, v in turns(world, "wr")][-1] in (150, -100)
 
@@ -189,6 +192,85 @@ def test_sensor_events_pushed_to_plain_sessions():
     probe.take_lines()
     world.run_until_cs(1100)  # scenario fires sensor 1 at t=1000
     assert "EVENT sensor 1 1" in probe.take_lines()
+
+
+# Cross-role invocation as a plain app can send it: APPDATA or BCAST data
+# `INVOKE <role> <command>` addressed to the program's file name.
+
+_EVADE = base64.b64encode(b"INVOKE Wheel evade").decode()
+
+
+def car_probe() -> tuple[World, Session]:
+    """The car after its engines started, with app `probe` on the head;
+    the wheels are wl = 0.1 and wr = 0.2."""
+    world = car_world()
+    world.run_until_cs(600)
+    probe = world.open_session("head")
+    probe.submit("REGISTER probe")
+    assert probe.take_lines() == ["OK registered probe"]
+    return world, probe
+
+
+def engine_log(world: World, since_cs: int) -> list[tuple[int, str, str, str]]:
+    kinds = ("appmsg", "bcastmsg", "run-begin", "invoke-skip")
+    return [r for r in world.log.records if r[0] >= since_cs and r[2] in kinds]
+
+
+def test_app_send_of_invoke_runs_the_command_on_that_wheel():
+    world, probe = car_probe()
+    probe.submit(f"SEND 0.2 car.role {_EVADE}")
+    world.run_until_cs(700)
+    assert probe.take_lines() == ["OK delivered"]
+    assert engine_log(world, 600) == [
+        (602, "wr", "appmsg", f"0 probe {_EVADE}"),
+        (602, "wr", "run-begin", "command evade"),
+        (627, "wr", "run-begin", "behavior move"),
+    ]
+
+
+def test_bcast_of_invoke_runs_the_command_on_every_neighbouring_engine():
+    world, probe = car_probe()
+    probe.submit(f"BCAST {_EVADE}")
+    world.run_until_cs(700)
+    assert probe.take_lines() == ["OK delivered=2"]
+    assert [r for r in engine_log(world, 600) if r[3] != "behavior move"] == [
+        (602, "wl", "bcastmsg", f"0 probe {_EVADE}"),
+        (602, "wl", "run-begin", "command evade"),
+        (602, "wr", "bcastmsg", f"0 probe {_EVADE}"),
+        (602, "wr", "run-begin", "command evade"),
+    ]
+
+
+def test_non_utf8_data_to_an_engine_is_logged_and_ignored():
+    world, probe = car_probe()
+    data = base64.b64encode(b"INVOKE Wheel \xff").decode()
+    probe.submit(f"SEND 0.1 car.role {data}")
+    world.run_until_cs(700)
+    assert probe.take_lines() == ["OK delivered"]
+    assert engine_log(world, 600) == [(602, "wl", "appmsg", f"0 probe {data}")]
+
+
+def test_register_of_a_running_engines_name_is_refused():
+    world, _probe = car_probe()
+    session = world.open_session("wr")
+    session.submit("REGISTER car.role")
+    assert session.take_lines() == ["ERR 409 app name in use"]
+
+
+def test_start_of_a_registered_apps_name_is_refused():
+    world = car_world()
+    world.run_until_cs(100)
+    holder = world.open_session("wr")
+    holder.submit("REGISTER car.role")
+    world.run_until_cs(600)
+    assert [r[3] for r in world.log.select("start", "wr")] == [
+        "car.role ERR 409 app name in use"]
+    probe = world.open_session("head")
+    probe.submit("REGISTER probe")
+    probe.submit("START 0.2 car.role")
+    world.run_until_cs(700)
+    assert probe.take_lines() == ["OK registered probe", "ERR 409 app name in use"]
+    assert not world.log.select("start-program", "wr")
 
 
 # The run queue: one run at a time, commands and handlers pre-empt the
@@ -226,7 +308,7 @@ def run_log(world: World, since_cs: int) -> list[tuple[int, str, str]]:
 def test_command_preempts_a_sleeping_behavior():
     world = worker_world()
     world.run_until_cs(20)
-    engine = world.modules["w"].node.apps["w.role"].engine
+    engine = world.modules["w"].node.engines["w.role"]
     behavior = engine._current
     engine.on_invoke("Worker", "halt")
     world.run_until_cs(45)
@@ -244,7 +326,7 @@ def test_command_preempts_a_sleeping_behavior():
 def test_handler_during_a_command_begins_when_the_command_ends():
     world = worker_world(events=[ScenarioEvent(25, "sensor", ("w", 1, 1))])
     world.run_until_cs(20)
-    world.modules["w"].node.apps["w.role"].engine.on_invoke("Worker", "halt")
+    world.modules["w"].node.engines["w.role"].on_invoke("Worker", "halt")
     world.run_until_cs(45)
     assert run_log(world, 21) == [
         (30, "run-end", "command halt"),
@@ -260,7 +342,7 @@ def test_duplicate_queued_run_coalesces():
     world = worker_world(events=[ScenarioEvent(25, "sensor", ("w", 1, 1)),
                                  ScenarioEvent(26, "sensor", ("w", 1, 2))])
     world.run_until_cs(20)
-    world.modules["w"].node.apps["w.role"].engine.on_invoke("Worker", "halt")
+    world.modules["w"].node.engines["w.role"].on_invoke("Worker", "halt")
     world.run_until_cs(100)
     assert [r for r in run_log(world, 21) if r[1] == "run-begin"] == [
         (30, "run-begin", "handler h0"),
@@ -272,7 +354,7 @@ def test_duplicate_queued_run_coalesces():
 def test_reassignment_mid_sleep_cancels_the_sleeping_run():
     world = worker_world(events=[ScenarioEvent(30, "sever", ("w.0", "p.0"))])
     world.run_until_cs(20)
-    behavior = world.modules["w"].node.apps["w.role"].engine._current
+    behavior = world.modules["w"].node.engines["w.role"]._current
     assert behavior is not None and behavior.name == "roam"
     world.run_until_cs(200)
     assert behavior.timer.cancelled
@@ -280,6 +362,18 @@ def test_reassignment_mid_sleep_cancels_the_sleeping_run():
         (30, "run-end", "behavior roam"),
         (30, "role", "none"),
     ]
+
+
+def test_restarted_engine_takes_events_after_the_engines_started_since():
+    # Two engines on one module take a sensor event in start order, and a
+    # restart counts as a new start: x.role's handler turns to 8 first.
+    events = [ScenarioEvent(10, "start", ("w", "x.role")),
+              ScenarioEvent(20, "start", ("w", "w.role")),
+              ScenarioEvent(25, "sensor", ("w", 1, 1))]
+    world = worker_world(events=events)
+    world.modules["w"].node.file_store["x.role"] = _WORKER.replace("(7)", "(8)")
+    world.run_until_cs(26)
+    assert [r[3] for r in world.log.select("TURN_CONTINUOUSLY", "w") if r[0] == 25] == ["8", "7"]
 
 
 def test_bad_sleep_amount_and_undefined_constant_log_action_errors():

@@ -13,7 +13,7 @@ from modbot.messages import (
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
 
-from conftest import chain_topology, pair_topology
+from conftest import chain_topology, pair_topology, upgrade_scenario
 
 
 def b64(data: bytes) -> str:
@@ -206,6 +206,34 @@ def test_send_after_deregistration_nacks_and_never_delivers():
     world.run_until_cs(400)
     assert src.take_lines()[-1] == "ERR 404 unknown app"
     assert not [l for l in sink.take_lines() if l.startswith("MSG")]
+
+
+def test_closed_session_starts_no_queued_command():
+    # The SEND waits behind the STATE's round trip; the session closes first.
+    world = World(chain_topology(3))
+    world.run_until_cs(300)
+    session = world.open_session("m0")
+    session.submit("REGISTER a")
+    session.submit("STATE 0.1")
+    session.submit(f"SEND 0.1 nobody {b64(b'hi')}")
+    session.close()
+    world.run_until_cs(400)
+    assert [line.split()[0] for line in session.take_lines()] == ["OK", "OK"]
+    assert [r[2] for r in world.log.records if r[0] >= 300] == ["register", "deregister"]
+
+
+def test_session_reset_by_adoption_starts_no_queued_command():
+    # m1 adopts v2 while its PUTFILE to m2 is in flight; the SEND queued
+    # behind it belongs to a session the reset closed.
+    world = World(chain_topology(3), upgrade_scenario("m0", 2, 300))
+    world.run_until_cs(299)
+    session = world.open_session("m1")
+    session.submit("REGISTER a")
+    session.submit(f"PUTFILE 0.1.1 f {b64(b'x' * 3000)}")
+    session.submit(f"SEND 0.1.1 nobody {b64(b'hi')}")
+    world.run_until_cs(600)
+    assert session.take_lines() == ["OK registered a", "EVENT reset 2", "OK transferred f"]
+    assert not world.log.select("drop")
 
 
 def test_send_bad_base64_rejected():
@@ -418,7 +446,7 @@ def test_start_remote_missing_and_invalid_and_ok():
     assert session.take_lines() == ["OK started spin.role"]
     assert world.log.select("role", "m1")[-1][3] == "Spin"
     assert world.log.select("TURN_CONTINUOUSLY", "m1")[-1][3] == "7"
-    assert "spin.role" in world.modules["m1"].node.apps
+    assert "spin.role" in world.modules["m1"].node.engines
 
 
 def test_broken_program_answers_422_on_every_start():
@@ -439,7 +467,7 @@ def test_car_engines_share_one_parsed_program():
     from conftest import CORPUS
     world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
     world.run_until_cs(600)
-    programs = [module.node.apps["car.role"].engine.program
+    programs = [module.node.engines["car.role"].program
                 for module in world.modules.values()]
     assert len(programs) == 3
     assert all(program is programs[0] for program in programs)
