@@ -23,7 +23,7 @@ import gzip
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 EVENT_PREFIX = "EVENT_HANDLER_"
 BUILTIN_ROOT = "Module"
@@ -165,7 +165,7 @@ class RoleProgram:
     ResolvedRole, built once here, so evaluation never walks the chain.
     Its roles are never mutated after parsing: one world shares one parsed
     program among every module that starts the same text. Its one growing
-    state is `assignments`, the memo of `assign_role` by invariant shape."""
+    state is `assignments`, the memo of `assign_role` by snapshot."""
 
     roles: list[RoleDefinition]
     source_text: str
@@ -173,7 +173,7 @@ class RoleProgram:
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.roles}
         self.resolved = {r.name: self._resolve(r.name) for r in self.roles}
-        self.assignments: dict[tuple, AssignResult] = {}
+        self.assignments: dict[PhysSnapshot, AssignResult] = {}
 
     def role(self, name: str) -> RoleDefinition:
         return self._by_name[name]
@@ -541,11 +541,13 @@ def parse_program(text: str) -> RoleProgram:
 
 # Physical-state snapshot consumed by predicate evaluation.
 
-@dataclass(frozen=True)
-class PhysSnapshot:
+class PhysSnapshot(NamedTuple):
+    """All that role evaluation reads of a module: its center and, for each
+    direction with at least one linked port, that port count. Hashable, so
+    it is also the key of `assign_role`'s memo."""
+
     center: str
-    connections: Mapping[str, tuple[str, ...]]  # direction label -> connected ids
-    sensors: Mapping[int, int] = field(default_factory=dict)
+    counts: frozenset[tuple[str, int]]  # (direction label, linked ports)
 
 
 def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[int, str]]):
@@ -563,14 +565,8 @@ def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[i
         direction = _eval_operand(op.direction, state, consts)
         if not isinstance(direction, str):
             raise EvalError(f"connected() needs a direction, got {direction!r}")
-        return len(state.connections.get(direction, ()))
+        return dict(state.counts).get(direction, 0)
     raise EvalError(f"cannot evaluate {op!r}")
-
-
-def invariant_shape(state: PhysSnapshot) -> tuple:
-    """What `_eval_operand` can read of `state`: the center and each non-empty
-    direction's connected-id count. An operand that reads more must extend it."""
-    return state.center, frozenset((d, len(ids)) for d, ids in state.connections.items() if ids)
 
 
 _ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -596,7 +592,7 @@ def eval_requires(program: RoleProgram, role_name: str, state: PhysSnapshot) -> 
 
 @dataclass(frozen=True)
 class AssignResult:
-    """Read-only: one result is shared by every call with the same shape."""
+    """Read-only: one result is shared by every call with an equal snapshot."""
 
     role: Optional[str]
     candidates: list[str]
@@ -610,9 +606,8 @@ class AssignResult:
 def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
     """Pure function of (program, state): the concrete roles whose
     invariants hold, with the lexicographically smallest name winning a
-    multi-candidate tie. Memoised per program on `invariant_shape(state)`."""
-    shape = invariant_shape(state)
-    result = program.assignments.get(shape)
+    multi-candidate tie. Memoised per program on the snapshot itself."""
+    result = program.assignments.get(state)
     if result is not None:
         return result
     candidates: list[str] = []
@@ -624,7 +619,7 @@ def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
         except EvalError as exc:
             excluded.append((role.name, str(exc)))
     candidates.sort()
-    result = program.assignments[shape] = AssignResult(
+    result = program.assignments[state] = AssignResult(
         candidates[0] if candidates else None, candidates, excluded)
     return result
 

@@ -61,7 +61,7 @@ class RoleEngine:
         self._evaluated_once = False
 
     def start(self) -> None:
-        self._arm_reeval()
+        self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, self._reeval)
         self.evaluate()
 
     def stop(self) -> None:
@@ -85,14 +85,11 @@ class RoleEngine:
             self._reassign(result.role)
         self._evaluated_once = True
 
-    def _arm_reeval(self) -> None:
-        def tick() -> None:
-            if self._stopped:
-                return
-            self.evaluate()
-            self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, tick)
-
-        self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, tick)
+    def _reeval(self) -> None:
+        if self._stopped:
+            return
+        self.evaluate()
+        self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, self._reeval)
 
     def _reassign(self, role: Optional[str]) -> None:
         self._abort_current()
@@ -140,11 +137,8 @@ class RoleEngine:
             current.index = 0
             self._step(current)
             return
-        if current is not None and current.kind == "behavior":
+        if current is None or current.kind == "behavior":
             self._abort_current()
-            self._begin(run)
-            return
-        if current is None:
             self._begin(run)
             return
         if any(queued.key == run.key for queued in self._queue):

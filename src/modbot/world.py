@@ -25,10 +25,10 @@ lossless link's draw is counted, not computed (see sim.Rng).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Optional
 
 from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot, RoleProgram
@@ -415,7 +415,7 @@ class SimModule:
         self.scheduler: Scheduler = world.scheduler
         self.link_config: LinkConfig = world.link_config
         self.programs = world.programs
-        self._snapshot: Optional[PhysSnapshot] = None  # dropped by World._apply
+        self._snapshot: Optional[PhysSnapshot] = None  # dropped on a sever or restore
         self.node = ServiceNode(host=self)
         self.node.file_store.update(spec.files)
 
@@ -442,18 +442,11 @@ class SimModule:
         return " ".join(parts)
 
     def snapshot(self) -> PhysSnapshot:
-        """Shared and read-only until World._apply changes a sensor or link."""
+        """The linked-port count per direction label; kept until World._apply
+        severs or restores one of this module's links."""
         if self._snapshot is None:
-            connections: dict[str, list[str]] = {}
-            for idx in sorted(self.ports):
-                runtime = self.ports[idx]
-                if not runtime.link.severed:
-                    connections.setdefault(self.port_labels[idx], []).append(runtime.peer_name)
-            self._snapshot = PhysSnapshot(
-                center=self.center,
-                connections=MappingProxyType({k: tuple(v) for k, v in connections.items()}),
-                sensors=MappingProxyType(dict(self.sensors)),
-            )
+            labels = Counter(self.port_labels[idx] for idx in self.connected_ports())
+            self._snapshot = PhysSnapshot(self.center, frozenset(labels.items()))
         return self._snapshot
 
     def actuate(self, value: int) -> None:
@@ -540,7 +533,6 @@ class World:
         if event.kind == "sensor":
             _, sensor_id, value = event.args
             target.sensors[sensor_id] = value
-            target._snapshot = None
             target.log("sensor", f"{sensor_id} {value}")
             target.node.on_sensor(sensor_id, value)
             target.node.on_phys_change()

@@ -222,9 +222,9 @@ def test_criterion_5e_assignment_determinism_under_permutation():
             blocks.append("\n".join(current))
             current = []
     states = [
-        dr.PhysSnapshot("NORTH_SOUTH", {"EAST": ("wr",), "WEST": ("wl",)}),
-        dr.PhysSnapshot("EAST_WEST", {"EAST": ("head",)}),
-        dr.PhysSnapshot("EAST_WEST", {"WEST": ("head",)}),
+        dr.PhysSnapshot("NORTH_SOUTH", frozenset({("EAST", 1), ("WEST", 1)})),
+        dr.PhysSnapshot("EAST_WEST", frozenset({("EAST", 1)})),
+        dr.PhysSnapshot("EAST_WEST", frozenset({("WEST", 1)})),
     ]
     baseline = [dr.assign_role(dr.parse_program(text), s) for s in states]
     assert [r.role for r in baseline] == ["Head", "RightWheel", "LeftWheel"]

@@ -21,12 +21,16 @@ def car_program(car_text) -> dr.RoleProgram:
     return dr.parse_program(car_text)
 
 
+def snap(center: str, **counts: int) -> dr.PhysSnapshot:
+    return dr.PhysSnapshot(center, frozenset(counts.items()))
+
+
 def head_state() -> dr.PhysSnapshot:
-    return dr.PhysSnapshot("NORTH_SOUTH", {"EAST": ("wr",), "WEST": ("wl",)})
+    return snap("NORTH_SOUTH", EAST=1, WEST=1)
 
 
 def wheel_state(direction: str, count: int = 1) -> dr.PhysSnapshot:
-    return dr.PhysSnapshot("EAST_WEST", {direction: tuple(f"n{i}" for i in range(count))})
+    return snap("EAST_WEST", **{direction: count})
 
 
 def test_car_program_roles(car_program):
@@ -100,6 +104,37 @@ def test_syntax_error_carries_line_number():
     assert exc.value.diagnostics[0].line == 2
 
 
+@pytest.mark.parametrize("body,diagnostic", [
+    ("startup a(_) { }\n  startup b(_) { }", "line 3: duplicate startup block"),
+    ("42;", "line 2: unexpected '42' in role body"),
+    ("k = foo;", "line 2: expected integer or $SYMBOL constant"),
+    ("behavior b({) { }", "line 2: bad parameter list"),
+    ("handle { }", "line 2: handle needs at least one $EVENT_HANDLER_n"),
+    ("handle $EAST { }", "line 2: expected $EVENT_HANDLER_n, found $EAST"),
+    ("behavior b(_) { self.$JUMP(1); }", "line 2: unknown actuation $JUMP"),
+    ("behavior b(_) { self.$TURN_CONTINUOUSLY(1, 2); }",
+     "line 2: $TURN_CONTINUOUSLY takes one argument"),
+    ("behavior b(_) { self.sleepcs(); }", "line 2: sleepcs takes one argument"),
+    ("behavior b(_) { self.enable(3); }", "line 2: enable takes an $EVENT_HANDLER_n"),
+    ("behavior b(_) { self.x(); }", "line 2: unknown action self.x"),
+    ("behavior b(_) { 5; }", "line 2: expected an action, found '5'"),
+    ("require (self.center 1);", "line 2: expected a comparison operator"),
+    ("require (self.size == 1);", "line 2: unknown accessor self.size"),
+])
+def test_parser_diagnostics(body, diagnostic):
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(f"role A extends Module {{\n  {body}\n}}\n")
+    assert [str(d) for d in exc.value.diagnostics] == [diagnostic]
+
+
+def test_connected_with_a_non_direction_excludes_the_role():
+    program = dr.parse_program(
+        "role A extends Module { require (sizeof(self.connected(3)) == 0); }")
+    result = dr.assign_role(program, snap("EAST_WEST"))
+    assert result.role is None
+    assert result.excluded == [("A", "connected() needs a direction, got 3")]
+
+
 def test_eval_requires_on_car_states(car_program):
     assert dr.eval_requires(car_program, "Head", head_state())
     assert dr.eval_requires(car_program, "RightWheel", wheel_state("EAST"))
@@ -112,7 +147,7 @@ def test_assign_role_car_states(car_program):
     assert dr.assign_role(car_program, head_state()).role == "Head"
     assert dr.assign_role(car_program, wheel_state("EAST")).role == "RightWheel"
     assert dr.assign_role(car_program, wheel_state("WEST")).role == "LeftWheel"
-    nothing = dr.PhysSnapshot("UP_DOWN", {})
+    nothing = snap("UP_DOWN")
     assert dr.assign_role(car_program, nothing).role is None
 
 
@@ -150,7 +185,7 @@ def test_ambiguity_resolves_lexicographically():
         "role Alpha extends Module { require (self.center == $UP_DOWN); }\n"
     )
     program = dr.parse_program(text)
-    result = dr.assign_role(program, dr.PhysSnapshot("UP_DOWN", {}))
+    result = dr.assign_role(program, snap("UP_DOWN"))
     assert result.role == "Alpha"
     assert result.ambiguous
     assert result.candidates == ["Alpha", "Zeta"]
@@ -161,7 +196,7 @@ def test_undefined_constant_excludes_role_with_reason():
         "role Odd extends Module { require (sizeof(self.connected(mystery)) == 1); }\n"
     )
     program = dr.parse_program(text)
-    result = dr.assign_role(program, dr.PhysSnapshot("EAST_WEST", {"EAST": ("x",)}))
+    result = dr.assign_role(program, snap("EAST_WEST", EAST=1))
     assert result.role is None
     assert result.excluded == [("Odd", "undefined constant 'mystery'")]
 
@@ -174,8 +209,8 @@ def test_deep_inheritance_requires_union():
     )
     program = dr.parse_program(text)
     assert len(program.resolved["C"].requires) == 3
-    both = dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",), "WEST": ("w",)})
-    east_only = dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",)})
+    both = snap("EAST_WEST", EAST=1, WEST=1)
+    east_only = snap("EAST_WEST", EAST=1)
     assert dr.eval_requires(program, "C", both)
     assert not dr.eval_requires(program, "C", east_only)
     assert [r.name for r in program.chain("C")] == ["A", "B", "C"]
@@ -239,16 +274,16 @@ def test_behavior_and_command_inheritance(car_program):
     assert program.descends("Leaf", "Module") and program.descends("Leaf", "Base")
     assert not program.descends("Base", "Mid")
     # Leaf's require reads dir as Mid redefined it, not as Base set it.
-    assert dr.eval_requires(program, "Leaf", dr.PhysSnapshot("EAST_WEST", {"WEST": ("w",)}))
-    assert not dr.eval_requires(program, "Leaf", dr.PhysSnapshot("EAST_WEST", {"EAST": ("e",)}))
-    assert dr.assign_role(program, dr.PhysSnapshot("EAST_WEST", {"WEST": ("w",)})).role == "Leaf"
+    assert dr.eval_requires(program, "Leaf", snap("EAST_WEST", WEST=1))
+    assert not dr.eval_requires(program, "Leaf", snap("EAST_WEST", EAST=1))
+    assert dr.assign_role(program, snap("EAST_WEST", WEST=1)).role == "Leaf"
 
 
 def test_ordered_comparison_on_symbols_is_an_error():
     text = "role A extends Module { require (self.center < $EAST_WEST); }\n"
     program = dr.parse_program(text)
     with pytest.raises(dr.EvalError):
-        dr.eval_requires(program, "A", dr.PhysSnapshot("EAST_WEST", {}))
+        dr.eval_requires(program, "A", snap("EAST_WEST"))
 
 
 def test_comments_and_signed_ints_parse():
@@ -332,13 +367,10 @@ role Pair extends Module {
 }
 """
 
-_PEERS = ("p", "q", "r")
 _snapshots = st.builds(
-    dr.PhysSnapshot,
+    lambda center, counts: snap(center, **counts),
     st.sampled_from(dr.CENTER_AXES),
-    st.dictionaries(st.sampled_from(("EAST", "WEST", "UP")),
-                    st.lists(st.sampled_from(_PEERS), max_size=3).map(tuple), max_size=3),
-    st.dictionaries(st.integers(1, 2), st.integers(0, 1), max_size=2),
+    st.dictionaries(st.sampled_from(("EAST", "WEST", "UP")), st.integers(1, 3), max_size=3),
 )
 
 
@@ -366,16 +398,11 @@ def test_memoised_assignment_equals_fresh_evaluation(memo_program, states):
     for state in states:
         result = dr.assign_role(program, state)
         assert (result.role, result.candidates, result.excluded) == _fresh_assignment(program, state)
-        renamed = dr.PhysSnapshot(
-            state.center,
-            {d: tuple("x" + peer for peer in ids) for d, ids in state.connections.items()},
-            {sid: 1 - value for sid, value in state.sensors.items()} or {3: 1},
-        )
-        assert dr.assign_role(program, renamed) is result
+        assert dr.assign_role(program, snap(state.center, **dict(state.counts))) is result
 
 
 def test_memo_keys_every_operand_kind():
-    # invariant_shape holds the center and per-direction counts, which is
-    # all these operands read. A new operand kind must extend the shape.
+    # The snapshot, which is the memo's key, holds the center and the
+    # per-direction counts: all that these operands read.
     assert set(typing.get_args(dr.Operand)) == {
         dr.Lit, dr.Sym, dr.ConstRef, dr.CenterRef, dr.ConnectedCount}
