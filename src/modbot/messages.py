@@ -244,6 +244,8 @@ chunk_body = CHUNK.pack  # the name bench/micro.py imports
 # Link-payload chunking.
 
 def split_for_link(data: bytes) -> list[bytes]:
+    if len(data) <= CHUNK_DATA_MAX:
+        return [_ONE_CHUNK + data]
     slices = [data[i:i + CHUNK_DATA_MAX] for i in range(0, len(data), CHUNK_DATA_MAX)] or [b""]
     total = len(slices)
     if total > 0xFFFF:

@@ -3,7 +3,10 @@
 Time is an integer count of simulated microseconds. Log records and all
 externally visible timestamps are reported in centiseconds. Events fire in
 (time, insertion-order) priority, so a run is a pure function of its inputs
-and seed.
+and seed. A batch of calls known in advance (a world's scenario) takes the
+keys that as many `call_at` calls would, but waits outside the heap: only
+its next call due is queued, so the heap holds what the run itself
+scheduled plus one entry per batch.
 
 The RNG is xorshift64* (shift triple 12/25/27, multiplier
 0x2545F4914F6CDD1D) seeded through one splitmix64 step, chosen so that runs
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterable
 
 US_PER_MS = 1_000
 US_PER_CS = 10_000
@@ -73,6 +76,9 @@ class Timer:
         self.cancelled = True
 
 
+_BATCHED = Timer()  # the handle of every batched call; none is ever cancelled
+
+
 class Scheduler:
     """Virtual-clock event loop with deterministic same-time ordering."""
 
@@ -90,6 +96,33 @@ class Scheduler:
 
     def call_after(self, delay_us: int, fn: Callable[[], None]) -> Timer:
         return self.call_at(self.now + delay_us, fn)
+
+    def call_batch(self, calls: Iterable[tuple]) -> None:
+        """Schedule calls `(t_us, fn, *args)`, given in time order, under the
+        keys that as many successive `call_at` calls would take now (past
+        times clamped to now alike). Only the next call due waits in the
+        heap; it queues its successor before it runs, and the batch lets
+        go of each call it has run."""
+        pending = list(calls)[::-1]  # the next call due last
+        times = [call[0] for call in pending]
+        if times != sorted(times, reverse=True):
+            raise ValueError("batched calls must be in time order")
+        if not pending:
+            return
+        end = next(self._counter) + len(pending)  # one past the batch's last key
+        self._counter = itertools.count(end)
+        now, queue = self.now, self._queue
+
+        def push_next() -> None:
+            heappush(queue, (max(pending[-1][0], now), end - len(pending), _BATCHED, fire))
+
+        def fire() -> None:
+            call = pending.pop()
+            if pending:
+                push_next()
+            call[1](*call[2:])
+
+        push_next()
 
     def run_until(self, t_us: int) -> None:
         """Process every event due at or before t_us, then set the clock."""

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -364,7 +365,7 @@ class Channel:
         self.transmissions += 1
         if not self.loss:
             self._rng.unread += 1  # a draw nobody reads: counted, not computed
-        elif self._rng.random() < self.loss:
+        elif self._rng.next_u64() >> 11 < self.loss * 2.0**53:  # Rng.random() < loss, exactly
             self.drops += 1
             return
         self._in_flight.append(data)
@@ -504,7 +505,8 @@ class World:
 
     def _schedule(self, scenario: Scenario) -> None:
         diags = []
-        targets: list[SimModule | SimLink | None] = []
+        calls = []
+        apply = self._apply  # one bound method, shared by every call
         for event in scenario.events:
             if event.kind in ("sever", "restore"):
                 target = self._find_link(event.args[0], event.args[1])
@@ -514,20 +516,22 @@ class World:
                 target = self.modules.get(event.args[0])
                 if target is None:
                     diags.append(f"scenario references unknown module {event.args[0]!r}")
-            targets.append(target)
+            calls.append((event.time_cs * US_PER_CS, apply, event, target))
         if diags:
             raise LoadError(diags)
-        for event, target in zip(scenario.events, targets):
-            self.scheduler.call_at(
-                event.time_cs * US_PER_CS, lambda e=event, t=target: self._apply(e, t))
+        calls.sort(key=itemgetter(0))  # stable: events at one time keep list order
+        self.scheduler.call_batch(calls)
 
     def _find_link(self, end_a: str, end_b: str) -> Optional[SimLink]:
-        ends = {_split_end(end_a), _split_end(end_b)}
-        for link in self.links:
-            if ends == {(link.spec.module_a, link.spec.port_a),
-                        (link.spec.module_b, link.spec.port_b)}:
-                return link
-        return None
+        return self._links_by_ends.get(frozenset((_split_end(end_a), _split_end(end_b))))
+
+    @cached_property
+    def _links_by_ends(self) -> dict[frozenset, SimLink]:
+        """Each link under its unordered pair of (module, port) ends; of
+        links between the same ends, the first one listed."""
+        return {frozenset(((link.spec.module_a, link.spec.port_a),
+                           (link.spec.module_b, link.spec.port_b))): link
+                for link in reversed(self.links)}
 
     def _apply(self, event: ScenarioEvent, target: SimModule | SimLink) -> None:
         if event.kind == "sensor":

@@ -31,6 +31,7 @@ CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e
 CHAIN6_TWO_UPGRADES_DIGEST = "0e15098b74ebe0e7488afae5e522a2eee40535663d20ffdea36466388c3b646f"
 CHAIN12_MIXED_LOSS_DIGEST = "b29380c88f3af8f449dfb88c3efddf529b329a397fcce502f07a9fcea71f46ac"
 CAR_INVOKE_PROBE_DIGEST = "b0308710e3cbebb487df295c97527afc01312f95fc72629897e049d132f2a799"
+CHAIN4_UNSORTED_SCENARIO_DIGEST = "f1466c7033806f5ab8e568fa950c773ecc8237a7fe758c591f00ce279c76f355"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
@@ -128,6 +129,29 @@ def test_chain6_upgraded_twice_across_sever_restore_digest():
     world = World(chain_topology(6, loss=0.1), scenario, seed=5)
     world.run_until_cs(5000)
     assert _digest(world) == CHAIN6_TWO_UPGRADES_DIGEST
+
+
+def test_chain4_unsorted_programmatic_scenario_digest():
+    # Events fire in (time, list index) order: the two t=0 sensor events
+    # after the boots, and at t=600 sever, sensor, restore, sever as listed.
+    scenario = Scenario(events=[
+        ScenarioEvent(900, "restore", ("m1.1", "m2.0")),
+        ScenarioEvent(300, "upgrade", ("m0", 2)),
+        ScenarioEvent(600, "sever", ("m2.0", "m1.1")),
+        ScenarioEvent(600, "sensor", ("m3", 1, 1)),
+        ScenarioEvent(0, "sensor", ("m2", 2, 5)),
+        ScenarioEvent(600, "restore", ("m1.1", "m2.0")),
+        ScenarioEvent(600, "sever", ("m1.1", "m2.0")),
+        ScenarioEvent(300, "sensor", ("m1", 1, 1)),
+        ScenarioEvent(1500, "upgrade", ("m3", 3)),
+        ScenarioEvent(0, "sensor", ("m2", 2, 6)),
+    ])
+    world = World(chain_topology(4, loss=0.1), scenario, seed=2)
+    world.run_until_cs(3000)
+    assert [line for line in world.log.lines() if " sever " in line or " restore " in line] == [
+        "600 m1 sever m2.0 m1.1", "600 m1 restore m1.1 m2.0", "600 m1 sever m1.1 m2.0",
+        "900 m1 restore m1.1 m2.0"]
+    assert _digest(world) == CHAIN4_UNSORTED_SCENARIO_DIGEST
 
 
 def test_lossy_pair_send_series_digest():

@@ -1,10 +1,11 @@
-"""Per-frame call budget: Python-level calls into modbot per link frame.
+"""Call budgets: Python-level work in modbot per link frame and per world part.
 
-The count is exact (sys.setprofile sees every Python call), so the budget
-has no timing noise. It covers boot, id assignment, code pushes and the
-once-a-second announces of a small lossless tree. A change that adds a
-Python call to the per-frame path raises the figure; lower the budget when
-a change removes one.
+The counts are exact (sys.setprofile sees every Python call, sys.settrace
+every line run), so the budgets have no timing noise. The per-frame budget
+covers boot, id assignment, code pushes and the once-a-second announces of
+a small lossless tree. The set-up budgets cover building a world, per
+module, link and scenario event. A change that adds work to either path
+raises the figure; lower the budget when a change removes some.
 """
 
 import sys
@@ -14,12 +15,15 @@ import modbot
 from modbot import messages
 from modbot.world import World
 
-from conftest import tree_topology
+from modbot.world import Scenario, ScenarioEvent
 
-# 17.780 measured (22,189 calls, 1,248 frames) with lossless draws counted, not
-# computed; 18.780 (23,437) with ACKs taken by table; 22.985 (28,685) before;
-# 23.21 (28,964) before that; 32.44 with a closure per frame
-CALLS_PER_FRAME_BUDGET = 17.78
+from conftest import chain_topology, tree_topology
+
+# 17.498 measured (21,837 calls, 1,248 frames) with a one-chunk message split
+# without slicing; 17.780 (22,189) with lossless draws counted, not computed;
+# 18.780 (23,437) with ACKs taken by table; 22.985 (28,685) before; 23.21
+# (28,964) before that; 32.44 with a closure per frame
+CALLS_PER_FRAME_BUDGET = 17.50
 
 _SRC = str(Path(modbot.__file__).resolve().parent)
 
@@ -43,3 +47,51 @@ def test_python_calls_per_link_frame_stay_within_budget():
     frames = sum(link.transmissions for link in world.links)
     assert frames > 1000
     assert calls / frames <= CALLS_PER_FRAME_BUDGET, f"{calls} calls for {frames} frames"
+
+
+# 5.015 calls and 29.998 lines measured (3,004 and 17,969 for 100 modules, 99
+# links and 400 events) with scenario events batched and links found by
+# their ends; 5.674 calls and 166.4 lines with a link scan and a call_at
+# per event, growing with links x events
+SETUP_CALLS_BUDGET = 5.02
+SETUP_LINES_BUDGET = 30.0
+
+
+def test_world_setup_work_per_module_link_and_event_stays_within_budget():
+    topology = chain_topology(100)
+    events = []
+    for j in range(200):
+        i = j % 99
+        events.append(ScenarioEvent(100 + 10 * j, "sever", (f"m{i}.1", f"m{i + 1}.0")))
+        events.append(ScenarioEvent(105 + 10 * j, "restore", (f"m{i + 1}.0", f"m{i}.1")))
+    scenario = Scenario(events=events)
+    parts = len(topology.modules) + len(topology.links) + len(events)
+    calls = lines = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_SRC):
+            calls += 1
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if not frame.f_code.co_filename.startswith(_SRC):
+            return None
+        if event == "line":
+            lines += 1
+        return trace
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        World(topology, scenario)
+    finally:
+        sys.setprofile(previous)
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        World(topology, scenario)
+    finally:
+        sys.settrace(previous)
+    assert calls / parts <= SETUP_CALLS_BUDGET, f"{calls} calls for {parts} parts"
+    assert lines / parts <= SETUP_LINES_BUDGET, f"{lines} lines for {parts} parts"

@@ -201,6 +201,17 @@ def test_split_concat_identity(data):
     assert whole == data
 
 
+def test_split_matches_the_slicing_reference_at_every_length_to_600():
+    # One chunk up to CHUNK_DATA_MAX (250) bytes, two from 251, three from 501.
+    source = bytes(range(256)) * 3
+    for length in range(601):
+        data = source[:length]
+        slices = [data[i:i + m.CHUNK_DATA_MAX]
+                  for i in range(0, length, m.CHUNK_DATA_MAX)] or [b""]
+        expected = [struct.pack(">HH", i, len(slices)) + part for i, part in enumerate(slices)]
+        assert m.split_for_link(data) == expected, length
+
+
 def test_small_appdata_fits_one_link_frame():
     msg = m.ServiceMessage(m.Kind.APPDATA, m.ModuleId.parse("0.1"), "ctl",
                            m.APPDATA.pack(0, 1, "app", b"x" * 100))

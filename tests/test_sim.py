@@ -1,5 +1,8 @@
 """Scheduler ordering, RNG reproducibility, event log shape."""
 
+from functools import partial
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modbot.sim import EventLog, Rng, Scheduler, US_PER_CS, splitmix64
@@ -41,6 +44,84 @@ def test_past_deadline_clamps_to_now():
     scheduler.call_at(10, lambda: trace.append(scheduler.now))
     scheduler.run_until(60)
     assert trace == [50]
+
+
+def test_batched_calls_fire_with_their_args_and_wait_outside_the_heap():
+    scheduler = Scheduler()
+    trace = []
+    scheduler.call_at(10, lambda: trace.append("before"))
+    scheduler.call_batch([(10, trace.append, "b0"), (10, trace.append, "b1"), (30, trace.append, "b2")])
+    scheduler.call_at(10, lambda: trace.append("after"))
+    assert len(scheduler._queue) == 3  # the batch's next call, not all three
+    scheduler.run_until(20)
+    assert trace == ["before", "b0", "b1", "after"]
+    scheduler.run_until(100)
+    assert trace[-1] == "b2"
+    assert not scheduler._queue
+
+
+def test_batch_out_of_time_order_is_refused():
+    scheduler = Scheduler()
+    with pytest.raises(ValueError):
+        scheduler.call_batch([(20, print), (10, print)])
+    scheduler.call_batch([])
+    assert not scheduler._queue
+
+
+# What a scripted callback does when it fires: nothing, schedule a call for
+# the same time, schedule one later, or cancel a call_at timer.
+_ACTIONS = st.one_of(
+    st.just(("none", 0)), st.just(("same", 0)),
+    st.tuples(st.just("later"), st.integers(0, 40)), st.tuples(st.just("cancel"), st.integers(0, 30)),
+)
+_SCRIPTED = st.lists(st.tuples(st.integers(0, 150), _ACTIONS), max_size=8)
+
+
+def _run_script(batched, start, before, batch, after, horizons):
+    scheduler = Scheduler()
+    fired, timers = [], []
+
+    def fire(label, action):
+        fired.append((scheduler.now, label))
+        kind, arg = action
+        if kind == "same":
+            scheduler.call_at(scheduler.now, partial(fire, label + "'", ("none", 0)))
+        elif kind == "later":
+            timers.append(scheduler.call_after(arg, partial(fire, label + "+", ("none", 0))))
+        elif kind == "cancel" and timers:
+            timers[arg % len(timers)].cancel()
+
+    scheduler.run_until(start)
+    for i, (t_us, action) in enumerate(before):
+        timers.append(scheduler.call_at(t_us, partial(fire, f"pre{i}", action)))
+    calls = [(t_us, fire, f"b{i}", action) for i, (t_us, action) in enumerate(batch)]
+    if batched:
+        scheduler.call_batch(calls)
+    else:
+        for t_us, fn, *args in calls:
+            scheduler.call_at(t_us, partial(fn, *args))
+    for i, (t_us, action) in enumerate(after):
+        timers.append(scheduler.call_at(t_us, partial(fire, f"post{i}", action)))
+    for horizon in horizons:
+        scheduler.run_until(horizon)
+        fired.append((scheduler.now, "horizon"))
+    return fired
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.integers(0, 60), before=_SCRIPTED, after=_SCRIPTED,
+    batch=_SCRIPTED.map(lambda calls: sorted(calls, key=lambda call: call[0])),
+    horizons=st.lists(st.integers(0, 250), max_size=4).map(lambda hs: sorted(hs) + [400]),
+)
+@example(start=50, before=[(60, ("same", 0))], after=[(60, ("cancel", 0))],
+         batch=[(10, ("none", 0)), (60, ("cancel", 0)), (60, ("later", 0)), (90, ("same", 0))],
+         horizons=[60, 400])
+def test_batch_fires_like_successive_call_at_calls(start, before, batch, after, horizons):
+    # Past times clamp to the start, same-time ties keep their order, and a
+    # horizon may fall between two batched calls.
+    assert (_run_script(True, start, before, batch, after, horizons)
+            == _run_script(False, start, before, batch, after, horizons))
 
 
 def test_rng_documented_sequence():

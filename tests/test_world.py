@@ -193,6 +193,36 @@ def test_channel_drop_count_within_three_sigma():
     assert counter.count == n - channel.drops
 
 
+# Losses on either side of a draw's value k * 2**-53, and at the ends.
+_K = 2**52 + 12345
+_EDGE_LOSSES = [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 2.0**-53, *(
+    math.nextafter(k * 2.0**-53, toward) for k in (1, 3, _K) for toward in (0.0, 1.0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.one_of(st.integers(0, 2**53 - 1), st.sampled_from([0, 1, 3, _K, 2**53 - 1])),
+       loss=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_LOSSES)))
+def test_integer_loss_compare_agrees_with_random(k, loss):
+    # Channel.transmit compares the draw's top 53 bits with loss * 2**53,
+    # where Rng.random() scales them by 2**-53; scaling by 2**53 is exact.
+    assert (k * 2.0**-53 < loss) == (k < loss * 2.0**53)
+    for near in (k - 1, k + 1):
+        if 0 <= near < 2**53:
+            assert (near * 2.0**-53 < loss) == (near < loss * 2.0**53)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(-2**64, 2**64), loss=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_EDGE_LOSSES)))
+def test_lossy_channel_drops_where_random_falls_below_loss(seed, loss):
+    world = SimpleNamespace(scheduler=Scheduler(), rng=Rng(seed))
+    channel = Channel(world, SimLink(spec=LinkSpec("x", 0, "y", 0)), loss, prop_us=0, byte_us=0)
+    twin = Rng(seed)
+    for _ in range(64):
+        drops = channel.drops
+        channel.transmit(b"f")
+        assert channel.drops - drops == (twin.random() < loss)
+
+
 class _ClosureChannel:
     """Reference channel: one closure per frame, each carrying its own copy,
     and a loss draw computed for every transmission, whatever its loss."""
@@ -454,6 +484,14 @@ def test_sever_naming_its_endpoints_in_reverse_order_applies():
     assert world.links[0].severed
     assert world.log.select("sever") == [(300, "m0", "sever", "m1.0 m0.1")]
     assert "1:EAST:OPEN" in world.modules["m0"].state_text()
+
+
+def test_of_two_links_between_the_same_ends_the_first_is_severed():
+    topology = pair_topology()
+    topology.links.append(LinkSpec("m1", 0, "m0", 1))
+    world = World(topology, Scenario(events=[ScenarioEvent(300, "sever", ("m0.1", "m1.0"))]))
+    world.run_until_cs(400)
+    assert [link.severed for link in world.links] == [True, False]
 
 
 def test_file_record_with_missing_path_is_a_line_diagnostic(tmp_path):
