@@ -53,7 +53,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         program = parse_program(text)
     except RoleSyntaxError as exc:
         for diag in exc.diagnostics:
-            print(str(diag))
+            print(diag)
         print(f"{len(exc.diagnostics)} error(s)")
         return 1
     abstract = sum(1 for role in program.roles if role.abstract)

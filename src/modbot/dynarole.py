@@ -32,19 +32,12 @@ CENTER_AXES = ("NORTH_SOUTH", "EAST_WEST", "UP_DOWN")
 DIRECTIONS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
 
 
-@dataclass
-class Diagnostic:
-    line: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"line {self.line}: {self.message}"
-
-
 class RoleSyntaxError(Exception):
-    def __init__(self, diagnostics: list[Diagnostic]):
+    """Diagnostics are `line N: <message>` strings, as in `world.LoadError`."""
+
+    def __init__(self, diagnostics: list[str]):
         self.diagnostics = diagnostics
-        super().__init__("; ".join(str(d) for d in diagnostics))
+        super().__init__("; ".join(diagnostics))
 
 
 class EvalError(Exception):
@@ -92,12 +85,12 @@ class Predicate:
 
 @dataclass(frozen=True)
 class Turn:
-    speed: Operand
+    operand: Operand  # the speed, an integer
 
 
 @dataclass(frozen=True)
 class SleepCs:
-    amount: Operand
+    operand: Operand  # centiseconds, an integer >= 0
 
 
 @dataclass(frozen=True)
@@ -168,7 +161,6 @@ class RoleProgram:
     state is `assignments`, the memo of `assign_role` by snapshot."""
 
     roles: list[RoleDefinition]
-    source_text: str
 
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.roles}
@@ -177,9 +169,6 @@ class RoleProgram:
 
     def role(self, name: str) -> RoleDefinition:
         return self._by_name[name]
-
-    def has_role(self, name: str) -> bool:
-        return name in self._by_name
 
     def chain(self, name: str) -> list[RoleDefinition]:
         """Inheritance chain, root-most ancestor first, `name` last."""
@@ -202,9 +191,6 @@ class RoleProgram:
             handlers=tuple(h for r in chain for h in r.handlers),
             startup=tuple(a for r in chain if r.startup is not None for a in r.startup[1]),
         )
-
-    def descends(self, name: str, ancestor: str) -> bool:
-        return ancestor == BUILTIN_ROOT or ancestor in self.resolved[name].ancestors
 
     def concrete_roles(self) -> list[RoleDefinition]:
         return [r for r in self.roles if not r.abstract]
@@ -244,7 +230,7 @@ def _lex(text: str) -> list[_Token]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise RoleSyntaxError([Diagnostic(line, f"unexpected character {text[pos]!r}")])
+            raise RoleSyntaxError([f"line {line}: unexpected character {text[pos]!r}"])
         kind = m.lastgroup
         value = m.group()
         if kind == "ws" or kind == "comment":
@@ -276,7 +262,7 @@ class _Parser:
 
     def _fail(self, message: str, tok: _Token | None = None):
         tok = tok or self._peek()
-        raise RoleSyntaxError([Diagnostic(tok.line, message)])
+        raise RoleSyntaxError([f"line {tok.line}: {message}"])
 
     def _expect(self, type_: str, value: str | None = None) -> _Token:
         tok = self._next()
@@ -327,8 +313,8 @@ class _Parser:
             name = self._expect("name").value
             self._expect("op", ";")
             role.abstract_constants.append(name)
-        elif tok.type == "keyword" and tok.value == "constant":
-            self._next()
+        elif tok.type == "name" or (tok.type == "keyword" and tok.value == "constant"):
+            self._accept("keyword", "constant")  # `constant x = v;` or the short `x = v;`
             name = self._expect("name").value
             self._expect("op", "=")
             role.constants[name] = self._const_value()
@@ -349,11 +335,6 @@ class _Parser:
                 role.commands.append((name, actions))
         elif tok.type == "keyword" and tok.value == "handle":
             role.handlers.append(self._handler(role))
-        elif tok.type == "name":
-            self._next()
-            self._expect("op", "=")
-            role.constants[tok.value] = self._const_value()
-            self._expect("op", ";")
         else:
             self._fail(f"unexpected {tok.value!r} in role body", tok)
 
@@ -487,30 +468,30 @@ class _Parser:
         self._fail(f"expected a value, found {tok.value!r}", tok)
 
 
-def _validate(roles: list[RoleDefinition]) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
+def _validate(roles: list[RoleDefinition]) -> list[str]:
+    diags: list[str] = []
     by_name: dict[str, RoleDefinition] = {}
     for role in roles:
         if role.name == BUILTIN_ROOT:
-            diags.append(Diagnostic(role.line, f"role name {BUILTIN_ROOT!r} is reserved"))
+            diags.append(f"line {role.line}: role name {BUILTIN_ROOT!r} is reserved")
         elif role.name in by_name:
-            diags.append(Diagnostic(role.line, f"duplicate role {role.name!r}"))
+            diags.append(f"line {role.line}: duplicate role {role.name!r}")
         else:
             by_name[role.name] = role
     for role in by_name.values():
         if role.parent != BUILTIN_ROOT and role.parent not in by_name:
-            diags.append(Diagnostic(role.line, f"unknown parent role {role.parent!r}"))
+            diags.append(f"line {role.line}: unknown parent role {role.parent!r}")
     if diags:
         return diags
     # One walk up each role's chain finds a cycle or, for a concrete role,
     # the abstract constants left without a value; cycles are reported alone.
-    cycles: list[Diagnostic] = []
+    cycles: list[str] = []
     for role in by_name.values():
         chain = {role.name: role}  # insertion order: role first, then its ancestors
         cur = role
         while cur.parent != BUILTIN_ROOT:
             if cur.parent in chain:
-                cycles.append(Diagnostic(role.line, f"inheritance cycle through {role.name!r}"))
+                cycles.append(f"line {role.line}: inheritance cycle through {role.name!r}")
                 break
             cur = by_name[cur.parent]
             chain[cur.name] = cur
@@ -518,8 +499,8 @@ def _validate(roles: list[RoleDefinition]) -> list[Diagnostic]:
             if not role.abstract:
                 valued = {name for r in chain.values() for name in r.constants}
                 diags.extend(
-                    Diagnostic(role.line, f"abstract constant {name!r} has no value"
-                                          f" in concrete role {role.name!r}")
+                    f"line {role.line}: abstract constant {name!r} has no value"
+                    f" in concrete role {role.name!r}"
                     for r in chain.values() for name in r.abstract_constants if name not in valued)
     return cycles or diags
 
@@ -531,12 +512,11 @@ def parse_program(text: str) -> RoleProgram:
     try:
         roles = parser.parse()
     except RecursionError:
-        diag = Diagnostic(parser._peek().line, "expression nested too deeply")
-        raise RoleSyntaxError([diag]) from None
+        raise RoleSyntaxError([f"line {parser._peek().line}: expression nested too deeply"]) from None
     diags = _validate(roles)
     if diags:
         raise RoleSyntaxError(diags)
-    return RoleProgram(roles=roles, source_text=text)
+    return RoleProgram(roles)
 
 
 # Physical-state snapshot consumed by predicate evaluation.
@@ -628,7 +608,3 @@ def measure_text(data: bytes) -> tuple[int, int]:
     """(raw byte count, gzip byte count) with deterministic gzip output:
     level 9, no filename, mtime pinned to 0."""
     return len(data), len(gzip.compress(data, compresslevel=9, mtime=0))
-
-
-def measure_program_size(program: RoleProgram) -> tuple[int, int]:
-    return measure_text(program.source_text.encode("utf-8"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .dynarole import (
-    Action, AssignResult, Enable, EvalError, Invoke, RoleProgram, SleepCs,
+    Action, AssignResult, Enable, EvalError, Invoke, ResolvedRole, RoleProgram,
     Turn, _eval_operand, assign_role,
 )
 from .sim import Timer, US_PER_CS, US_PER_S
@@ -45,6 +45,8 @@ class RoleEngine:
     `scheduler`, `snapshot() -> PhysSnapshot`, `actuate(value)` and
     `log(kind, payload)`. `invoke_neighbors(role, command)` sends a
     cross-role invocation to every neighbour on the program's behalf.
+    The engine lives only while its node holds it in `node.engines`; the
+    node drops it before `stop()`, which cancels every timer it set.
     """
 
     def __init__(self, host, program: RoleProgram,
@@ -53,11 +55,11 @@ class RoleEngine:
         self.program = program
         self.invoke_neighbors = invoke_neighbors
         self.assigned: Optional[str] = None
+        self._role: Optional[ResolvedRole] = None  # program.resolved[assigned]
         self._enabled: set[int] = set()
         self._current: Optional[_Run] = None
         self._queue: deque[_Run] = deque()
         self._reeval_timer: Optional[Timer] = None
-        self._stopped = False
         self._evaluated_once = False
 
     def start(self) -> None:
@@ -65,17 +67,13 @@ class RoleEngine:
         self.evaluate()
 
     def stop(self) -> None:
-        self._stopped = True
-        if self._reeval_timer is not None:
-            self._reeval_timer.cancel()
+        self._reeval_timer.cancel()
         self._abort_current()
         self._queue.clear()
 
     # role assignment
 
     def evaluate(self) -> None:
-        if self._stopped:
-            return
         result: AssignResult = assign_role(self.program, self.host.snapshot())
         for role_name, error in result.excluded:
             self.host.log("role-error", f"{role_name} {error}")
@@ -86,8 +84,6 @@ class RoleEngine:
         self._evaluated_once = True
 
     def _reeval(self) -> None:
-        if self._stopped:
-            return
         self.evaluate()
         self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, self._reeval)
 
@@ -96,10 +92,11 @@ class RoleEngine:
         self._queue.clear()
         self._enabled.clear()
         self.assigned = role
+        self._role = self.program.resolved.get(role)
         self.host.log("role", role or "none")
-        if role is None:
+        if self._role is None:
             return
-        startup = self.program.resolved[role].startup
+        startup = self._role.startup
         if startup:
             self._begin(_Run("startup", "startup", startup))
         else:
@@ -108,19 +105,17 @@ class RoleEngine:
     # external stimuli
 
     def on_event(self, event_id: int) -> None:
-        if self._stopped or self.assigned is None or event_id not in self._enabled:
+        if event_id not in self._enabled:
             return
-        for index, handler in enumerate(self.program.resolved[self.assigned].handlers):
+        for index, handler in enumerate(self._role.handlers):
             if event_id in handler.events:
                 self._submit(_Run("handler", f"h{index}", handler.actions))
 
     def on_invoke(self, role_name: str, command: str) -> None:
         """Cross-module command dispatch; a mismatch is a logged no-op."""
-        if self._stopped:
-            return
-        program, assigned = self.program, self.assigned
-        if assigned is not None and program.has_role(role_name) and program.descends(assigned, role_name):
-            for name, actions in program.resolved[assigned].commands:
+        role = self._role
+        if role is not None and role_name in role.ancestors:
+            for name, actions in role.commands:
                 if name == command:
                     self._submit(_Run("command", name, actions))
                     return
@@ -162,49 +157,41 @@ class RoleEngine:
 
     def _step(self, run: _Run) -> None:
         run.timer = None
-        if self._current is not run:
-            return
-        consts = self.program.resolved[self.assigned].constants if self.assigned else {}
+        consts = self._role.constants
         state = None
         while run.index < len(run.actions):
             action = run.actions[run.index]
             run.index += 1
-            if isinstance(action, Turn):
-                if state is None:
-                    state = self.host.snapshot()
-                try:
-                    value = _eval_operand(action.speed, state, consts)
-                except EvalError as exc:
-                    self.host.log("action-error", str(exc))
-                    continue
-                self.host.actuate(int(value))
-            elif isinstance(action, Enable):
+            if isinstance(action, Enable):
                 self._enabled.add(action.event)
-            elif isinstance(action, Invoke):
+                continue
+            if isinstance(action, Invoke):
                 self.host.log("invoke", f"{action.role}.{action.command}")
                 self.invoke_neighbors(action.role, action.command)
-            elif isinstance(action, SleepCs):
-                if state is None:
-                    state = self.host.snapshot()
-                try:
-                    amount = _eval_operand(action.amount, state, consts)
-                except EvalError as exc:
-                    self.host.log("action-error", str(exc))
-                    continue
-                if not isinstance(amount, int) or amount < 0:
-                    self.host.log("action-error", f"bad sleepcs amount {amount!r}")
-                    continue
+                continue
+            # Turn or SleepCs: one integer operand, read against the snapshot
+            if state is None:
+                state = self.host.snapshot()
+            try:
+                value = _eval_operand(action.operand, state, consts)
+            except EvalError as exc:
+                self.host.log("action-error", str(exc))
+                continue
+            turn = isinstance(action, Turn)
+            if not isinstance(value, int) or (not turn and value < 0):
+                what = "turn speed" if turn else "sleepcs amount"
+                self.host.log("action-error", f"bad {what} {value!r}")
+            elif turn:
+                self.host.actuate(value)
+            else:
                 run.timer = self.host.scheduler.call_after(
-                    amount * US_PER_CS, lambda r=run: self._step(r)
+                    value * US_PER_CS, lambda r=run: self._step(r)
                 )
                 return
         self._finish(run)
 
     def _finish(self, run: _Run) -> None:
-        if self._current is not run:
-            return
-        self._current = None
-        self.host.log("run-end", f"{run.kind} {run.name}")
+        self._abort_current()
         if self._queue:
             self._begin(self._queue.popleft())
             return
@@ -215,9 +202,7 @@ class RoleEngine:
         self._start_behavior()
 
     def _start_behavior(self) -> None:
-        if self.assigned is None:
-            return
-        behaviors = self.program.resolved[self.assigned].behaviors
+        behaviors = self._role.behaviors
         if not behaviors:
             return
         name, actions = behaviors[0]

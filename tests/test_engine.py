@@ -2,6 +2,8 @@
 
 import base64
 
+import pytest
+
 from modbot.node import Session
 from modbot.world import (
     LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World,
@@ -401,3 +403,105 @@ def test_bad_sleep_amount_and_undefined_constant_log_action_errors():
         (10, "TURN_CONTINUOUSLY", "3"),
         (10, "run-end", "behavior roam"),
     ]
+
+
+@pytest.mark.parametrize("operand, logged", [
+    ("$EAST", ("action-error", "bad turn speed 'EAST'")),
+    ("heading", ("action-error", "bad turn speed 'EAST'")),
+    ("self.center", ("action-error", "bad turn speed 'UP_DOWN'")),
+    ("sizeof(self.connected($EAST))", ("TURN_CONTINUOUSLY", "1")),
+    ("3", ("TURN_CONTINUOUSLY", "3")),
+])
+def test_turn_speed_must_be_an_integer(operand, logged):
+    program = (
+        "role Worker extends Module {\n"
+        " require (self.center == $UP_DOWN);\n"
+        " heading = $EAST;\n"
+        f" behavior roam(_) {{ self.$TURN_CONTINUOUSLY({operand}); (self.sleepcs(5)); }}\n"
+        "}\n"
+    )
+    world = worker_world(program)
+    world.run_until_cs(18)
+    assert run_log(world, 10) == [
+        (10, "role", "Worker"),
+        (10, "run-begin", "behavior roam"),
+        (10, *logged),
+        (15, "run-end", "behavior roam"),
+        (15, "run-begin", "behavior roam"),
+        *([(15, *logged)] if logged[0] == "action-error" else []),
+    ]
+
+
+# INVOKE matching: the assigned role or one of its declared ancestors runs
+# the command; the built-in root and any other role name never match.
+
+_FAMILY = (
+    "abstract role Base extends Module {\n"
+    " command halt(_) { self.$TURN_CONTINUOUSLY(0); (self.sleepcs(10)); }\n"
+    "}\n"
+    "role Worker extends Base {\n"
+    " require (self.center == $UP_DOWN);\n"
+    " behavior roam(_) { self.$TURN_CONTINUOUSLY(1); (self.sleepcs(50)); }\n"
+    "}\n"
+    "role Other extends Module {\n"
+    " require (self.center == $NORTH_SOUTH);\n"
+    " command halt(_) { self.$TURN_CONTINUOUSLY(9); }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("role, runs", [
+    ("Worker", True), ("Base", True),
+    ("Module", False), ("Ghost", False), ("Other", False),
+])
+def test_invoke_runs_only_for_the_assigned_role_or_its_ancestors(role, runs):
+    world = worker_world(_FAMILY)
+    world.run_until_cs(20)
+    world.modules["w"].node.engines["w.role"].on_invoke(role, "halt")
+    world.run_until_cs(21)
+    began = [r for r in run_log(world, 20) if r[1] == "run-begin"]
+    skipped = [r[3] for r in world.log.select("invoke-skip", "w")]
+    if runs:
+        assert began == [(20, "run-begin", "command halt")] and skipped == []
+    else:
+        assert began == [] and skipped == [f"{role}.halt"]
+
+
+def _inert(old, node) -> None:
+    """`old` is no longer hosted and nothing it scheduled can fire."""
+    assert old not in node.engines.values()
+    assert old._reeval_timer.cancelled
+    assert old._current is None and not old._queue
+
+
+def test_engine_replaced_by_a_start_of_its_own_name_is_inert():
+    world = worker_world(events=[ScenarioEvent(20, "start", ("w", "w.role"))])
+    world.run_until_cs(15)
+    node = world.modules["w"].node
+    old = node.engines["w.role"]
+    sleeping = old._current
+    assert sleeping.name == "roam" and sleeping.timer is not None
+    world.run_until_cs(200)
+    _inert(old, node)
+    assert sleeping.timer.cancelled
+    assert node.engines["w.role"]._current is not None
+
+
+def test_engine_restarted_by_a_version_adoption_is_inert():
+    modules = [
+        ModuleSpec("w", "UP_DOWN", {0: "EAST"}, files={"w.role": _WORKER}),
+        ModuleSpec("p", "UP_DOWN", {0: "WEST"}),
+    ]
+    scenario = Scenario(events=[ScenarioEvent(10, "start", ("w", "w.role")),
+                                ScenarioEvent(20, "upgrade", ("p", 2))])
+    world = World(Topology(modules, [LinkSpec("w", 0, "p", 0)], root="p"), scenario)
+    world.run_until_cs(15)
+    node = world.modules["w"].node
+    old = node.engines["w.role"]
+    sleeping = old._current
+    assert sleeping.name == "roam" and sleeping.timer is not None
+    world.run_until_cs(600)
+    assert node.version == 2
+    _inert(old, node)
+    assert sleeping.timer.cancelled
+    assert "w.role" in node.engines
