@@ -14,6 +14,9 @@ from .world import LoadError, load_scenario, load_topology, read_text, run
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.until < 0:
+        print("error: --until must be non-negative", file=sys.stderr)
+        return 2
     try:
         topology = load_topology(args.topology)
         scenario = load_scenario(args.scenario)

@@ -459,7 +459,10 @@ class _Parser:
             self._expect("op", ".")
             self._expect("name", "connected")
             self._expect("op", "(")
+            dir_tok = self._peek()
             direction = self._operand()
+            if isinstance(direction, Sym) and direction.name not in DIRECTIONS:
+                self._fail(f"unknown direction ${direction.name}", dir_tok)
             self._expect("op", ")")
             self._expect("op", ")")
             return ConnectedCount(direction)
@@ -543,7 +546,7 @@ def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[i
         return consts[op.name]
     if isinstance(op, ConnectedCount):
         direction = _eval_operand(op.direction, state, consts)
-        if not isinstance(direction, str):
+        if direction not in DIRECTIONS:
             raise EvalError(f"connected() needs a direction, got {direction!r}")
         return dict(state.counts).get(direction, 0)
     raise EvalError(f"cannot evaluate {op!r}")

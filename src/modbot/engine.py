@@ -1,12 +1,12 @@
 """Role engine: runs one parsed role program on one module.
 
-The engine re-evaluates role assignment on every physical-state change and
-once per simulated second, runs the assigned role's startup actions once,
-then keeps its default behavior (the first declared one) active. Commands
-and event handlers preempt the behavior and run to completion; behaviors
-and commands on one module are mutually exclusive by construction. A
-repeated invocation of the command that is currently running restarts it
-instead of queueing a second copy.
+The engine runs role assignment when it starts and whenever a sever or
+restore changes its module's shape (`ServiceNode.on_phys_change`), runs the
+assigned role's startup actions once, then keeps its default behavior (the
+first declared one) active. Commands and event handlers preempt the
+behavior and run to completion; behaviors and commands on one module are
+mutually exclusive by construction. A repeated invocation of the command
+that is currently running restarts it instead of queueing a second copy.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .dynarole import (
-    Action, AssignResult, Enable, EvalError, Invoke, ResolvedRole, RoleProgram,
-    Turn, _eval_operand, assign_role,
+    Action, AssignResult, Enable, EvalError, Invoke, PhysSnapshot, ResolvedRole,
+    RoleProgram, Turn, _eval_operand, assign_role,
 )
-from .sim import Timer, US_PER_CS, US_PER_S
-
-REEVAL_PERIOD_US = US_PER_S  # roles re-evaluate at least once per second
+from .sim import Timer, US_PER_CS
 
 
 @dataclass
@@ -59,33 +57,27 @@ class RoleEngine:
         self._enabled: set[int] = set()
         self._current: Optional[_Run] = None
         self._queue: deque[_Run] = deque()
-        self._reeval_timer: Optional[Timer] = None
-        self._evaluated_once = False
+        self._state: Optional[PhysSnapshot] = None  # the shape last assigned from
 
     def start(self) -> None:
-        self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, self._reeval)
         self.evaluate()
 
     def stop(self) -> None:
-        self._reeval_timer.cancel()
         self._abort_current()
         self._queue.clear()
 
     # role assignment
 
     def evaluate(self) -> None:
-        result: AssignResult = assign_role(self.program, self.host.snapshot())
+        first = self._state is None
+        self._state = self.host.snapshot()
+        result: AssignResult = assign_role(self.program, self._state)
         for role_name, error in result.excluded:
             self.host.log("role-error", f"{role_name} {error}")
         if result.ambiguous:
             self.host.log("role-ambiguous", ",".join(result.candidates))
-        if result.role != self.assigned or not self._evaluated_once:
+        if result.role != self.assigned or first:
             self._reassign(result.role)
-        self._evaluated_once = True
-
-    def _reeval(self) -> None:
-        self.evaluate()
-        self._reeval_timer = self.host.scheduler.call_after(REEVAL_PERIOD_US, self._reeval)
 
     def _reassign(self, role: Optional[str]) -> None:
         self._abort_current()
@@ -158,7 +150,6 @@ class RoleEngine:
     def _step(self, run: _Run) -> None:
         run.timer = None
         consts = self._role.constants
-        state = None
         while run.index < len(run.actions):
             action = run.actions[run.index]
             run.index += 1
@@ -169,11 +160,9 @@ class RoleEngine:
                 self.host.log("invoke", f"{action.role}.{action.command}")
                 self.invoke_neighbors(action.role, action.command)
                 continue
-            # Turn or SleepCs: one integer operand, read against the snapshot
-            if state is None:
-                state = self.host.snapshot()
+            # Turn or SleepCs: one integer operand, read against the shape
             try:
-                value = _eval_operand(action.operand, state, consts)
+                value = _eval_operand(action.operand, self._state, consts)
             except EvalError as exc:
                 self.host.log("action-error", str(exc))
                 continue

@@ -416,7 +416,6 @@ class SimModule:
         self.scheduler: Scheduler = world.scheduler
         self.link_config: LinkConfig = world.link_config
         self.programs = world.programs
-        self._snapshot: Optional[PhysSnapshot] = None  # dropped on a sever or restore
         self.node = ServiceNode(host=self)
         self.node.file_store.update(spec.files)
 
@@ -443,12 +442,9 @@ class SimModule:
         return " ".join(parts)
 
     def snapshot(self) -> PhysSnapshot:
-        """The linked-port count per direction label; kept until World._apply
-        severs or restores one of this module's links."""
-        if self._snapshot is None:
-            labels = Counter(self.port_labels[idx] for idx in self.connected_ports())
-            self._snapshot = PhysSnapshot(self.center, frozenset(labels.items()))
-        return self._snapshot
+        """The center and the linked-port count per direction label."""
+        labels = Counter(self.port_labels[idx] for idx in self.connected_ports())
+        return PhysSnapshot(self.center, frozenset(labels.items()))
 
     def actuate(self, value: int) -> None:
         if value != self.speed:
@@ -539,7 +535,6 @@ class World:
             target.sensors[sensor_id] = value
             target.log("sensor", f"{sensor_id} {value}")
             target.node.on_sensor(sensor_id, value)
-            target.node.on_phys_change()
         elif event.kind in ("sever", "restore"):
             severed = event.kind == "sever"
             if target.severed == severed:
@@ -549,7 +544,6 @@ class World:
             mod_a = self.modules[spec.module_a]
             mod_b = self.modules[spec.module_b]
             mod_a.log(event.kind, f"{event.args[0]} {event.args[1]}")
-            mod_a._snapshot = mod_b._snapshot = None
             for module, port in ((mod_a, spec.port_a), (mod_b, spec.port_b)):
                 if not severed:
                     module.node.on_link_up(port)

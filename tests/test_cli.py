@@ -48,6 +48,12 @@ def test_run_invalid_scenario_exits_2(tmp_path, capsys):
     assert "unknown event" in capsys.readouterr().err
 
 
+def test_run_negative_horizon_exits_2(tmp_path, capsys):
+    assert main(_args_run(tmp_path, "neg.log", until=-5)) == 2
+    assert capsys.readouterr().err == "error: --until must be non-negative\n"
+    assert not (tmp_path / "neg.log").exists()
+
+
 def test_measure_reports_sizes(capsys):
     code = main(["measure", str(CORPUS / "evade_proposal.py")])
     assert code == 0

@@ -172,7 +172,8 @@ def test_lossy_pair_send_series_digest():
 # Every module starts this four-level program. Severs and restores move
 # modules between shapes (Hub/Relay/Leaf <-> Cut or unassigned), NORTH_SOUTH
 # leaves tie Leaf with Twin, and Ghost's undefined constant logs a
-# role-error on every evaluation, once per simulated second at least.
+# role-error on every assignment run: at the start and at each sever or
+# restore of one of the module's links.
 TREE_ROLES = """
 abstract role Unit extends Module {
   startup arm(_) { self.enable($EVENT_HANDLER_1); }
@@ -200,7 +201,7 @@ role Cut extends Unit {
 role Ghost extends Unit { require (sizeof(self.connected($EAST)) > threshold); }
 """
 
-TREE_ROLES_DIGEST = "6fbb7d65698cbc671b165ce21a1ff4642431f1e65dc5453a7f17e9193058a34b"
+TREE_ROLES_DIGEST = "0da2fdbfae4ca29378aa609cb1252d2a1c11c351239ff5d679a0ce7186680526"
 
 
 def _role_tree_world() -> World:

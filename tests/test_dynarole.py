@@ -120,6 +120,7 @@ def test_syntax_error_carries_line_number():
     ("behavior b(_) { 5; }", "line 2: expected an action, found '5'"),
     ("require (self.center 1);", "line 2: expected a comparison operator"),
     ("require (self.size == 1);", "line 2: unknown accessor self.size"),
+    ("require (sizeof(self.connected($EST)) == 0);", "line 2: unknown direction $EST"),
 ])
 def test_parser_diagnostics(body, diagnostic):
     with pytest.raises(dr.RoleSyntaxError) as exc:
@@ -133,6 +134,19 @@ def test_connected_with_a_non_direction_excludes_the_role():
     result = dr.assign_role(program, snap("EAST_WEST"))
     assert result.role is None
     assert result.excluded == [("A", "connected() needs a direction, got 3")]
+
+
+@pytest.mark.parametrize("direction, got", [
+    ("self.center", "'EAST_WEST'"),
+    ("typo", "'EST'"),
+])
+def test_connected_with_a_value_outside_the_directions_excludes_the_role(direction, got):
+    program = dr.parse_program(
+        "role A extends Module {\n typo = $EST;\n"
+        f" require (sizeof(self.connected({direction})) == 0);\n}}\n")
+    result = dr.assign_role(program, snap("EAST_WEST", EAST=1))
+    assert result.role is None
+    assert result.excluded == [("A", f"connected() needs a direction, got {got}")]
 
 
 def test_eval_requires_on_car_states(car_program):

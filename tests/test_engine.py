@@ -10,7 +10,7 @@ from modbot.world import (
     load_scenario, load_topology,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, chain_topology
 
 
 def car_world(extra_events=(), seed: int = 1) -> World:
@@ -432,6 +432,56 @@ def test_turn_speed_must_be_an_integer(operand, logged):
     ]
 
 
+def test_assignment_diagnostics_are_logged_once_per_assignment_run():
+    # Assignment runs at the start and at each sever or restore, never on a
+    # sensor event and never as time passes, and each run logs its
+    # role-error and role-ambiguous lines once.
+    program = (
+        "role A extends Module { require (self.center == $EAST_WEST); }\n"
+        "role B extends Module { require (self.center == $EAST_WEST); }\n"
+        "role C extends Module { require (sizeof(self.connected($WEST)) > threshold); }\n"
+    )
+    topo = chain_topology(2)
+    topo.modules[1].files["two.role"] = program
+    scenario = Scenario(events=[ScenarioEvent(150, "start", ("m1", "two.role")),
+                                ScenarioEvent(170, "sensor", ("m1", 1, 1)),
+                                ScenarioEvent(700, "sever", ("m0.1", "m1.0"))])
+    world = World(topo, scenario)
+    world.run_until_cs(1300)
+    diagnostics = [(t, kind, payload) for t, module, kind, payload in world.log.records
+                   if module == "m1" and kind in ("role", "role-error", "role-ambiguous")]
+    assert diagnostics == [
+        (150, "role-error", "C undefined constant 'threshold'"),
+        (150, "role-ambiguous", "A,B"),
+        (150, "role", "A"),
+        (700, "role-error", "C undefined constant 'threshold'"),
+        (700, "role-ambiguous", "A,B"),
+    ]
+
+
+def test_a_pass_after_a_sever_that_keeps_the_role_reads_the_new_shape():
+    program = (
+        "role Counter extends Module {\n"
+        " require (self.center == $UP_DOWN);\n"
+        " behavior count(_) {\n"
+        "  self.$TURN_CONTINUOUSLY(sizeof(self.connected($EAST))); self.sleepcs(10);\n"
+        " }\n"
+        "}\n"
+    )
+    modules = [
+        ModuleSpec("w", "UP_DOWN", {0: "EAST", 1: "EAST"}, files={"w.role": program}),
+        ModuleSpec("p", "UP_DOWN", {0: "WEST"}),
+        ModuleSpec("q", "UP_DOWN", {0: "WEST"}),
+    ]
+    links = [LinkSpec("w", 0, "p", 0), LinkSpec("w", 1, "q", 0)]
+    scenario = Scenario(events=[ScenarioEvent(10, "start", ("w", "w.role")),
+                                ScenarioEvent(35, "sever", ("w.1", "q.0"))])
+    world = World(Topology(modules, links, root="w"), scenario)
+    world.run_until_cs(100)
+    assert [r[3] for r in world.log.select("role", "w")] == ["Counter"]
+    assert turns(world, "w") == [(10, 2), (40, 1)]
+
+
 # INVOKE matching: the assigned role or one of its declared ancestors runs
 # the command; the built-in root and any other role name never match.
 
@@ -470,7 +520,6 @@ def test_invoke_runs_only_for_the_assigned_role_or_its_ancestors(role, runs):
 def _inert(old, node) -> None:
     """`old` is no longer hosted and nothing it scheduled can fire."""
     assert old not in node.engines.values()
-    assert old._reeval_timer.cancelled
     assert old._current is None and not old._queue
 
 
