@@ -16,8 +16,10 @@ One PortProtocol instance runs per module port. The sender keeps at most
 one unacknowledged DATA frame outstanding, retransmits it on timeout, and
 gives up after max_retries, reporting the failure on the send ticket. The
 receiver acknowledges every valid DATA frame and delivers a payload upward
-only when its sequence number is the expected one, so duplicates caused by
-lost ACKs are re-acknowledged but never re-delivered.
+only when its seq differs from that of the last frame it delivered: with
+one frame in flight and no reordering, a duplicate from a lost ACK repeats
+that seq (the alternating-bit rule). After exactly 255 give-ups in a row a
+fresh frame repeats it too, and is dropped while its ticket reads DELIVERED.
 
 The 256 ACK frames are encoded once, at import. A port takes bytes equal
 to one of them, met on an empty decoder buffer, by table lookup; the
@@ -302,7 +304,7 @@ class PortProtocol:
         self._queue: deque[Ticket] = deque()
         self._outstanding: Ticket | None = None
         self._next_seq = 0
-        self._expected_seq = 0
+        self._last_seq = 0xFF  # seq of the last DATA frame delivered
         self._on_timeout = self._on_timeout  # bound once: armed for every DATA frame
 
     @property
@@ -348,11 +350,11 @@ class PortProtocol:
             if frame.frame_type is _ACK:
                 self._on_ack(seq)
                 continue
-            # DATA: always acknowledge, deliver only the expected sequence.
+            # DATA: always acknowledge, deliver unless it repeats the last delivered seq.
             self._transmit(encode_frame(_ACKS[seq]))
             self.stats.tx_acks += 1
-            if seq == self._expected_seq:
-                self._expected_seq = (seq + 1) & 0xFF
+            if seq != self._last_seq:
+                self._last_seq = seq
                 self.stats.rx_delivered += 1
                 self._deliver(frame.payload)
             else:

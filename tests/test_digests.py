@@ -26,19 +26,19 @@ import workloads  # noqa: E402
 
 CAR_DIGEST = "22299e71bb51742900ec9684bddfa4edf5fe69c47269df0a790573883fa90b7f"
 CHAIN10_DIGEST = "47470b3c3d8d1d031d6d3e8118c4af09d84fbe88a3d185b000cd2f3ccc548a09"
-PAIR_SEND_DIGEST = "bf74022fabf40484db2c103e0aa11f0232710c401d756af74b9e5cc62da533bf"
+PAIR_SEND_DIGEST = "5f94b62196b70896a08939b222da8837658635d7a6a4c6194ba0c37532f2996f"
 CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e483f2c"
 CHAIN6_TWO_UPGRADES_DIGEST = "0e15098b74ebe0e7488afae5e522a2eee40535663d20ffdea36466388c3b646f"
 CHAIN12_MIXED_LOSS_DIGEST = "b29380c88f3af8f449dfb88c3efddf529b329a397fcce502f07a9fcea71f46ac"
 CAR_INVOKE_PROBE_DIGEST = "b0308710e3cbebb487df295c97527afc01312f95fc72629897e049d132f2a799"
-CHAIN4_UNSORTED_SCENARIO_DIGEST = "f1466c7033806f5ab8e568fa950c773ecc8237a7fe758c591f00ce279c76f355"
+CHAIN4_UNSORTED_SCENARIO_DIGEST = "84e3e49c5fce6355f02ad1b2663e43ec5f536b0113a6d24d1f85b5abf460a4a3"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
     "diffuse_tree": (
         "0bded25bd5f6695a849d5856ac05100aa88eec81d05cc556ea5ca41eb1b5f0b1", 4433, 1393, 0),
     "apps_lossy": (
-        "6e2d3e303d357a4018432674b7a883d20ee22919f991ef15259396f8d103b434", 2745, 2667, 67),
+        "e72b949d0df74e65bd3b127d3f9dff6febacfadd1072246da2aa5946332cbe1d", 2871, 2768, 16),
     "roles_swarm": (
         "0a5c72e394c8ad62f82c06f6f91b16c3b232af5d76469f333c1a72cda078faea", 10414, 819, 0),
 }

@@ -230,7 +230,6 @@ def test_ack_frames_match_their_encoding_for_every_seq():
     assert acks == [encode_frame(Frame(FrameType.ACK, i & 0xFF)) for i in range(260)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP 1a: the receiver desyncs after a give-up")
 def test_give_up_then_heal_delivers_what_tickets_report():
     scheduler, a, b, ab, ba, _, delivered = make_pair(LinkConfig(max_retries=2))
     ab.drop_all = True
@@ -241,3 +240,30 @@ def test_give_up_then_heal_delivers_what_tickets_report():
     sends = [(p, a.send([p])) for p in (f"after{i}".encode() for i in range(5))]
     scheduler.run_until(2_000 * US_PER_MS)
     assert delivered == [p for p, t in sends if t.state is TicketState.DELIVERED]
+
+
+@pytest.mark.parametrize("give_ups", [
+    254,
+    pytest.param(255, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP 17: 255 give-ups bring the sender back to the last delivered seq")),
+    256,
+])
+def test_fresh_frame_after_a_run_of_give_ups_is_delivered(give_ups):
+    # One frame is delivered, then give_ups frames are lost with no retry.
+    # The receiver keys duplicates on the last delivered seq, so only a run
+    # of exactly 255 lands the next fresh frame on that seq: it is ACKed
+    # and dropped as a duplicate while its ticket reads DELIVERED.
+    scheduler, a, b, ab, ba, _, delivered = make_pair(LinkConfig(max_retries=0))
+    a.send([b"first"])
+    scheduler.run_until(10 * US_PER_MS)
+    assert delivered == [b"first"]
+    ab.drop_all = True
+    lost = [a.send([bytes([i & 0xFF])]) for i in range(give_ups)]
+    scheduler.run_until(scheduler.now + (give_ups + 1) * 100 * US_PER_MS)
+    assert all(t.state is TicketState.FAILED for t in lost)
+    assert a.stats.give_ups == give_ups
+    ab.drop_all = False
+    fresh = a.send([b"fresh"])
+    scheduler.run_until(scheduler.now + 10 * US_PER_MS)
+    assert fresh.state is TicketState.DELIVERED
+    assert delivered == [b"first", b"fresh"]

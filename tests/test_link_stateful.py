@@ -10,7 +10,8 @@ one may still wait for its ACK).
 A second property feeds random streams of DATA frames, ACKs and junk,
 cut at random points, to one port and to a reference port that hands
 every decoded frame to the receive handler the link used before ACKs
-were taken by table; both must count, transmit and deliver the same.
+were taken by table, given the last-delivered duplicate rule; both must
+count, transmit and deliver the same.
 """
 
 import itertools
@@ -117,7 +118,8 @@ test_link_pair_delivers_every_message_once_in_order = LinkPairMachine.TestCase
 
 # The receive path against the one it replaced: a port whose on_bytes
 # hands every frame of FrameDecoder.feed to `_handle_frame` as it stood
-# before ACKs were taken by table and DATA handled in on_bytes.
+# before ACKs were taken by table and DATA handled in on_bytes, with the
+# duplicate rule keyed on the last delivered seq.
 
 
 class _ReferencePort(PortProtocol):
@@ -141,11 +143,11 @@ class _ReferencePort(PortProtocol):
             else:
                 self.stats.stale_acks += 1
             return
-        # DATA: always acknowledge, deliver only the expected sequence.
+        # DATA: always acknowledge, deliver unless it repeats the last delivered seq.
         self._transmit(encode_frame(_ACKS[frame.seq]))
         self.stats.tx_acks += 1
-        if frame.seq == self._expected_seq:
-            self._expected_seq = (frame.seq + 1) & 0xFF
+        if frame.seq != self._last_seq:
+            self._last_seq = frame.seq
             self.stats.rx_delivered += 1
             self._deliver(frame.payload)
         else:
