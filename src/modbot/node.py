@@ -154,8 +154,7 @@ class ServiceNode:
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
-        self._beacon_key: Optional[tuple[ModuleId, int]] = None
-        self._beacons: dict[Kind, ServiceMessage] = {}
+        self._hello = self._announce = None  # built by _advertise for the current id and version
         self._last_beacon: dict[int, tuple[bytes, tuple[ModuleId, int]]] = {}  # per port
 
     # bootstrap and periodic diffusion
@@ -171,37 +170,27 @@ class ServiceNode:
 
     def _tick(self) -> None:
         ports = self.host.connected_ports()
-        announce = self._beacon(_ANNOUNCE)
+        announce = self._announce
         for port in ports:
             self.host.send_port(port, announce)
         self._push_older(ports)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
-    def _beacon(self, kind: Kind) -> ServiceMessage:
-        """The HELLO or VERSION_ANNOUNCE for the current id and version;
-        both are built once per (id, version) and then sent as they are."""
-        key = (self.module_id, self.version)
-        if key != self._beacon_key:
-            self._beacon_key = key
-            body = VERSION.pack(self.version)
-            self._beacons = {k: ServiceMessage(k, self.module_id, None, body)
-                             for k in (_HELLO, _ANNOUNCE)}
-        return self._beacons[kind]
-
     def _advertise(self) -> None:
-        """A HELLO, then an announce, on every connected port, then a push
-        to each neighbour that runs an older version."""
+        """Build the HELLO and the tick's VERSION_ANNOUNCE for the current id
+        and version, send the HELLO on every connected port, then push to each
+        neighbour that runs an older version. Bootstrap and every change of
+        id or version end here, so the beacons are built once per change."""
+        body = VERSION.pack(self.version)
+        hello = self._hello = ServiceMessage(_HELLO, self.module_id, None, body)
+        self._announce = ServiceMessage(_ANNOUNCE, self.module_id, None, body)
         ports = self.host.connected_ports()
-        hello, announce = self._beacon(_HELLO), self._beacon(_ANNOUNCE)
         for port in ports:
             self.host.send_port(port, hello)
-        for port in ports:
-            self.host.send_port(port, announce)
         self._push_older(ports)
 
     def on_link_up(self, port: int) -> None:
-        self.host.send_port(port, self._beacon(_HELLO))
-        self.host.send_port(port, self._beacon(_ANNOUNCE))
+        self.host.send_port(port, self._hello)
 
     def on_phys_change(self) -> None:
         for engine in self.engines.values():
@@ -247,7 +236,9 @@ class ServiceNode:
 
         def done(ok: bool) -> None:
             self._push_inflight.discard(port)
-            if not ok:
+            if ok:  # the child holds what its next beacon will say
+                self.neighbor_table[port] = (child, version)
+            else:
                 self.host.log("push-fail", f"v={version} port={port}")
 
         self._run_job(port, msgs, done)
@@ -324,8 +315,9 @@ class ServiceNode:
             except ProtocolError as exc:
                 self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
                 return
-        self.neighbor_table[port] = beacon[1]
-        self._push_older((port,))
+        entry = self.neighbor_table[port] = beacon[1]
+        if entry[1] < self.version and port not in self._push_inflight:
+            self._start_push(port)
 
     def _dispatch(self, port: int, msg: ServiceMessage) -> None:
         kind = msg.kind
@@ -354,7 +346,7 @@ class ServiceNode:
     def _on_appdata(self, port: int, msg: ServiceMessage) -> None:
         if msg.body[:1] == b"\x01":
             _, req_id, code = APPDATA_STATUS.unpack(msg.body)
-            self._resolve_pending(req_id, code == 0, quiet=True)
+            self._resolve_pending(req_id, code == 0)
             return
         _, req_id, src_app, data = APPDATA.unpack(msg.body)
         name = msg.dst_app or ""
@@ -368,8 +360,9 @@ class ServiceNode:
                 self.apps[name].push(f"MSG {text}")
             else:
                 _invoke(self.engines[name], data)
-        self.host.send_port(port, ServiceMessage(
-            Kind.APPDATA, self.module_id, None, APPDATA_STATUS.pack(1, req_id, code)))
+        if req_id:  # 0: the sender wants no status
+            self.host.send_port(port, ServiceMessage(
+                Kind.APPDATA, self.module_id, None, APPDATA_STATUS.pack(1, req_id, code)))
 
     def _on_bcast(self, port: int, msg: ServiceMessage) -> None:
         src_app, data = BCAST.unpack(msg.body)
@@ -478,11 +471,10 @@ class ServiceNode:
         self._pending[req_id] = _Pending(timer, on_reply)
         self.host.send_port(port, msg).on_done(on_sent)
 
-    def _resolve_pending(self, req_id: int, *args, quiet: bool = False) -> None:
+    def _resolve_pending(self, req_id: int, *args) -> None:
         pending = self._pending.pop(req_id, None)
         if pending is None:
-            if not quiet:
-                self.host.log("drop", f"reply for unknown request {req_id}")
+            self.host.log("drop", f"reply for unknown request {req_id}")
             return
         pending.timer.cancel()
         pending.on_reply(*args)
@@ -490,11 +482,12 @@ class ServiceNode:
     # engine support
 
     def invoke_neighbors(self, app_name: str, role: str, command: str) -> None:
-        data = f"INVOKE {role} {command}".encode("utf-8")
+        """Send data `INVOKE <role> <command>` to app_name on every neighbour,
+        under req_id 0: no status is wanted."""
+        msg = ServiceMessage(Kind.APPDATA, self.module_id, app_name,
+                             APPDATA.pack(0, 0, app_name, f"INVOKE {role} {command}".encode("utf-8")))
         for port in self.host.connected_ports():
-            req_id = next(self._req_counter)
-            self.host.send_port(port, ServiceMessage(
-                Kind.APPDATA, self.module_id, app_name, APPDATA.pack(0, req_id, app_name, data)))
+            self.host.send_port(port, msg)
 
     def start_program(self, filename: str) -> str:
         text = self.file_store.get(filename)

@@ -3,7 +3,7 @@
 import re
 
 from modbot.link import FrameType, decode_frame
-from modbot.messages import VERSION, Kind, decode_message
+from modbot.messages import VERSION, Kind, ModuleId, decode_message
 from modbot.world import World
 
 from conftest import (
@@ -145,25 +145,42 @@ def _beacons_on_wire(port) -> list[tuple[str, str, int]]:
     return seen
 
 
-def _next_beacons(seen, since: int) -> set:
-    """The first HELLO and the first VERSION_ANNOUNCE after index `since`."""
-    first = {}
-    for kind, mid, version in seen[since:]:
-        first.setdefault(kind, (kind, mid, version))
-    return set(first.values())
-
-
 def test_beacons_carry_the_new_id_and_version():
+    # A module sends one HELLO on each port at bootstrap and after each
+    # change of version; its next beacon there is the tick's announce, with
+    # the same id and version.
     world = build(chain_topology(2), seed=1)
     root = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
     leaf = _beacons_on_wire(world.modules["m1"].ports[0].protocol)
     world.run_until_cs(1)
-    assert _next_beacons(leaf, 0) == {("HELLO", "", 0), ("VERSION_ANNOUNCE", "", 0)}
-    sent = len(leaf)
-    world.run_until_cs(250)  # m1 adopted v1 and its id
-    assert _next_beacons(leaf, sent) == {("HELLO", "0.1", 1), ("VERSION_ANNOUNCE", "0.1", 1)}
+    assert leaf == [("HELLO", "", 0)]
+    world.run_until_cs(250)  # m1 adopted v1 and its id before its first tick
+    assert leaf[1:3] == [("HELLO", "0.1", 1), ("VERSION_ANNOUNCE", "0.1", 1)]
     sent_root, sent_leaf = len(root), len(leaf)
     world.modules["m0"].node.upgrade_local(2)
     world.run_until_cs(600)  # m1 adopted v2
-    assert _next_beacons(root, sent_root) == {("HELLO", "0", 2), ("VERSION_ANNOUNCE", "0", 2)}
-    assert _next_beacons(leaf, sent_leaf) == {("HELLO", "0.1", 2), ("VERSION_ANNOUNCE", "0.1", 2)}
+    assert root[sent_root:sent_root + 2] == [("HELLO", "0", 2), ("VERSION_ANNOUNCE", "0", 2)]
+    assert leaf[sent_leaf:sent_leaf + 2] == [("HELLO", "0.1", 2), ("VERSION_ANNOUNCE", "0.1", 2)]
+
+
+def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():
+    # The moment a push's ID_ASSIGN is acknowledged the pusher knows the
+    # child's new id and version, so a tick then pushes nothing again.
+    world = build(chain_topology(2), seed=1)
+    node = world.modules["m0"].node
+    seen = []
+    run_job = node._run_job
+
+    def spy(port, msgs, done):
+        def finished(ok: bool) -> None:
+            done(ok)
+            pushes = len(world.log.select("push", "m0"))
+            node._tick()
+            seen.append((ok, node.neighbor_table[port], len(world.log.select("push", "m0")) - pushes))
+
+        run_job(port, msgs, finished)
+
+    node._run_job = spy
+    world.run_until_cs(200)
+    assert seen == [(True, (ModuleId((0, 1)), 1), 0)]
+    assert world.log.select("push-reject") == []

@@ -24,23 +24,23 @@ if str(BENCH) not in sys.path:
 
 import workloads  # noqa: E402
 
-CAR_DIGEST = "22299e71bb51742900ec9684bddfa4edf5fe69c47269df0a790573883fa90b7f"
-CHAIN10_DIGEST = "47470b3c3d8d1d031d6d3e8118c4af09d84fbe88a3d185b000cd2f3ccc548a09"
-PAIR_SEND_DIGEST = "5f94b62196b70896a08939b222da8837658635d7a6a4c6194ba0c37532f2996f"
-CAR_UPGRADE_DIGEST = "88422f1546c4af82ab65a7dfbd591fb93f002f8cdfc192cd5eac14e36e483f2c"
-CHAIN6_TWO_UPGRADES_DIGEST = "0e15098b74ebe0e7488afae5e522a2eee40535663d20ffdea36466388c3b646f"
-CHAIN12_MIXED_LOSS_DIGEST = "b29380c88f3af8f449dfb88c3efddf529b329a397fcce502f07a9fcea71f46ac"
-CAR_INVOKE_PROBE_DIGEST = "b0308710e3cbebb487df295c97527afc01312f95fc72629897e049d132f2a799"
-CHAIN4_UNSORTED_SCENARIO_DIGEST = "84e3e49c5fce6355f02ad1b2663e43ec5f536b0113a6d24d1f85b5abf460a4a3"
+CAR_DIGEST = "7f2ac5f49b23e89c71d576ba23291dacea637ac707368c892ec24526df434009"
+CHAIN10_DIGEST = "e1d395952bf6de639f736e0b65f89655e9fa91c5466ccc769c01bae2f1047972"
+PAIR_SEND_DIGEST = "171d8cc2a069925ba9c1fe4be844aedff25fcefbc0d711bdb5d5811d3d90c4f9"
+CAR_UPGRADE_DIGEST = "5d7f527011852bfa5e1e028d3afa4ecc361d375d2e0e332a5e425973a9506246"
+CHAIN6_TWO_UPGRADES_DIGEST = "cc042aaa312e4329d18d7ff7d420321963155377f3bb4842e6c1e862a5450002"
+CHAIN12_MIXED_LOSS_DIGEST = "65c6d9e94d62fba3441a32e2410dd426955f0f288065485be3aa9039e1e61817"
+CAR_INVOKE_PROBE_DIGEST = "7f0e28aa7f10f5998b946c67da0def1d1b86308bc244ccfc50e0d004e7c8f3e1"
+CHAIN4_UNSORTED_SCENARIO_DIGEST = "d2923044f169c28866ba4de2c1429655a646d1dddcc716063b68de7a5caab1d2"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
     "diffuse_tree": (
-        "0bded25bd5f6695a849d5856ac05100aa88eec81d05cc556ea5ca41eb1b5f0b1", 4433, 1393, 0),
+        "58aa54255336093ab7bfc9d32b1c9035eaecb3b2123597e6b93cb28580d0e311", 4385, 1393, 0),
     "apps_lossy": (
-        "e72b949d0df74e65bd3b127d3f9dff6febacfadd1072246da2aa5946332cbe1d", 2871, 2768, 16),
+        "fe3fffeed27449ff5032bc441cb19ba297dfdf1512307c4b8b9837ffadaf0c51", 2843, 2735, 11),
     "roles_swarm": (
-        "0a5c72e394c8ad62f82c06f6f91b16c3b232af5d76469f333c1a72cda078faea", 10414, 819, 0),
+        "5b2e2187d4c645448c77a2baf8358e45ef321906c378a5f03446ea68852081a4", 10400, 819, 0),
 }
 
 
@@ -102,7 +102,7 @@ def test_chain12_mixed_loss_upgrade_digest():
             link.loss = 0.25
     world = World(topology, upgrade_scenario("m0", 2, 500), seed=3)
     world.run_until_cs(6000)
-    assert len(world.log.records) == 81
+    assert len(world.log.records) == 79
     assert _digest(world) == CHAIN12_MIXED_LOSS_DIGEST
 
 
@@ -119,7 +119,7 @@ def test_bench_workload_seed1_digest(name):
 def test_chain6_upgraded_twice_across_sever_restore_digest():
     # Every module's beacons change id or version three times; the idle
     # link m2-m3 is cut and healed between the upgrades, and comes back up
-    # with a HELLO and an announce from each side.
+    # with a HELLO from each side.
     scenario = Scenario(events=[
         ScenarioEvent(300, "upgrade", ("m0", 2)),
         ScenarioEvent(900, "sever", ("m2.1", "m3.0")),
@@ -201,7 +201,7 @@ role Cut extends Unit {
 role Ghost extends Unit { require (sizeof(self.connected($EAST)) > threshold); }
 """
 
-TREE_ROLES_DIGEST = "0da2fdbfae4ca29378aa609cb1252d2a1c11c351239ff5d679a0ce7186680526"
+TREE_ROLES_DIGEST = "fca29fb865cc5a0613f99368ed44853415cb793c1e45d933e16b04c6e3ce3490"
 
 
 def _role_tree_world() -> World:

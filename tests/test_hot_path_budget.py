@@ -19,6 +19,12 @@ from modbot.world import Scenario, ScenarioEvent
 
 from conftest import chain_topology, tree_topology
 
+# 17.324 measured (17,844 calls, 1,030 frames) with one HELLO per version
+# change, no status for INVOKE and no second push after a delivered one,
+# the beacon's older-neighbour check inlined in on_link_payload and the
+# tick sending a prebuilt announce; 17.470 (17,994) with the tick calling
+# a beacon method for it; 17.801 (18,335) with the check through
+# _push_older as well. The frames those changes remove were the cheapest.
 # 17.498 measured (21,837 calls, 1,248 frames) with a one-chunk message split
 # without slicing; 17.780 (22,189) with lossless draws counted, not computed;
 # 18.780 (23,437) with ACKs taken by table; 22.985 (28,685) before; 23.21

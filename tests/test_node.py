@@ -709,3 +709,55 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     parsed.clear()
     world.run_until_cs(2000)
     assert decoded == [] and parsed == []
+
+
+def _appdata_bodies(world, name: str) -> list[bytes]:
+    """Tap a module's sends: the body of every APPDATA message it sends."""
+    bodies = []
+    module = world.modules[name]
+    send_port = module.send_port
+
+    def capture(port, msg):
+        if msg.kind is Kind.APPDATA:
+            bodies.append(msg.body)
+        return send_port(port, msg)
+
+    module.send_port = capture
+    return bodies
+
+
+def test_invoke_wants_no_status_and_send_still_gets_one():
+    world = settled_pair()
+    world.open_session("m1").submit("REGISTER sink")
+    sent, answered = _appdata_bodies(world, "m0"), _appdata_bodies(world, "m1")
+    world.modules["m0"].node.invoke_neighbors("sink", "Leaf", "wave")
+    world.run_until_cs(300)
+    assert [APPDATA.unpack(body)[1] for body in sent] == [0]
+    assert [r[3].split()[1] for r in world.log.select("appmsg", "m1")] == ["sink"]
+    assert answered == []
+    session = world.open_session("m0")
+    session.submit("REGISTER src")
+    session.submit(f"SEND 0.1 sink {b64(b'hi')}")
+    world.run_until_cs(400)
+    assert session.take_lines() == ["OK registered src", "OK delivered"]
+    req_id = APPDATA.unpack(sent[1])[1]
+    assert req_id != 0
+    assert [APPDATA_STATUS.unpack(body) for body in answered] == [(1, req_id, 0)]
+    assert world.log.select("drop") == []
+
+
+def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
+    world = settled_pair()
+    world.open_session("m1").submit("REGISTER sink")
+    sent = _appdata_bodies(world, "m0")
+    session = world.open_session("m0")
+    session.submit("REGISTER src")
+    session.submit(f"SEND 0.1 sink {b64(b'hi')}")
+    world.run_until_cs(300)
+    assert session.take_lines() == ["OK registered src", "OK delivered"]
+    req_id = APPDATA.unpack(sent[0])[1]
+    late = ServiceMessage(Kind.APPDATA, ModuleId.parse("0.1"), None, APPDATA_STATUS.pack(1, req_id, 0))
+    for part in late.link_chunks:
+        world.modules["m0"].node.on_link_payload(1, part)
+    assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"]
+    assert session.take_lines() == []
