@@ -13,8 +13,9 @@ The concrete syntax (full grammar in docs/dynarole-grammar.md):
 Roles may be abstract, inherit from a single parent (the built-in root is
 "Module"), declare valued or abstract constants, accumulate `require`
 invariants down the inheritance chain, and carry behaviors, commands and
-event handlers. Roles are stateless: evaluation reads only a physical
-state snapshot and the role's constants.
+event handlers. Each concrete role is checked once at parse time, so
+evaluating a parsed program cannot fail. Roles are stateless: evaluation
+reads only a physical state snapshot.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import gzip
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import NamedTuple, NoReturn, Optional, Union
 
 EVENT_PREFIX = "EVENT_HANDLER_"
 BUILTIN_ROOT = "Module"
@@ -38,10 +39,6 @@ class RoleSyntaxError(Exception):
     def __init__(self, diagnostics: list[str]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(diagnostics))
-
-
-class EvalError(Exception):
-    pass
 
 
 # Expression AST (predicates are side-effect free).
@@ -68,10 +65,11 @@ class CenterRef:
 
 @dataclass(frozen=True)
 class ConnectedCount:
-    direction: "Operand"
+    direction: Union[Sym, ConstRef]
 
 
 Operand = Union[Lit, Sym, ConstRef, CenterRef, ConnectedCount]
+_INTEGER = (Lit, ConnectedCount)  # the operands whose value is an int
 
 
 @dataclass(frozen=True)
@@ -130,14 +128,13 @@ class RoleDefinition:
 
 @dataclass(frozen=True, slots=True)
 class ResolvedRole:
-    """One role with its inheritance chain folded in, root-most ancestor
-    first. Requires, handlers and startup actions concatenate down the
-    chain; a descendant's constant replaces the ancestor's value, and its
-    behavior or command of the same name overrides the ancestor's in place,
-    keeping the ancestor's position."""
+    """One concrete role with its inheritance chain folded in, root-most
+    ancestor first. Requires, handlers and startup actions concatenate down
+    the chain; a descendant's behavior or command of the same name
+    overrides the ancestor's in place, keeping the ancestor's position, and
+    its constant's value is the one folded into the operands that read it."""
 
     ancestors: tuple[str, ...]  # the chain's role names, this role last
-    constants: dict[str, Union[int, str]]
     requires: tuple[Predicate, ...]
     behaviors: tuple[tuple[str, tuple[Action, ...]], ...]
     commands: tuple[tuple[str, tuple[Action, ...]], ...]
@@ -145,26 +142,34 @@ class ResolvedRole:
     startup: tuple[Action, ...]
 
 
-def _override_in_place(items) -> tuple[tuple[str, tuple[Action, ...]], ...]:
-    merged: dict[str, tuple[str, tuple[Action, ...]]] = {}
-    for item in items:
-        merged[item[0]] = item  # reassigning a key keeps its position
-    return tuple(merged.values())
+def _override_in_place(items, fold) -> tuple[tuple[str, tuple[Action, ...]], ...]:
+    merged: dict[str, tuple[Action, ...]] = {}
+    for name, actions in items:
+        merged[name] = actions  # reassigning a key keeps its position
+    return tuple((name, tuple(map(fold, actions))) for name, actions in merged.items())
 
 
 @dataclass
 class RoleProgram:
-    """A validated program. `resolved` maps every role name to its
-    ResolvedRole, built once here, so evaluation never walks the chain.
-    Its roles are never mutated after parsing: one world shares one parsed
-    program among every module that starts the same text. Its one growing
-    state is `assignments`, the memo of `assign_role` by snapshot."""
+    """A validated program. `resolved` maps every concrete role's name to
+    its checked ResolvedRole, built once here, so evaluation never walks
+    the chain. Its roles are never mutated after parsing: one world shares
+    one parsed program among every module that starts the same text. Its
+    one growing state is `assignments`, the memo of `assign_role` by snapshot."""
 
     roles: list[RoleDefinition]
 
     def __post_init__(self):
         self._by_name = {r.name: r for r in self.roles}
-        self.resolved = {r.name: self._resolve(r.name) for r in self.roles}
+        self.resolved: dict[str, ResolvedRole] = {}
+        diags: list[str] = []
+        for role in (r for r in self.roles if not r.abstract):
+            try:
+                self.resolved[role.name] = self._resolve(role)
+            except RoleSyntaxError as exc:
+                diags += exc.diagnostics
+        if diags:
+            raise RoleSyntaxError(diags)
         self.assignments: dict[PhysSnapshot, AssignResult] = {}
 
     def role(self, name: str) -> RoleDefinition:
@@ -180,20 +185,61 @@ class RoleProgram:
         out.reverse()
         return out
 
-    def _resolve(self, name: str) -> ResolvedRole:
-        chain = self.chain(name)
+    def _resolve(self, role: RoleDefinition) -> ResolvedRole:
+        """Fold a concrete role's chain and check that every operand has the kind
+        its use needs: a direction for `connected()`, an integer (a literal or a
+        count) for an ordered comparison, a turn or a sleepcs (not a negative
+        literal). The first mistake raises RoleSyntaxError at the role's line."""
+        chain = self.chain(role.name)
+        consts = {k: v for r in chain for k, v in r.constants.items()}
+
+        def fail(message: str) -> NoReturn:
+            raise RoleSyntaxError([f"line {role.line}: {message} in role {role.name!r}"])
+
+        missing = [c for r in chain for c in r.abstract_constants if c not in consts]
+        if missing:
+            fail(f"abstract constant {missing[0]!r} has no value")
+
+        def fold(op: Operand) -> Operand:
+            if isinstance(op, ConnectedCount):
+                direction = fold(op.direction)
+                if not (isinstance(direction, Sym) and direction.name in DIRECTIONS):
+                    fail(f"connected({op.direction.name}) needs a direction")
+                return ConnectedCount(direction)
+            if not isinstance(op, ConstRef):
+                return op
+            if op.name not in consts:
+                fail(f"undefined constant {op.name!r}")
+            value = consts[op.name]
+            return Lit(value) if isinstance(value, int) else Sym(value)
+
+        def predicate(pred: Predicate) -> Predicate:
+            lhs, rhs = fold(pred.lhs), fold(pred.rhs)
+            if pred.op not in ("==", "!=") and not (
+                    isinstance(lhs, _INTEGER) and isinstance(rhs, _INTEGER)):
+                fail(f"ordered comparison {pred.op!r} needs integers")
+            return Predicate(pred.op, lhs, rhs)
+
+        def action(act: Action) -> Action:
+            if not isinstance(act, (Turn, SleepCs)):
+                return act
+            operand = fold(act.operand)
+            if isinstance(act, Turn) and not isinstance(operand, _INTEGER):
+                fail("$TURN_CONTINUOUSLY needs an integer")
+            if isinstance(act, SleepCs) and (not isinstance(operand, _INTEGER) or (
+                    isinstance(operand, Lit) and operand.value < 0)):
+                fail("sleepcs needs an integer >= 0")
+            return type(act)(operand)
+
         return ResolvedRole(
             ancestors=tuple(r.name for r in chain),
-            constants={k: v for r in chain for k, v in r.constants.items()},
-            requires=tuple(p for r in chain for p in r.requires),
-            behaviors=_override_in_place(b for r in chain for b in r.behaviors),
-            commands=_override_in_place(c for r in chain for c in r.commands),
-            handlers=tuple(h for r in chain for h in r.handlers),
-            startup=tuple(a for r in chain if r.startup is not None for a in r.startup[1]),
+            requires=tuple(predicate(p) for r in chain for p in r.requires),
+            behaviors=_override_in_place((b for r in chain for b in r.behaviors), action),
+            commands=_override_in_place((c for r in chain for c in r.commands), action),
+            handlers=tuple(Handler(h.events, tuple(map(action, h.actions)))
+                           for r in chain for h in r.handlers),
+            startup=tuple(action(a) for r in chain if r.startup is not None for a in r.startup[1]),
         )
-
-    def concrete_roles(self) -> list[RoleDefinition]:
-        return [r for r in self.roles if not r.abstract]
 
 
 # Lexer.
@@ -459,10 +505,12 @@ class _Parser:
             self._expect("op", ".")
             self._expect("name", "connected")
             self._expect("op", "(")
-            dir_tok = self._peek()
-            direction = self._operand()
-            if isinstance(direction, Sym) and direction.name not in DIRECTIONS:
-                self._fail(f"unknown direction ${direction.name}", dir_tok)
+            arg = self._next()
+            if arg.type == "sym" and arg.value not in DIRECTIONS:
+                self._fail(f"unknown direction ${arg.value}", arg)
+            if arg.type not in ("sym", "name"):
+                self._fail(f"expected a direction, found {arg.value!r}", arg)
+            direction = Sym(arg.value) if arg.type == "sym" else ConstRef(arg.value)
             self._expect("op", ")")
             self._expect("op", ")")
             return ConnectedCount(direction)
@@ -486,31 +534,20 @@ def _validate(roles: list[RoleDefinition]) -> list[str]:
             diags.append(f"line {role.line}: unknown parent role {role.parent!r}")
     if diags:
         return diags
-    # One walk up each role's chain finds a cycle or, for a concrete role,
-    # the abstract constants left without a value; cycles are reported alone.
-    cycles: list[str] = []
     for role in by_name.values():
-        chain = {role.name: role}  # insertion order: role first, then its ancestors
         cur = role
-        while cur.parent != BUILTIN_ROOT:
-            if cur.parent in chain:
-                cycles.append(f"line {role.line}: inheritance cycle through {role.name!r}")
+        for _ in by_name:  # a chain with no cycle has at most len(by_name) roles
+            if cur.parent == BUILTIN_ROOT:
                 break
             cur = by_name[cur.parent]
-            chain[cur.name] = cur
         else:
-            if not role.abstract:
-                valued = {name for r in chain.values() for name in r.constants}
-                diags.extend(
-                    f"line {role.line}: abstract constant {name!r} has no value"
-                    f" in concrete role {role.name!r}"
-                    for r in chain.values() for name in r.abstract_constants if name not in valued)
-    return cycles or diags
+            diags.append(f"line {role.line}: inheritance cycle through {role.name!r}")
+    return diags
 
 
 def parse_program(text: str) -> RoleProgram:
     """Parse a role program; raises RoleSyntaxError carrying line-numbered
-    diagnostics on syntax or consistency errors."""
+    diagnostics on syntax, consistency or kind errors."""
     parser = _Parser(_lex(text))
     try:
         roles = parser.parse()
@@ -533,44 +570,25 @@ class PhysSnapshot(NamedTuple):
     counts: frozenset[tuple[str, int]]  # (direction label, linked ports)
 
 
-def _eval_operand(op: Operand, state: PhysSnapshot, consts: Mapping[str, Union[int, str]]):
+def _eval_operand(op: Operand, state: PhysSnapshot) -> Union[int, str]:
+    """The value of an operand of a resolved role, where no ConstRef is left."""
     if isinstance(op, Lit):
         return op.value
     if isinstance(op, Sym):
         return op.name
     if isinstance(op, CenterRef):
         return state.center
-    if isinstance(op, ConstRef):
-        if op.name not in consts:
-            raise EvalError(f"undefined constant {op.name!r}")
-        return consts[op.name]
-    if isinstance(op, ConnectedCount):
-        direction = _eval_operand(op.direction, state, consts)
-        if direction not in DIRECTIONS:
-            raise EvalError(f"connected() needs a direction, got {direction!r}")
-        return dict(state.counts).get(direction, 0)
-    raise EvalError(f"cannot evaluate {op!r}")
+    return dict(state.counts).get(op.direction.name, 0)
 
 
-_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-
-
-def eval_predicate(pred: Predicate, state: PhysSnapshot, consts: Mapping[str, Union[int, str]]) -> bool:
-    lhs = _eval_operand(pred.lhs, state, consts)
-    rhs = _eval_operand(pred.rhs, state, consts)
-    if pred.op == "==":
-        return lhs == rhs
-    if pred.op == "!=":
-        return lhs != rhs
-    if not (isinstance(lhs, int) and isinstance(rhs, int)):
-        raise EvalError(f"ordered comparison needs integers, got {lhs!r} {pred.op} {rhs!r}")
-    return _ORDERED[pred.op](lhs, rhs)
+_COMPARE = {"==": operator.eq, "!=": operator.ne,
+            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def eval_requires(program: RoleProgram, role_name: str, state: PhysSnapshot) -> bool:
-    """True iff every require of the role and all its ancestors holds."""
-    role = program.resolved[role_name]
-    return all(eval_predicate(pred, state, role.constants) for pred in role.requires)
+    """True iff every require of the concrete role and all its ancestors holds."""
+    return all(_COMPARE[p.op](_eval_operand(p.lhs, state), _eval_operand(p.rhs, state))
+               for p in program.resolved[role_name].requires)
 
 
 @dataclass(frozen=True)
@@ -579,7 +597,6 @@ class AssignResult:
 
     role: Optional[str]
     candidates: list[str]
-    excluded: list[tuple[str, str]]  # (role, evaluation error)
 
     @property
     def ambiguous(self) -> bool:
@@ -593,17 +610,9 @@ def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
     result = program.assignments.get(state)
     if result is not None:
         return result
-    candidates: list[str] = []
-    excluded: list[tuple[str, str]] = []
-    for role in program.concrete_roles():
-        try:
-            if eval_requires(program, role.name, state):
-                candidates.append(role.name)
-        except EvalError as exc:
-            excluded.append((role.name, str(exc)))
-    candidates.sort()
+    candidates = sorted(name for name in program.resolved if eval_requires(program, name, state))
     result = program.assignments[state] = AssignResult(
-        candidates[0] if candidates else None, candidates, excluded)
+        candidates[0] if candidates else None, candidates)
     return result
 
 

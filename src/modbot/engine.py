@@ -7,6 +7,7 @@ first declared one) active. Commands and event handlers preempt the
 behavior and run to completion; behaviors and commands on one module are
 mutually exclusive by construction. A repeated invocation of the command
 that is currently running restarts it instead of queueing a second copy.
+Parsing checked the kind of every operand, so no action can fail here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .dynarole import (
-    Action, AssignResult, Enable, EvalError, Invoke, PhysSnapshot, ResolvedRole,
+    Action, AssignResult, Enable, Invoke, PhysSnapshot, ResolvedRole,
     RoleProgram, Turn, _eval_operand, assign_role,
 )
 from .sim import Timer, US_PER_CS
@@ -72,8 +73,6 @@ class RoleEngine:
         first = self._state is None
         self._state = self.host.snapshot()
         result: AssignResult = assign_role(self.program, self._state)
-        for role_name, error in result.excluded:
-            self.host.log("role-error", f"{role_name} {error}")
         if result.ambiguous:
             self.host.log("role-ambiguous", ",".join(result.candidates))
         if result.role != self.assigned or first:
@@ -149,7 +148,6 @@ class RoleEngine:
 
     def _step(self, run: _Run) -> None:
         run.timer = None
-        consts = self._role.constants
         while run.index < len(run.actions):
             action = run.actions[run.index]
             run.index += 1
@@ -161,16 +159,8 @@ class RoleEngine:
                 self.invoke_neighbors(action.role, action.command)
                 continue
             # Turn or SleepCs: one integer operand, read against the shape
-            try:
-                value = _eval_operand(action.operand, self._state, consts)
-            except EvalError as exc:
-                self.host.log("action-error", str(exc))
-                continue
-            turn = isinstance(action, Turn)
-            if not isinstance(value, int) or (not turn and value < 0):
-                what = "turn speed" if turn else "sleepcs amount"
-                self.host.log("action-error", f"bad {what} {value!r}")
-            elif turn:
+            value = _eval_operand(action.operand, self._state)
+            if isinstance(action, Turn):
                 self.host.actuate(value)
             else:
                 run.timer = self.host.scheduler.call_after(

@@ -1,10 +1,19 @@
 """Exit codes and output shape of the command line driver."""
 
+import sys
 from pathlib import Path
+
+import pytest
 
 from modbot.cli import main
 
 from conftest import CORPUS
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.insert(0, str(BENCH))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 def _args_run(tmp_path: Path, name: str, until: int = 2000) -> list[str]:
@@ -130,7 +139,38 @@ def test_check_non_utf8_program_exits_2(tmp_path, capsys):
 
 def test_check_deeply_nested_program_exits_1(tmp_path, capsys):
     deep = tmp_path / "deep.role"
-    deep.write_text("role A extends Module {\n require ("
-                    + "sizeof(self.connected(" * 2000 + "$EAST" + "))" * 2000 + " == 1);\n}\n")
+    deep.write_text("role A extends Module {\n "
+                    + "handle $EVENT_HANDLER_1 { " * 2000 + "}" * 2000 + "\n}\n")
     assert main(["check", str(deep)]) == 1
     assert capsys.readouterr().out == "line 2: expression nested too deeply\n1 error(s)\n"
+
+
+# The role declaration is on line 2 and the member on line 4: a grammar
+# error names the member's line, a kind error the role's.
+@pytest.mark.parametrize("member, diagnostic", [
+    ("require (sizeof(self.connected(3)) == 0);", "line 4: expected a direction, found '3'"),
+    ("require (sizeof(self.connected(sizeof(self.connected($EAST)))) == 0);",
+     "line 4: expected a direction, found 'sizeof'"),
+    ("require (sizeof(self.connected(self.center)) == 0);",
+     "line 4: expected a direction, found 'self'"),
+    ("behavior b(_) { self.sleepcs(-5); }", "line 2: sleepcs needs an integer >= 0 in role 'A'"),
+    ("behavior b(_) { self.$TURN_CONTINUOUSLY($EAST); }",
+     "line 2: $TURN_CONTINUOUSLY needs an integer in role 'A'"),
+    ("require (self.center == axis);", "line 2: undefined constant 'axis' in role 'A'"),
+])
+def test_check_ill_kinded_program_exits_1(tmp_path, capsys, member, diagnostic):
+    fixture = tmp_path / "bad.role"
+    fixture.write_text(f"# fixture\nrole A extends Module {{\n  speed = 3;\n  {member}\n}}\n")
+    assert main(["check", str(fixture)]) == 1
+    assert capsys.readouterr().out == f"{diagnostic}\n1 error(s)\n"
+
+
+def test_check_corpus_and_benchmark_programs_clean(tmp_path, capsys):
+    programs = [CORPUS / "car.role"]
+    for seed in range(1, 11):
+        path = tmp_path / f"swarm{seed}.role"
+        path.write_text(WORKLOADS["roles_swarm"].generate(seed).files["swarm.role"])
+        programs.append(path)
+    for path in programs:
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(" abstract, 0 errors")

@@ -121,6 +121,7 @@ def test_syntax_error_carries_line_number():
     ("require (self.center 1);", "line 2: expected a comparison operator"),
     ("require (self.size == 1);", "line 2: unknown accessor self.size"),
     ("require (sizeof(self.connected($EST)) == 0);", "line 2: unknown direction $EST"),
+    ("require (sizeof(self.connected(3)) == 0);", "line 2: expected a direction, found '3'"),
 ])
 def test_parser_diagnostics(body, diagnostic):
     with pytest.raises(dr.RoleSyntaxError) as exc:
@@ -128,25 +129,17 @@ def test_parser_diagnostics(body, diagnostic):
     assert [str(d) for d in exc.value.diagnostics] == [diagnostic]
 
 
-def test_connected_with_a_non_direction_excludes_the_role():
-    program = dr.parse_program(
-        "role A extends Module { require (sizeof(self.connected(3)) == 0); }")
-    result = dr.assign_role(program, snap("EAST_WEST"))
-    assert result.role is None
-    assert result.excluded == [("A", "connected() needs a direction, got 3")]
-
-
-@pytest.mark.parametrize("direction, got", [
-    ("self.center", "'EAST_WEST'"),
-    ("typo", "'EST'"),
+@pytest.mark.parametrize("direction, diagnostic", [
+    ("self.center", "line 4: expected a direction, found 'self'"),
+    ("typo", "line 1: connected(typo) needs a direction in role 'A'"),
+    ("count", "line 1: connected(count) needs a direction in role 'A'"),
 ])
-def test_connected_with_a_value_outside_the_directions_excludes_the_role(direction, got):
-    program = dr.parse_program(
-        "role A extends Module {\n typo = $EST;\n"
-        f" require (sizeof(self.connected({direction})) == 0);\n}}\n")
-    result = dr.assign_role(program, snap("EAST_WEST", EAST=1))
-    assert result.role is None
-    assert result.excluded == [("A", f"connected() needs a direction, got {got}")]
+def test_connected_with_a_value_outside_the_directions_is_refused(direction, diagnostic):
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(
+            "role A extends Module {\n typo = $EST;\n count = 3;\n"
+            f" require (sizeof(self.connected({direction})) == 0);\n}}\n")
+    assert exc.value.diagnostics == [diagnostic]
 
 
 def test_eval_requires_on_car_states(car_program):
@@ -205,14 +198,34 @@ def test_ambiguity_resolves_lexicographically():
     assert result.candidates == ["Alpha", "Zeta"]
 
 
-def test_undefined_constant_excludes_role_with_reason():
+@pytest.mark.parametrize("require, name", [
+    ("sizeof(self.connected(mystery)) == 1", "mystery"),
+    ("sizeof(self.connected($EAST)) > threshold", "threshold"),
+])
+def test_undefined_constant_is_refused_with_reason(require, name):
     text = (
-        "role Odd extends Module { require (sizeof(self.connected(mystery)) == 1); }\n"
+        "abstract role Unit extends Module { }\n"
+        f"role Ghost extends Unit {{ require ({require}); }}\n"
     )
-    program = dr.parse_program(text)
-    result = dr.assign_role(program, snap("EAST_WEST", EAST=1))
-    assert result.role is None
-    assert result.excluded == [("Odd", "undefined constant 'mystery'")]
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(text)
+    assert exc.value.diagnostics == [f"line 2: undefined constant {name!r} in role 'Ghost'"]
+
+
+def test_every_ill_kinded_concrete_role_is_reported_and_abstract_ones_are_not():
+    text = (
+        "abstract role Base extends Module { behavior b(_) { self.sleepcs(later); } }\n"
+        "role One extends Base { }\n"
+        "role Two extends Base { later = $EAST; }\n"
+        "role Fine extends Base { later = 3; }\n"
+        "abstract role Unused extends Module { require (self.center > 0); }\n"
+    )
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(text)
+    assert exc.value.diagnostics == [
+        "line 2: undefined constant 'later' in role 'One'",
+        "line 3: sleepcs needs an integer >= 0 in role 'Two'",
+    ]
 
 
 def test_deep_inheritance_requires_union():
@@ -228,7 +241,8 @@ def test_deep_inheritance_requires_union():
     assert dr.eval_requires(program, "C", both)
     assert not dr.eval_requires(program, "C", east_only)
     assert [r.name for r in program.chain("C")] == ["A", "B", "C"]
-    assert "A" in program.resolved["C"].ancestors and "C" not in program.resolved["A"].ancestors
+    assert program.resolved["C"].ancestors == ("A", "B", "C")
+    assert list(program.resolved) == ["C"]  # abstract roles are never resolved
 
 
 # Three levels: Mid overrides a Base behavior and command in place,
@@ -263,11 +277,11 @@ role Leaf extends Mid {
 def test_behavior_and_command_inheritance(car_program):
     assert [n for n, _ in car_program.resolved["RightWheel"].behaviors] == ["move"]
     assert [n for n, _ in car_program.resolved["LeftWheel"].commands] == ["evade"]
-    assert car_program.resolved["RightWheel"].constants["turn_dir"] == 150
+    assert car_program.resolved["RightWheel"].behaviors == (("move", (dr.Turn(dr.Lit(150)),)),)
 
     program = dr.parse_program(_THREE_LEVEL)
     leaf = program.resolved["Leaf"]
-    speed = dr.ConstRef("speed")
+    speed = dr.Lit(10)  # the constant, folded in
     assert leaf.ancestors == ("Base", "Mid", "Leaf")
     assert leaf.behaviors == (
         ("idle", (dr.Turn(dr.Lit(2)),)),
@@ -278,15 +292,16 @@ def test_behavior_and_command_inheritance(car_program):
         ("stop", (dr.SleepCs(dr.Lit(5)),)),
         ("go", (dr.Turn(speed),)),
     )
-    assert leaf.constants == {"dir": "WEST", "speed": 10}
     assert leaf.startup == (dr.Enable(1), dr.Enable(2))
     assert leaf.handlers == (
         dr.Handler((1,), (dr.Turn(speed),)),
         dr.Handler((2,), (dr.Invoke("Leaf", "go"),)),
     )
-    assert len(leaf.requires) == 2
-    assert program.resolved["Base"].ancestors == ("Base",)
     # Leaf's require reads dir as Mid redefined it, not as Base set it.
+    assert leaf.requires == (
+        dr.Predicate("==", dr.CenterRef(), dr.Sym("EAST_WEST")),
+        dr.Predicate("==", dr.ConnectedCount(dr.Sym("WEST")), dr.Lit(1)),
+    )
     assert dr.eval_requires(program, "Leaf", snap("EAST_WEST", WEST=1))
     assert not dr.eval_requires(program, "Leaf", snap("EAST_WEST", EAST=1))
     assert dr.assign_role(program, snap("EAST_WEST", WEST=1)).role == "Leaf"
@@ -294,9 +309,9 @@ def test_behavior_and_command_inheritance(car_program):
 
 def test_ordered_comparison_on_symbols_is_an_error():
     text = "role A extends Module { require (self.center < $EAST_WEST); }\n"
-    program = dr.parse_program(text)
-    with pytest.raises(dr.EvalError):
-        dr.eval_requires(program, "A", snap("EAST_WEST"))
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(text)
+    assert exc.value.diagnostics == ["line 1: ordered comparison '<' needs integers in role 'A'"]
 
 
 def test_comments_and_signed_ints_parse():
@@ -348,24 +363,24 @@ def test_gzip_never_larger_for_kilobyte_programs(car_text):
 
 
 def _nested_program(depth: int) -> str:
-    return ("role A extends Module {\n require ("
-            + "sizeof(self.connected(" * depth + "$EAST" + "))" * depth + " == 1);\n}\n")
+    """`handle` blocks nested `depth` deep on line 2: since a direction is a
+    symbol or a name, nested blocks are the only input the parser recurses on."""
+    return ("role A extends Module {\n "
+            + "handle $EVENT_HANDLER_1 { " * depth + "}" * depth + "\n}\n")
 
 
 def test_deep_nesting_is_a_diagnostic():
-    assert dr.parse_program(_nested_program(400)).resolved["A"].ancestors == ("A",)
+    assert len(dr.parse_program(_nested_program(300)).resolved["A"].handlers) == 300
     with pytest.raises(dr.RoleSyntaxError) as exc:
         dr.parse_program(_nested_program(2000))
     assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]
 
 
-# Memoised assignment. Ghost reads an undefined constant (always excluded);
-# Odd compares the center with an integer, an error only once its parent's
-# require holds; Alpha and Zeta tie on UP_DOWN.
+# Memoised assignment. Low reads its parent's require and a folded
+# constant; Alpha and Zeta tie on UP_DOWN.
 MEMO_PROGRAM = """
 abstract role East extends Module { require (sizeof(self.connected($EAST)) >= 1); }
-role Odd extends East { require (self.center > 0); }
-role Ghost extends Module { require (sizeof(self.connected($WEST)) == nothing); }
+role Low extends East { limit = 2; require (sizeof(self.connected($UP)) < limit); }
 role Alpha extends Module { require (self.center == $UP_DOWN); }
 role Zeta extends Module { require (self.center == $UP_DOWN); }
 role Pair extends Module {
@@ -382,15 +397,8 @@ _snapshots = st.builds(
 
 
 def _fresh_assignment(program: dr.RoleProgram, state: dr.PhysSnapshot):
-    candidates, excluded = [], []
-    for role in program.concrete_roles():
-        try:
-            if dr.eval_requires(program, role.name, state):
-                candidates.append(role.name)
-        except dr.EvalError as exc:
-            excluded.append((role.name, str(exc)))
-    candidates.sort()
-    return (candidates[0] if candidates else None), candidates, excluded
+    candidates = sorted(name for name in program.resolved if dr.eval_requires(program, name, state))
+    return (candidates[0] if candidates else None), candidates
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +412,7 @@ def test_memoised_assignment_equals_fresh_evaluation(memo_program, states):
     program = memo_program
     for state in states:
         result = dr.assign_role(program, state)
-        assert (result.role, result.candidates, result.excluded) == _fresh_assignment(program, state)
+        assert (result.role, result.candidates) == _fresh_assignment(program, state)
         assert dr.assign_role(program, snap(state.center, **dict(state.counts))) is result
 
 

@@ -3,8 +3,12 @@
 import base64
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modbot import dynarole as dr
+from modbot.engine import RoleEngine
 from modbot.node import Session
+from modbot.sim import Scheduler, US_PER_CS
 from modbot.world import (
     LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World,
     load_scenario, load_topology,
@@ -288,7 +292,7 @@ _WORKER = (
     " command halt(_) { self.$TURN_CONTINUOUSLY(0); (self.sleepcs(10)); }\n"
     "}\n"
 )
-_RUN_KINDS = ("run-begin", "run-end", "TURN_CONTINUOUSLY", "role", "action-error")
+_RUN_KINDS = ("run-begin", "run-end", "TURN_CONTINUOUSLY", "role")
 
 
 def worker_world(program: str = _WORKER, events=()) -> World:
@@ -378,37 +382,29 @@ def test_restarted_engine_takes_events_after_the_engines_started_since():
     assert [r[3] for r in world.log.select("TURN_CONTINUOUSLY", "w") if r[0] == 25] == ["8", "7"]
 
 
-def test_bad_sleep_amount_and_undefined_constant_log_action_errors():
-    program = (
-        "role Worker extends Module {\n"
-        " require (self.center == $UP_DOWN);\n"
-        " behavior roam(_) {\n"
-        "  self.$TURN_CONTINUOUSLY(nope);\n"
-        "  (self.sleepcs(later));\n"
-        "  (self.sleepcs(-5));\n"
-        "  (self.sleepcs($EAST));\n"
-        "  self.$TURN_CONTINUOUSLY(3);\n"
-        " }\n"
-        "}\n"
-    )
-    world = worker_world(program)
-    world.run_until_cs(50)
-    assert run_log(world, 10) == [
-        (10, "role", "Worker"),
-        (10, "run-begin", "behavior roam"),
-        (10, "action-error", "undefined constant 'nope'"),
-        (10, "action-error", "undefined constant 'later'"),
-        (10, "action-error", "bad sleepcs amount -5"),
-        (10, "action-error", "bad sleepcs amount 'EAST'"),
-        (10, "TURN_CONTINUOUSLY", "3"),
-        (10, "run-end", "behavior roam"),
-    ]
+def assert_refused(world: World, message: str) -> None:
+    """START refused w.role with `message` at the role's line, and no engine runs it."""
+    assert [r[3] for r in world.log.select("start", "w")] == [
+        f"w.role ERR 422 line 1: {message} in role 'Worker'"]
+    assert not world.modules["w"].node.engines and run_log(world, 0) == []
+
+
+def test_bad_sleep_amount_and_undefined_constant_refuse_the_program():
+    for statement, message in (
+        ("self.$TURN_CONTINUOUSLY(nope);", "undefined constant 'nope'"),
+        ("(self.sleepcs(later));", "undefined constant 'later'"),
+        ("(self.sleepcs(-5));", "sleepcs needs an integer >= 0"),
+        ("(self.sleepcs($EAST));", "sleepcs needs an integer >= 0"),
+    ):
+        world = worker_world(_WORKER.replace("(self.sleepcs(50));", statement))
+        world.run_until_cs(50)
+        assert_refused(world, message)
 
 
 @pytest.mark.parametrize("operand, logged", [
-    ("$EAST", ("action-error", "bad turn speed 'EAST'")),
-    ("heading", ("action-error", "bad turn speed 'EAST'")),
-    ("self.center", ("action-error", "bad turn speed 'UP_DOWN'")),
+    ("$EAST", ("start", "$TURN_CONTINUOUSLY needs an integer")),
+    ("heading", ("start", "$TURN_CONTINUOUSLY needs an integer")),
+    ("self.center", ("start", "$TURN_CONTINUOUSLY needs an integer")),
     ("sizeof(self.connected($EAST))", ("TURN_CONTINUOUSLY", "1")),
     ("3", ("TURN_CONTINUOUSLY", "3")),
 ])
@@ -422,24 +418,25 @@ def test_turn_speed_must_be_an_integer(operand, logged):
     )
     world = worker_world(program)
     world.run_until_cs(18)
+    if logged[0] == "start":
+        assert_refused(world, logged[1])
+        return
     assert run_log(world, 10) == [
         (10, "role", "Worker"),
         (10, "run-begin", "behavior roam"),
         (10, *logged),
         (15, "run-end", "behavior roam"),
         (15, "run-begin", "behavior roam"),
-        *([(15, *logged)] if logged[0] == "action-error" else []),
     ]
 
 
 def test_assignment_diagnostics_are_logged_once_per_assignment_run():
     # Assignment runs at the start and at each sever or restore, never on a
     # sensor event and never as time passes, and each run logs its
-    # role-error and role-ambiguous lines once.
+    # role-ambiguous line once.
     program = (
         "role A extends Module { require (self.center == $EAST_WEST); }\n"
         "role B extends Module { require (self.center == $EAST_WEST); }\n"
-        "role C extends Module { require (sizeof(self.connected($WEST)) > threshold); }\n"
     )
     topo = chain_topology(2)
     topo.modules[1].files["two.role"] = program
@@ -449,12 +446,10 @@ def test_assignment_diagnostics_are_logged_once_per_assignment_run():
     world = World(topo, scenario)
     world.run_until_cs(1300)
     diagnostics = [(t, kind, payload) for t, module, kind, payload in world.log.records
-                   if module == "m1" and kind in ("role", "role-error", "role-ambiguous")]
+                   if module == "m1" and kind in ("role", "role-ambiguous")]
     assert diagnostics == [
-        (150, "role-error", "C undefined constant 'threshold'"),
         (150, "role-ambiguous", "A,B"),
         (150, "role", "A"),
-        (700, "role-error", "C undefined constant 'threshold'"),
         (700, "role-ambiguous", "A,B"),
     ]
 
@@ -554,3 +549,103 @@ def test_engine_restarted_by_a_version_adoption_is_inert():
     _inert(old, node)
     assert sleeping.timer.cancelled
     assert "w.role" in node.engines
+
+
+# A program that parses cannot fail while it runs: random programs over the
+# grammar, mostly well formed and with constants of every kind, either are
+# refused by the parser or assign and run without raising and without
+# logging anything but the engine's ordinary records.
+
+_NAMES = ("R0", "R1", "R2")
+_CONSTS = ("k", "m", "q")
+# Most operands suit any use, so that most programs parse; the rest (a
+# symbol, self.center, a constant of either kind, a -1) try the checker.
+_ints = st.integers(-1, 3).map(str)
+_count = st.sampled_from(("$EAST", "$WEST", "$UP", "k")).map("sizeof(self.connected({}))".format)
+_operand = st.one_of(
+    _ints, _count, _ints, _count, st.sampled_from(("$EAST", "$UP_DOWN", "self.center") + _CONSTS))
+_predicate = st.builds("{} {} {}".format, _operand, st.sampled_from(("==", "!=", "<", ">=")),
+                       _operand)
+_action = st.one_of(
+    _operand.map(lambda v: f"self.$TURN_CONTINUOUSLY({v});"),
+    _operand.map(lambda v: f"(self.sleepcs({v}));"),
+    st.sampled_from(("self.enable($EVENT_HANDLER_1);", "R0.go(0);", "Module.halt();")))
+_block = st.lists(_action, max_size=3).map(lambda acts: "{ " + " ".join(acts) + " }")
+_member = st.one_of(
+    _predicate.map(lambda p: f"require ({p});"),
+    st.builds("{}(_) {}".format, st.sampled_from(("behavior go", "command go", "command halt")),
+              _block),
+    _block.map(lambda b: f"handle $EVENT_HANDLER_1 {b}"),
+    _block.map(lambda b: f"startup boot(_) {b}"))
+_value = st.one_of(_ints, _ints, st.sampled_from(("$EAST", "$WEST", "$NORTH_SOUTH", "$EST")))
+
+
+@st.composite
+def _programs(draw) -> str:
+    """Up to three roles, each extending Module or an earlier role; a role
+    that extends Module values every constant, a descendant may override."""
+    roles = []
+    for i in range(draw(st.integers(1, len(_NAMES)))):
+        parent = draw(st.sampled_from(("Module",) + _NAMES[:i]))
+        consts = draw(st.fixed_dictionaries({c: _value for c in _CONSTS}) if parent == "Module"
+                      else st.dictionaries(st.sampled_from(_CONSTS), _value, max_size=2))
+        members = [f"{c} = {v};" for c, v in consts.items()] + draw(st.lists(_member, max_size=4))
+        if sum(m.startswith("startup") for m in members) > 1:
+            members = [m for m in members if not m.startswith("startup")]
+        abstract = "abstract " if draw(st.booleans()) else ""
+        roles.append(f"{abstract}role {_NAMES[i]} extends {parent} {{ {' '.join(members)} }}")
+    return "\n".join(roles) + "\n"
+
+
+class _CheckedScheduler(Scheduler):
+    def call_after(self, delay_us, fn):
+        assert isinstance(delay_us, int) and delay_us >= 0
+        return super().call_after(delay_us, fn)
+
+
+class _StubHost:
+    """The engine's host duck type over a scheduler that refuses a negative
+    sleep; it keeps the kinds the engine logs and refuses a non-integer turn."""
+
+    def __init__(self, shape: dr.PhysSnapshot):
+        self.scheduler = _CheckedScheduler()
+        self.shape = shape
+        self.kinds: set[str] = set()
+
+    def snapshot(self) -> dr.PhysSnapshot:
+        return self.shape
+
+    def actuate(self, value) -> None:
+        assert isinstance(value, int)
+
+    def log(self, kind: str, payload: str) -> None:
+        self.kinds.add(kind)
+
+
+_shapes = st.builds(
+    lambda center, counts: dr.PhysSnapshot(center, frozenset(counts.items())),
+    st.sampled_from(dr.CENTER_AXES),
+    st.dictionaries(st.sampled_from(("EAST", "WEST", "UP")), st.integers(1, 2), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_programs(), shapes=st.lists(_shapes, min_size=1, max_size=4))
+def test_a_program_that_parses_cannot_fail_while_it_runs(text, shapes):
+    try:
+        program = dr.parse_program(text)
+    except dr.RoleSyntaxError:
+        return
+    for shape in shapes:
+        dr.assign_role(program, shape)
+    host = _StubHost(shapes[0])
+    engine = RoleEngine(host, program, lambda role, command: None)
+    engine.start()
+    for name, role in program.resolved.items():  # every concrete role's every action
+        engine._reassign(name)
+        for command, _ in role.commands:
+            engine.on_invoke(name, command)
+        engine._enabled.add(1)
+        engine.on_event(1)
+        host.scheduler.run_until(host.scheduler.now + 20 * US_PER_CS)
+    engine.stop()
+    assert host.kinds <= {"role", "role-ambiguous", "run-begin", "run-end", "invoke", "invoke-skip"}

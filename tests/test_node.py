@@ -675,8 +675,7 @@ def test_bcast_answers_once_when_its_last_ticket_resolves():
 def test_deeply_nested_program_answers_422():
     world = settled_pair()
     world.modules["m1"].node.file_store["deep.role"] = (
-        "role A extends Module {\n require ("
-        + "sizeof(self.connected(" * 2000 + "$EAST" + "))" * 2000 + " == 1);\n}\n")
+        "role A extends Module {\n " + "handle $EVENT_HANDLER_1 { " * 2000 + "}" * 2000 + "\n}\n")
     session = world.open_session("m0")
     session.submit("REGISTER app")
     session.take_lines()
