@@ -28,6 +28,7 @@ from typing import NamedTuple, NoReturn, Optional, Union
 
 EVENT_PREFIX = "EVENT_HANDLER_"
 BUILTIN_ROOT = "Module"
+MAX_NESTING = 100  # handle blocks one inside another; the parser recurses twice per block
 
 CENTER_AXES = ("NORTH_SOUTH", "EAST_WEST", "UP_DOWN")
 DIRECTIONS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
@@ -296,6 +297,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0  # of the handle blocks being parsed
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -401,12 +403,16 @@ class _Parser:
 
     def _handler(self, role: RoleDefinition) -> Handler:
         tok = self._expect("keyword", "handle")
+        if self._depth == MAX_NESTING:
+            self._fail("expression nested too deeply", tok)
         events = []
         while self._peek().type == "sym":
             events.append(self._event_id(self._next()))
         if not events:
             self._fail("handle needs at least one $EVENT_HANDLER_n", tok)
+        self._depth += 1
         actions = self._block(role)
+        self._depth -= 1
         self._accept("op", ";")
         return Handler(tuple(events), actions)
 
@@ -548,11 +554,7 @@ def _validate(roles: list[RoleDefinition]) -> list[str]:
 def parse_program(text: str) -> RoleProgram:
     """Parse a role program; raises RoleSyntaxError carrying line-numbered
     diagnostics on syntax, consistency or kind errors."""
-    parser = _Parser(_lex(text))
-    try:
-        roles = parser.parse()
-    except RecursionError:
-        raise RoleSyntaxError([f"line {parser._peek().line}: expression nested too deeply"]) from None
+    roles = _Parser(_lex(text)).parse()
     diags = _validate(roles)
     if diags:
         raise RoleSyntaxError(diags)

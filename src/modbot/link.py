@@ -232,7 +232,9 @@ class Ticket:
     frame was acknowledged and FAILED when one frame ran out of retries or
     the send was cancelled before transmission. `transmissions` is 1 once
     the first frame left, plus 1 per retransmission of any of its frames.
-    The underscored fields belong to the sending PortProtocol."""
+    The underscored fields belong to the sending PortProtocol. `_callbacks`
+    is None until the first `on_done` (announces, HELLOs and INVOKEs never
+    call it) and again once the ticket resolves, so it keeps none alive."""
 
     __slots__ = ("state", "transmissions", "_callbacks",
                  "_payloads", "_index", "_frame", "_seq", "_retries_used", "_timer")
@@ -240,7 +242,7 @@ class Ticket:
     def __init__(self, payloads: Sequence[bytes]):
         self.state = _PENDING
         self.transmissions = 0
-        self._callbacks: list[Callable[["Ticket"], None]] = []
+        self._callbacks: Optional[tuple[Callable[["Ticket"], None], ...]] = None
         self._payloads = payloads
         self._index = -1  # of the payload on the wire
         self._frame = b""  # encoded once its seq is known; retransmissions resend it
@@ -256,14 +258,14 @@ class Ticket:
         if self.state is not _PENDING:
             fn(self)
         else:
-            self._callbacks.append(fn)
+            self._callbacks = (fn,) if self._callbacks is None else (*self._callbacks, fn)
 
     def _resolve(self, state: TicketState) -> None:
         if self.state is not _PENDING:
             return
         self.state = state
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
+        callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
             fn(self)
 
 

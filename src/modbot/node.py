@@ -19,7 +19,7 @@ import itertools
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
@@ -255,18 +255,19 @@ class ServiceNode:
         ]
 
     def _run_job(self, port: int, msgs: list[ServiceMessage], done: Callable[[bool], None]) -> None:
-        """Send messages one after another; abort the job on first failure."""
+        """Send messages one after another, each from the previous ticket's
+        DELIVERED callback; abort the job on first failure. That callback is
+        a partial of `_job_step` over an iterator of the messages, so nothing
+        in a job refers back to itself and reference counting frees it."""
+        self._job_step(port, iter(msgs), done, None)
 
-        def send_next(index: int) -> None:
-            if index == len(msgs):
-                done(True)
-                return
-            ticket = self.host.send_port(port, msgs[index])
-            ticket.on_done(
-                lambda t: send_next(index + 1) if t.state is TicketState.DELIVERED else done(False)
-            )
-
-        send_next(0)
+    def _job_step(self, port: int, msgs: Iterator, done: Callable, ticket: Ticket | None) -> None:
+        if ticket is not None and ticket.state is not TicketState.DELIVERED:
+            done(False)
+        elif (msg := next(msgs, None)) is None:
+            done(True)
+        else:
+            self.host.send_port(port, msg).on_done(partial(self._job_step, port, msgs, done))
 
     def _adopt(self, port: int, version: int, new_id: ModuleId, blob: bytes, src: ModuleId) -> None:
         self.version = version

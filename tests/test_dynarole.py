@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modbot import dynarole as dr
+from modbot.world import ModuleSpec, Scenario, ScenarioEvent, Topology, World
 
 
 @pytest.fixture(scope="module")
@@ -370,10 +371,26 @@ def _nested_program(depth: int) -> str:
 
 
 def test_deep_nesting_is_a_diagnostic():
-    assert len(dr.parse_program(_nested_program(300)).resolved["A"].handlers) == 300
-    with pytest.raises(dr.RoleSyntaxError) as exc:
-        dr.parse_program(_nested_program(2000))
-    assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]
+    bound = dr.MAX_NESTING
+    assert len(dr.parse_program(_nested_program(bound)).resolved["A"].handlers) == bound
+    for depth in (bound + 1, 2000):
+        with pytest.raises(dr.RoleSyntaxError) as exc:
+            dr.parse_program(_nested_program(depth))
+        assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]
+
+
+@pytest.mark.parametrize("depth, answer", [
+    (dr.MAX_NESTING, "OK started deep.role"),
+    (dr.MAX_NESTING + 1, "ERR 422 line 2: expression nested too deeply"),
+], ids=["at-bound", "past-bound"])
+def test_start_in_a_world_keeps_the_top_level_nesting_bound(depth, answer):
+    # The bound is the parser's own, not the interpreter's recursion limit,
+    # so a START deep in the scheduler's stack answers as parse_program does.
+    module = ModuleSpec("m0", "EAST_WEST", {}, files={"deep.role": _nested_program(depth)})
+    scenario = Scenario([ScenarioEvent(10, "start", ("m0", "deep.role"))])
+    world = World(Topology([module], [], "m0"), scenario)
+    world.run_until_cs(20)
+    assert [r[3] for r in world.log.select("start")] == [f"deep.role {answer}"]
 
 
 # Memoised assignment. Low reads its parent's require and a folded

@@ -19,6 +19,9 @@ from modbot.world import Scenario, ScenarioEvent
 
 from conftest import chain_topology, tree_topology
 
+# 17.240 measured (17,757 calls, 1,030 frames) with a push or PUTFILE job
+# stepped by a partial of one node method, not by a closure and a lambda
+# per message; 17.324 (17,844) before.
 # 17.324 measured (17,844 calls, 1,030 frames) with one HELLO per version
 # change, no status for INVOKE and no second push after a delivered one,
 # the beacon's older-neighbour check inlined in on_link_payload and the
@@ -29,7 +32,7 @@ from conftest import chain_topology, tree_topology
 # without slicing; 17.780 (22,189) with lossless draws counted, not computed;
 # 18.780 (23,437) with ACKs taken by table; 22.985 (28,685) before; 23.21
 # (28,964) before that; 32.44 with a closure per frame
-CALLS_PER_FRAME_BUDGET = 17.50
+CALLS_PER_FRAME_BUDGET = 17.24
 
 _SRC = str(Path(modbot.__file__).resolve().parent)
 

@@ -1,12 +1,14 @@
 """Command protocol and node behavior over small worlds."""
 
 import base64
+import functools
+import gc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modbot import node as node_module
-from modbot.link import TicketState
+from modbot.link import Ticket, TicketState
 from modbot.messages import (
     APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, STATE_REP, STATE_REQ, VERSION,
     Kind, ModuleId, ProtocolError, ServiceMessage, encode_message, is_numeral, split_for_link,
@@ -234,6 +236,35 @@ def test_session_reset_by_adoption_starts_no_queued_command():
     world.run_until_cs(600)
     assert session.take_lines() == ["OK registered a", "EVENT reset 2", "OK transferred f"]
     assert not world.log.select("drop")
+
+
+def test_finished_pushes_and_file_transfers_leave_no_cyclic_garbage():
+    # A job's next step is a partial over an iterator of its messages, not a
+    # closure that refers to itself: once a push or a PUTFILE ends, reference
+    # counting frees it, and the cyclic GC finds none of it.
+    gc.collect()
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        world = World(chain_topology(3), upgrade_scenario("m0", 2, 300))
+        world.run_until_cs(200)
+        session = world.open_session("m0")
+        session.submit("REGISTER a")
+        session.submit(f"PUTFILE 0.1 f {b64(b'x' * 3000)}")
+        world.run_until_cs(700)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert session.take_lines() == ["OK registered a", "OK transferred f"]
+    assert len(world.log.select("push")) == 4 and not world.log.select("push-fail")
+    assert [o for o in garbage if isinstance(o, (ServiceMessage, Ticket, functools.partial))] == []
+    functions = {o.__qualname__ for o in garbage if callable(o) and hasattr(o, "__qualname__")}
+    # The scenario batch's own pair of closures is the only cycle left.
+    assert functions <= {"Scheduler.call_batch.<locals>.fire", "Scheduler.call_batch.<locals>.push_next"}
 
 
 def test_send_bad_base64_rejected():
