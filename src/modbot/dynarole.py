@@ -154,9 +154,8 @@ def _override_in_place(items, fold) -> tuple[tuple[str, tuple[Action, ...]], ...
 class RoleProgram:
     """A validated program. `resolved` maps every concrete role's name to
     its checked ResolvedRole, built once here, so evaluation never walks
-    the chain. Its roles are never mutated after parsing: one world shares
-    one parsed program among every module that starts the same text. Its
-    one growing state is `assignments`, the memo of `assign_role` by snapshot."""
+    the chain. It is never mutated after parsing: one world shares one
+    parsed program among every module that starts the same text."""
 
     roles: list[RoleDefinition]
 
@@ -171,7 +170,6 @@ class RoleProgram:
                 diags += exc.diagnostics
         if diags:
             raise RoleSyntaxError(diags)
-        self.assignments: dict[PhysSnapshot, AssignResult] = {}
 
     def role(self, name: str) -> RoleDefinition:
         return self._by_name[name]
@@ -565,8 +563,7 @@ def parse_program(text: str) -> RoleProgram:
 
 class PhysSnapshot(NamedTuple):
     """All that role evaluation reads of a module: its center and, for each
-    direction with at least one linked port, that port count. Hashable, so
-    it is also the key of `assign_role`'s memo."""
+    direction with at least one linked port, that port count."""
 
     center: str
     counts: frozenset[tuple[str, int]]  # (direction label, linked ports)
@@ -595,7 +592,7 @@ def eval_requires(program: RoleProgram, role_name: str, state: PhysSnapshot) -> 
 
 @dataclass(frozen=True)
 class AssignResult:
-    """Read-only: one result is shared by every call with an equal snapshot."""
+    """The outcome of one `assign_role` call; never mutated."""
 
     role: Optional[str]
     candidates: list[str]
@@ -608,14 +605,9 @@ class AssignResult:
 def assign_role(program: RoleProgram, state: PhysSnapshot) -> AssignResult:
     """Pure function of (program, state): the concrete roles whose
     invariants hold, with the lexicographically smallest name winning a
-    multi-candidate tie. Memoised per program on the snapshot itself."""
-    result = program.assignments.get(state)
-    if result is not None:
-        return result
+    multi-candidate tie."""
     candidates = sorted(name for name in program.resolved if eval_requires(program, name, state))
-    result = program.assignments[state] = AssignResult(
-        candidates[0] if candidates else None, candidates)
-    return result
+    return AssignResult(candidates[0] if candidates else None, candidates)
 
 
 def measure_text(data: bytes) -> tuple[int, int]:

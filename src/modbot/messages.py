@@ -36,8 +36,7 @@ class Kind(IntEnum):
     HELLO = 1
     APPDATA = 2
     BCAST = 3
-    STATE_REQ = 4
-    STATE_REP = 5
+    REPLY = 5
     VERSION_ANNOUNCE = 6
     CODE_CHUNK = 7
     FILE_CHUNK = 8
@@ -230,12 +229,9 @@ APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
     lambda subtype, _req_id, _src_app: subtype == 0, "bad appdata subtype"))
 APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
 BCAST = Layout("", str, bytes, None)  # src_app, data
-STATE_REQ = Layout("I", None, None, None)  # req_id
-STATE_REP = Layout("I", None, str, None)  # req_id, state text
 CHUNK = Layout("IHH", str, bytes, (  # CODE_CHUNK, FILE_CHUNK; index < total rules out total 0
     lambda _transfer_id, index, total, _label: index < total, "bad chunk position"))
-REQUEST = Layout("BI", None, str, (  # EXEC, START: reply (0 or 1), req_id, text
-    lambda reply, _req_id: reply <= 1, "bad request subtype"))
+REQUEST = Layout("I", None, str, None)  # EXEC, START, REPLY: req_id, text
 ID_ASSIGN = Layout("I", ModuleId, None, None)  # version, new id
 
 chunk_body = CHUNK.pack  # the name bench/micro.py imports

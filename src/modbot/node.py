@@ -25,9 +25,8 @@ from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, ROOT_ID, STATE_REP, STATE_REQ,
-    VERSION, Kind, LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
-    is_numeral,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, ROOT_ID, VERSION, Kind,
+    LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message, is_numeral,
 )
 from .sim import Timer, US_PER_MS, US_PER_S
 
@@ -112,12 +111,6 @@ class _ExecSession(Session):
 
 
 @dataclass
-class _Pending:
-    timer: Timer
-    on_reply: Callable
-
-
-@dataclass
 class _Transfer:
     total: int
     label: str
@@ -150,7 +143,7 @@ class ServiceNode:
         self._file_transfers: dict[tuple[int, int], _Transfer] = {}
         self._code_transfers: dict[tuple[int, int], _Transfer] = {}
         self._code_ready: dict[int, tuple[int, bytes]] = {}
-        self._pending: dict[int, _Pending] = {}
+        self._pending: dict[int, tuple[Timer, Session]] = {}  # req_id -> (reply timer, asker)
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
@@ -277,8 +270,8 @@ class ServiceNode:
         self.host.log("push-accept", f"v={version} id={new_id} from={src}")
         self._file_transfers.clear()
         self._reset_sessions()
-        for pending in self._pending.values():
-            pending.timer.cancel()
+        for timer, _session in self._pending.values():
+            timer.cancel()
         self._pending.clear()
         self._advertise()
 
@@ -326,13 +319,8 @@ class ServiceNode:
             self._on_appdata(port, msg)
         elif kind is Kind.BCAST:
             self._on_bcast(port, msg)
-        elif kind is Kind.STATE_REQ:
-            (req_id,) = STATE_REQ.unpack(msg.body)
-            self.host.send_port(port, ServiceMessage(
-                Kind.STATE_REP, self.module_id, None,
-                STATE_REP.pack(req_id, self.host.state_text())))
-        elif kind is Kind.STATE_REP:
-            self._resolve_pending(*STATE_REP.unpack(msg.body))
+        elif kind is Kind.REPLY:
+            self._resolve_pending(*REQUEST.unpack(msg.body))
         elif kind is Kind.CODE_CHUNK:
             self._on_code_chunk(port, msg)
         elif kind is Kind.FILE_CHUNK:
@@ -347,7 +335,7 @@ class ServiceNode:
     def _on_appdata(self, port: int, msg: ServiceMessage) -> None:
         if msg.body[:1] == b"\x01":
             _, req_id, code = APPDATA_STATUS.unpack(msg.body)
-            self._resolve_pending(req_id, code == 0)
+            self._resolve_pending(req_id, "ERR 404 unknown app" if code else "OK delivered")
             return
         _, req_id, src_app, data = APPDATA.unpack(msg.body)
         name = msg.dst_app or ""
@@ -423,16 +411,13 @@ class ServiceNode:
         self.host.log("file", f"{entry.label} bytes={len(blob)}")
 
     def _serve(self, port: int, msg: ServiceMessage) -> None:
-        """EXEC/START: a reply resolves our request; a request runs here
-        and is answered once with a reply of the same kind."""
-        reply, req_id, text = REQUEST.unpack(msg.body)
-        if reply:
-            self._resolve_pending(req_id, text)
-            return
+        """EXEC/START: run the request here and answer it once, with a
+        REPLY carrying its response line under the request's req_id."""
+        req_id, text = REQUEST.unpack(msg.body)
 
         def answer(line: str) -> None:
             self.host.send_port(port, ServiceMessage(
-                msg.kind, self.module_id, None, REQUEST.pack(1, req_id, line)))
+                Kind.REPLY, self.module_id, None, REQUEST.pack(req_id, line)))
 
         if msg.kind is Kind.EXEC:
             _ExecSession(self, answer).submit(text)
@@ -446,15 +431,16 @@ class ServiceNode:
         return 3 * cfg.ack_timeout_ms * US_PER_MS * max(1, cfg.max_retries)
 
     def _request(self, session: Session, port: int, kind: Kind,
-                 body_of: Callable[[int], bytes], on_reply: Callable,
-                 verb: str, dst_app: Optional[str] = None) -> None:
+                 body_of: Callable[[int], bytes], verb: str,
+                 dst_app: Optional[str] = None) -> None:
         """Send the request message body_of(req_id) and answer the session
-        exactly once: on_reply(*reply) when the reply arrives, `ERR 409
-        delivery failed` when the link gave up on the request and `ERR 504
-        <verb> timeout` when no reply came in time. The message is encoded
-        first, so a field too long for the wire raises ProtocolError with
-        nothing pending. The reply timer is armed before the send, which
-        fixes its place in the scheduler's same-time order."""
+        exactly once: with the reply's line when it arrives (see
+        `_resolve_pending`), `ERR 409 delivery failed` when the link gave up
+        on the request and `ERR 504 <verb> timeout` when no reply came in
+        time. The message is encoded first, so a field too long for the
+        wire raises ProtocolError with nothing pending. The reply timer is
+        armed before the send, which fixes its place in the scheduler's
+        same-time order."""
         req_id = next(self._req_counter)
         msg = ServiceMessage(kind, self.module_id, dst_app, body_of(req_id))
         msg.link_chunks  # encoded here, before anything is pending
@@ -465,20 +451,22 @@ class ServiceNode:
 
         def on_sent(ticket: Ticket) -> None:
             if ticket.state is TicketState.FAILED and req_id in self._pending:
-                self._pending.pop(req_id).timer.cancel()
+                self._pending.pop(req_id)[0].cancel()
                 session.respond("ERR 409 delivery failed")
 
         timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
-        self._pending[req_id] = _Pending(timer, on_reply)
+        self._pending[req_id] = (timer, session)
         self.host.send_port(port, msg).on_done(on_sent)
 
-    def _resolve_pending(self, req_id: int, *args) -> None:
+    def _resolve_pending(self, req_id: int, line: str) -> None:
+        """Answer the session that asked request req_id with a reply's line."""
         pending = self._pending.pop(req_id, None)
         if pending is None:
             self.host.log("drop", f"reply for unknown request {req_id}")
             return
-        pending.timer.cancel()
-        pending.on_reply(*args)
+        timer, session = pending
+        timer.cancel()
+        session.respond(line)
 
     # engine support
 
@@ -565,10 +553,12 @@ class ServiceNode:
             return
         if len(args) != 1:
             raise _Answer("ERR 400 usage: STATE [<module>]")
-        self._request(session, self._port_of(args[0]), Kind.STATE_REQ, STATE_REQ.pack,
-                      lambda text: session.respond(f"OK {text}"), "state")
+        self._request(session, self._port_of(args[0]), Kind.EXEC,
+                      lambda req_id: REQUEST.pack(req_id, "STATE"), "state")
 
     def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
+        if args:
+            raise _Answer("ERR 400 usage: NEIGHBORS")
         entries = [
             f"{port}:{mid}:{version}"
             for port, (mid, version) in sorted(self.neighbor_table.items())
@@ -585,7 +575,6 @@ class ServiceNode:
         self._request(
             session, self._port_of(args[0]), Kind.APPDATA,
             lambda req_id: APPDATA.pack(0, req_id, session.name or "", data),
-            lambda ok: session.respond("OK delivered" if ok else "ERR 404 unknown app"),
             "send", dst_app=args[1])
 
     def _cmd_bcast(self, session: Session, args: list[str]) -> None:
@@ -629,20 +618,22 @@ class ServiceNode:
         except UnicodeDecodeError:
             raise _Answer("ERR 400 command line must be utf-8 text")
         self._request(session, self._port_of(args[0]), Kind.EXEC,
-                      lambda req_id: REQUEST.pack(0, req_id, command_line),
-                      session.respond, "exec")
+                      lambda req_id: REQUEST.pack(req_id, command_line), "exec")
 
     def _cmd_start(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:
             raise _Answer("ERR 400 usage: START <module> <name>")
         self._request(session, self._port_of(args[0]), Kind.START,
-                      lambda req_id: REQUEST.pack(0, req_id, args[1]),
-                      session.respond, "start")
+                      lambda req_id: REQUEST.pack(req_id, args[1]), "start")
 
     def _cmd_version(self, session: Session, args: list[str]) -> None:
+        if args:
+            raise _Answer("ERR 400 usage: VERSION")
         session.respond(f"OK version={self.version}")
 
     def _cmd_id(self, session: Session, args: list[str]) -> None:
+        if args:
+            raise _Answer("ERR 400 usage: ID")
         session.respond(f"OK id={self.module_id}")
 
     # helpers

@@ -1,7 +1,9 @@
 """Message codec, chunking, and reassembly."""
 
 import random
+import re
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,20 +64,12 @@ def bcast_body(src_app: str, data: bytes) -> bytes:
     return _pstr(src_app) + data
 
 
-def state_req_body(req_id: int) -> bytes:
-    return struct.pack(">I", req_id)
-
-
-def state_rep_body(req_id: int, text: str) -> bytes:
-    return struct.pack(">I", req_id) + text.encode("utf-8")
-
-
 def chunk_body(transfer_id: int, index: int, total: int, name: str, data: bytes) -> bytes:
     return struct.pack(">IHH", transfer_id, index, total) + _pstr(name) + data
 
 
-def request_body(req_id: int, text: str, reply: bool = False) -> bytes:
-    return bytes([1 if reply else 0]) + struct.pack(">I", req_id) + text.encode("utf-8")
+def request_body(req_id: int, text: str) -> bytes:
+    return struct.pack(">I", req_id) + text.encode("utf-8")
 
 
 def id_assign_body(version: int, new_id: m.ModuleId) -> bytes:
@@ -89,13 +83,12 @@ def test_message_roundtrip_every_kind():
                          m.APPDATA.pack(0, 7, "src", b"\x00\x01payload")),
         m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.APPDATA_STATUS.pack(1, 7, 1)),
         m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
-        m.ServiceMessage(m.Kind.STATE_REQ, m.ROOT_ID, None, m.STATE_REQ.pack(1)),
-        m.ServiceMessage(m.Kind.STATE_REP, m.ROOT_ID, None, m.STATE_REP.pack(1, "center=EAST_WEST")),
+        m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
         m.ServiceMessage(m.Kind.CODE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 0, 2, "2", b"blob")),
         m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 1, 2, "a.role", b"text")),
-        m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(0, 4, "STATE")),
-        m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(1, 4, "OK started")),
+        m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
+        m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
         m.ServiceMessage(m.Kind.ID_ASSIGN, m.ROOT_ID, None, m.ID_ASSIGN.pack(2, m.ModuleId.parse("0.3"))),
     ]
     for msg in samples:
@@ -108,9 +101,8 @@ def test_body_parsers():
     assert m.APPDATA.unpack(appdata_body("a", 3, b"xy")) == (0, 3, "a", b"xy")
     assert m.APPDATA_STATUS.unpack(appdata_status_body(3, True)) == (1, 3, 0)
     assert m.BCAST.unpack(bcast_body("a", b"zz")) == ("a", b"zz")
-    assert m.STATE_REP.unpack(state_rep_body(5, "ok")) == (5, "ok")
     assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
-    assert m.REQUEST.unpack(request_body(2, "line")) == (0, 2, "line")
+    assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
     assert m.ID_ASSIGN.unpack(id_assign_body(2, m.ModuleId.parse("0.1"))) == (2, m.ModuleId.parse("0.1"))
 
 
@@ -128,14 +120,12 @@ _LAYOUTS = {
     "APPDATA_STATUS": ((m.Kind.APPDATA,), st.tuples(st.just(1), _u32, st.integers(0, 1)),
                        lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
-    "STATE_REQ": ((m.Kind.STATE_REQ,), st.tuples(_u32), state_req_body),
-    "STATE_REP": ((m.Kind.STATE_REP,), st.tuples(_u32, st.text(max_size=64)), state_rep_body),
     "CHUNK": ((m.Kind.CODE_CHUNK, m.Kind.FILE_CHUNK),
               st.tuples(_u32, _positions, _text, st.binary(max_size=64)).map(
                   lambda v: (v[0], *v[1], v[2], v[3])),
               chunk_body),
-    "REQUEST": ((m.Kind.EXEC, m.Kind.START), st.tuples(st.integers(0, 1), _u32, st.text(max_size=64)),
-                lambda reply, req_id, text: request_body(req_id, text, reply=reply == 1)),
+    "REQUEST": ((m.Kind.EXEC, m.Kind.START, m.Kind.REPLY), st.tuples(_u32, st.text(max_size=64)),
+                request_body),
     "ID_ASSIGN": ((m.Kind.ID_ASSIGN,), st.tuples(_u32, _ids), id_assign_body),
 }
 
@@ -185,9 +175,25 @@ def test_decode_rejects_malformed():
     with pytest.raises(m.ProtocolError):
         m.CHUNK.unpack(m.CHUNK.pack(1, 0, 3, "f", b"")[:6])
     for layout, values in [(m.CHUNK, (1, 0, 0, "f", b"")), (m.CHUNK, (1, 3, 3, "f", b"")),
-                           (m.APPDATA, (2, 1, "a", b"")), (m.REQUEST, (2, 1, "line"))]:
-        with pytest.raises(m.ProtocolError, match="bad (chunk position|.* subtype)"):
+                           (m.APPDATA, (2, 1, "a", b""))]:
+        with pytest.raises(m.ProtocolError, match="bad (chunk position|appdata subtype)"):
             layout.unpack(layout.pack(*values))
+
+
+def test_protocol_doc_layout_table_matches_the_code():
+    """docs/protocol.md's layout table names every Layout in messages.py
+    once, each with the kinds that carry it, and every Kind with its value."""
+    doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
+    rows = re.findall(r"^\| ([A-Z_]+) *\| ([^|]+)\|", doc, re.MULTILINE)
+    layouts = [name for name, value in vars(m).items() if isinstance(value, m.Layout)]
+    assert sorted(name for name, _ in rows) == sorted(layouts) == sorted(_LAYOUTS)
+    values: dict[str, set[int]] = {}
+    for name, kinds in rows:
+        named = re.findall(r"([A-Z_]+) \((\d+)\)", kinds)
+        assert {kind for kind, _ in named} == {kind.name for kind in _LAYOUTS[name][0]}, name
+        for kind, value in named:
+            values.setdefault(kind, set()).add(int(value))
+    assert values == {kind.name: {kind.value} for kind in m.Kind}
 
 
 @given(st.binary(min_size=0, max_size=4096))

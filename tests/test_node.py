@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from modbot import node as node_module
 from modbot.link import Ticket, TicketState
 from modbot.messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, STATE_REP, STATE_REQ, VERSION,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, VERSION,
     Kind, ModuleId, ProtocolError, ServiceMessage, encode_message, is_numeral, split_for_link,
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
@@ -514,13 +514,24 @@ def test_version_and_id_commands():
     assert session.take_lines() == ["OK version=1", "OK id=0.1"]
 
 
+@pytest.mark.parametrize("line", ["NEIGHBORS junk", "VERSION 7", "ID x y"])
+def test_commands_without_arguments_refuse_stray_ones(line):
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.submit(line)
+    session.submit("VERSION")  # the session is free again
+    verb = line.split()[0]
+    assert session.take_lines() == ["OK registered app", f"ERR 400 usage: {verb}", "OK version=1"]
+
+
 def test_malformed_message_body_logged_and_dropped():
     world = settled_pair()
     node = world.modules["m0"].node
-    bad = ServiceMessage(Kind.STATE_REQ, ModuleId.parse("0.1"), None, b"\x01")
+    bad = ServiceMessage(Kind.EXEC, ModuleId.parse("0.1"), None, b"\x01")
     for part in split_for_link(encode_message(bad)):
         node.on_link_payload(1, part)
-    assert any("STATE_REQ" in r[3] for r in world.log.select("protocol-error", "m0"))
+    assert any("EXEC" in r[3] for r in world.log.select("protocol-error", "m0"))
 
 
 def test_malformed_beacon_logged_again_when_repeated():
@@ -547,9 +558,9 @@ def test_unknown_kind_byte_logged_and_dropped():
 
 
 _BODY_LAYOUTS = {
-    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST,
-    Kind.STATE_REQ: STATE_REQ, Kind.STATE_REP: STATE_REP, Kind.CODE_CHUNK: CHUNK,
-    Kind.FILE_CHUNK: CHUNK, Kind.EXEC: REQUEST, Kind.START: REQUEST, Kind.ID_ASSIGN: ID_ASSIGN,
+    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST, Kind.REPLY: REQUEST,
+    Kind.CODE_CHUNK: CHUNK, Kind.FILE_CHUNK: CHUNK, Kind.EXEC: REQUEST, Kind.START: REQUEST,
+    Kind.ID_ASSIGN: ID_ASSIGN,
 }
 
 
@@ -786,8 +797,10 @@ def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
     world.run_until_cs(300)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
     req_id = APPDATA.unpack(sent[0])[1]
-    late = ServiceMessage(Kind.APPDATA, ModuleId.parse("0.1"), None, APPDATA_STATUS.pack(1, req_id, 0))
-    for part in late.link_chunks:
-        world.modules["m0"].node.on_link_payload(1, part)
-    assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"]
+    src = ModuleId.parse("0.1")
+    for late in (ServiceMessage(Kind.APPDATA, src, None, APPDATA_STATUS.pack(1, req_id, 0)),
+                 ServiceMessage(Kind.REPLY, src, None, REQUEST.pack(req_id, "OK delivered"))):
+        for part in late.link_chunks:
+            world.modules["m0"].node.on_link_payload(1, part)
+    assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"] * 2
     assert session.take_lines() == []
