@@ -27,7 +27,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     text = log.render()
     if args.log:
-        Path(args.log).write_text(text, encoding="utf-8")
+        try:
+            Path(args.log).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.log}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

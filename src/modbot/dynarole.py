@@ -29,6 +29,7 @@ from typing import NamedTuple, NoReturn, Optional, Union
 EVENT_PREFIX = "EVENT_HANDLER_"
 BUILTIN_ROOT = "Module"
 MAX_NESTING = 100  # handle blocks one inside another; the parser recurses twice per block
+MAX_INVOKED_ROLE = 255  # an invoked role's name travels in a 255-byte INVOKE field
 
 CENTER_AXES = ("NORTH_SOUTH", "EAST_WEST", "UP_DOWN")
 DIRECTIONS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
@@ -466,6 +467,8 @@ class _Parser:
                 return Enable(event)
             self._fail(f"unknown action self.{target.value}", target)
         if tok.type == "name":
+            if len(tok.value) > MAX_INVOKED_ROLE:  # names are ASCII: one byte a character
+                self._fail(f"invoked role name longer than {MAX_INVOKED_ROLE} characters", tok)
             self._expect("op", ".")
             command = self._expect("name").value
             self._args()  # arguments are parsed and ignored

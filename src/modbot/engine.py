@@ -43,7 +43,8 @@ class RoleEngine:
     The host duck type (the module, `world.SimModule`) provides
     `scheduler`, `snapshot() -> PhysSnapshot`, `actuate(value)` and
     `log(kind, payload)`. `invoke_neighbors(role, command)` sends a
-    cross-role invocation to every neighbour on the program's behalf.
+    cross-role invocation to every neighbour on the program's behalf, as
+    one INVOKE message that the neighbour's node hands to `on_invoke`.
     The engine lives only while its node holds it in `node.engines`; the
     node drops it before `stop()`, which cancels every timer it set.
     """

@@ -36,6 +36,7 @@ class Kind(IntEnum):
     HELLO = 1
     APPDATA = 2
     BCAST = 3
+    INVOKE = 4
     REPLY = 5
     VERSION_ANNOUNCE = 6
     CODE_CHUNK = 7
@@ -229,6 +230,7 @@ APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
     lambda subtype, _req_id, _src_app: subtype == 0, "bad appdata subtype"))
 APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
 BCAST = Layout("", str, bytes, None)  # src_app, data
+INVOKE = Layout("", str, str, None)  # role, command
 CHUNK = Layout("IHH", str, bytes, (  # CODE_CHUNK, FILE_CHUNK; index < total rules out total 0
     lambda _transfer_id, index, total, _label: index < total, "bad chunk position"))
 REQUEST = Layout("I", None, str, None)  # EXEC, START, REPLY: req_id, text

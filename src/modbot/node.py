@@ -25,7 +25,7 @@ from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, ROOT_ID, VERSION, Kind,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, INVOKE, REQUEST, ROOT_ID, VERSION, Kind,
     LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message, is_numeral,
 )
 from .sim import Timer, US_PER_MS, US_PER_S
@@ -127,7 +127,8 @@ class ServiceNode:
     parsed role programs by text, shared world-wide. The role engines the
     node starts are hosted by the same module (see `RoleEngine`); they sit
     in `engines` under their program's file name, which apps cannot
-    register, and take data `INVOKE <role> <command>` sent to that name.
+    register. An engine takes INVOKE messages addressed to that name, and
+    data `INVOKE <role> <command>` that an app sends or broadcasts to it.
     """
 
     def __init__(self, host):
@@ -319,6 +320,13 @@ class ServiceNode:
             self._on_appdata(port, msg)
         elif kind is Kind.BCAST:
             self._on_bcast(port, msg)
+        elif kind is Kind.INVOKE:
+            role, command = INVOKE.unpack(msg.body)
+            engine = self.engines.get(msg.dst_app or "")
+            if engine is None:
+                self.host.log("drop", f"invoke for unknown app {msg.dst_app}")
+            else:
+                engine.on_invoke(role, command)
         elif kind is Kind.REPLY:
             self._resolve_pending(*REQUEST.unpack(msg.body))
         elif kind is Kind.CODE_CHUNK:
@@ -471,10 +479,9 @@ class ServiceNode:
     # engine support
 
     def invoke_neighbors(self, app_name: str, role: str, command: str) -> None:
-        """Send data `INVOKE <role> <command>` to app_name on every neighbour,
-        under req_id 0: no status is wanted."""
-        msg = ServiceMessage(Kind.APPDATA, self.module_id, app_name,
-                             APPDATA.pack(0, 0, app_name, f"INVOKE {role} {command}".encode("utf-8")))
+        """Send one INVOKE message for role.command to the engine named
+        app_name on every neighbour; no status answers it."""
+        msg = ServiceMessage(Kind.INVOKE, self.module_id, app_name, INVOKE.pack(role, command))
         for port in self.host.connected_ports():
             self.host.send_port(port, msg)
 
@@ -655,7 +662,9 @@ class _Answer(Exception):
 
 
 def _invoke(engine: RoleEngine, data: bytes) -> None:
-    """Run data `INVOKE <role> <command>` sent to an engine; other data is ignored."""
+    """Run the text form of an invocation, data `INVOKE <role> <command>`
+    that an app sent or broadcast to an engine; other data is ignored.
+    Engines invoke each other with the INVOKE message instead."""
     try:
         words = data.decode("utf-8").split()
     except UnicodeDecodeError:

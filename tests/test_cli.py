@@ -63,6 +63,16 @@ def test_run_negative_horizon_exits_2(tmp_path, capsys):
     assert not (tmp_path / "neg.log").exists()
 
 
+def test_run_log_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.log"
+    code = main(["run", str(CORPUS / "car.topo"), str(CORPUS / "car.scen"),
+                 "--seed", "1", "--until", "100", "--log", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+    assert captured.out == ""
+
+
 def test_measure_reports_sizes(capsys):
     code = main(["measure", str(CORPUS / "evade_proposal.py")])
     assert code == 0

@@ -24,13 +24,13 @@ if str(BENCH) not in sys.path:
 
 import workloads  # noqa: E402
 
-CAR_DIGEST = "7f2ac5f49b23e89c71d576ba23291dacea637ac707368c892ec24526df434009"
+CAR_DIGEST = "ab54fd354010c491018f4c07f8671e3a808397bd47466d10ecb9f072f7076035"
 CHAIN10_DIGEST = "e1d395952bf6de639f736e0b65f89655e9fa91c5466ccc769c01bae2f1047972"
 PAIR_SEND_DIGEST = "171d8cc2a069925ba9c1fe4be844aedff25fcefbc0d711bdb5d5811d3d90c4f9"
-CAR_UPGRADE_DIGEST = "5d7f527011852bfa5e1e028d3afa4ecc361d375d2e0e332a5e425973a9506246"
+CAR_UPGRADE_DIGEST = "21807d0599bf0775925e916656b9055803a67f1bf966f155642d1a80031a8589"
 CHAIN6_TWO_UPGRADES_DIGEST = "cc042aaa312e4329d18d7ff7d420321963155377f3bb4842e6c1e862a5450002"
 CHAIN12_MIXED_LOSS_DIGEST = "65c6d9e94d62fba3441a32e2410dd426955f0f288065485be3aa9039e1e61817"
-CAR_INVOKE_PROBE_DIGEST = "7f0e28aa7f10f5998b946c67da0def1d1b86308bc244ccfc50e0d004e7c8f3e1"
+CAR_INVOKE_PROBE_DIGEST = "ebc6e400ef1eaa8364c8e2a719509ef0ac126e36c90d4ec81606ebbc096396fd"
 CHAIN4_UNSORTED_SCENARIO_DIGEST = "d2923044f169c28866ba4de2c1429655a646d1dddcc716063b68de7a5caab1d2"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
@@ -40,7 +40,7 @@ BENCH_SEED1 = {
     "apps_lossy": (
         "fe3fffeed27449ff5032bc441cb19ba297dfdf1512307c4b8b9837ffadaf0c51", 2843, 2735, 11),
     "roles_swarm": (
-        "5b2e2187d4c645448c77a2baf8358e45ef321906c378a5f03446ea68852081a4", 10400, 819, 0),
+        "75e4cb2f7133a97bbae30dcb368875516e662a36555062c4a202e9a74a39730b", 9581, 819, 0),
 }
 
 
@@ -64,8 +64,8 @@ def test_car_corpus_upgraded_head_digest():
 
 
 def test_car_corpus_invoke_probe_digest():
-    # Apps invoke the engines the way the head's engine does: a SEND and a
-    # BCAST of `INVOKE Wheel evade` to car.role from the head, the same
+    # Apps invoke the engines with the text form of the head engine's call:
+    # a SEND and a BCAST of `INVOKE Wheel evade` to car.role from the head, the same
     # SEND from the left wheel to the head (whose Head role skips it), and
     # a re-START of the right wheel's engine while its evade runs.
     world = World(load_topology(CORPUS / "car.topo"), load_scenario(CORPUS / "car.scen"), seed=1)
@@ -199,7 +199,7 @@ role Cut extends Unit {
 }
 """
 
-TREE_ROLES_DIGEST = "cad8441ecc9227ec034e23121c3bdfb8b6f7b177df064d6ff2b3a30744507e67"
+TREE_ROLES_DIGEST = "41ca2e80c64770b20d5f1bdbb1d6638c1fea4dfb75be85194699ee7337168d14"
 
 
 def _role_tree_world() -> World:

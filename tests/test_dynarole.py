@@ -379,6 +379,17 @@ def test_deep_nesting_is_a_diagnostic():
         assert [str(d) for d in exc.value.diagnostics] == ["line 2: expression nested too deeply"]
 
 
+def test_an_invoked_role_name_fits_the_invoke_role_field():
+    # A longer name could not be sent, so it is refused before the program runs.
+    bound = dr.MAX_INVOKED_ROLE
+    invoke = "role A extends Module {{ startup s(_) {{ {}.go(); }} }}\n".format
+    assert dr.parse_program(invoke("R" * bound)).resolved["A"].startup
+    with pytest.raises(dr.RoleSyntaxError) as exc:
+        dr.parse_program(invoke("R" * (bound + 1)))
+    assert [str(d) for d in exc.value.diagnostics] == [
+        f"line 1: invoked role name longer than {bound} characters"]
+
+
 @pytest.mark.parametrize("depth, answer", [
     (dr.MAX_NESTING, "OK started deep.role"),
     (dr.MAX_NESTING + 1, "ERR 422 line 2: expression nested too deeply"),

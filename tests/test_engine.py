@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from modbot import dynarole as dr
 from modbot.engine import RoleEngine
+from modbot.link import FrameType, decode_frame, encode_frame
+from modbot.messages import Kind, decode_message
 from modbot.node import Session
 from modbot.sim import Scheduler, US_PER_CS
 from modbot.world import (
@@ -50,6 +52,33 @@ def test_car_evade_episode_timing():
         assert start == 500
         assert 1000 <= reversal <= 1050  # within 50 cs of the sensor event
         assert resume - reversal == 25   # sleepcs(25), exact
+
+
+def test_the_heads_invocation_travels_in_one_34_byte_frame_per_wheel():
+    # 7 B of framing, the 4 B chunk header and a 23 B message: kind, src "0",
+    # dst_app "car.role", then the body, role "Wheel" and command "evade".
+    # The links are lossless, so the frames the head transmits are the
+    # frames that arrive at the wheels.
+    world = car_world()
+    sent = []
+    for link in world.links:
+        channel = link.forward if link.spec.module_a == "head" else link.backward
+        receive = channel.receive
+
+        def tap(data, receive=receive):
+            sent.append((world.scheduler.now, data))
+            receive(data)
+
+        channel.receive = tap
+    world.run_until_cs(1100)
+    (invoked_at, _, _, invoke), = world.log.select("invoke", "head")
+    assert (invoked_at, invoke) == (1000, "Wheel.evade")
+    frames = [decode_frame(data) for now, data in sent if now >= invoked_at * US_PER_CS]
+    invocations = [
+        (decode_message(frame.payload[4:]).kind, len(encode_frame(frame)))  # one chunk each
+        for frame in frames if frame.frame_type is FrameType.DATA
+        and frame.payload[4] not in (Kind.HELLO, Kind.VERSION_ANNOUNCE)]
+    assert invocations == [(Kind.INVOKE, 34)] * 2
 
 
 def test_overlapping_evades_coalesce_and_extend():

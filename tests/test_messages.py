@@ -64,6 +64,10 @@ def bcast_body(src_app: str, data: bytes) -> bytes:
     return _pstr(src_app) + data
 
 
+def invoke_body(role: str, command: str) -> bytes:
+    return _pstr(role) + command.encode("utf-8")
+
+
 def chunk_body(transfer_id: int, index: int, total: int, name: str, data: bytes) -> bytes:
     return struct.pack(">IHH", transfer_id, index, total) + _pstr(name) + data
 
@@ -83,6 +87,7 @@ def test_message_roundtrip_every_kind():
                          m.APPDATA.pack(0, 7, "src", b"\x00\x01payload")),
         m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.APPDATA_STATUS.pack(1, 7, 1)),
         m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
+        m.ServiceMessage(m.Kind.INVOKE, m.ROOT_ID, "car.role", m.INVOKE.pack("Wheel", "evade")),
         m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
         m.ServiceMessage(m.Kind.CODE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 0, 2, "2", b"blob")),
@@ -101,6 +106,7 @@ def test_body_parsers():
     assert m.APPDATA.unpack(appdata_body("a", 3, b"xy")) == (0, 3, "a", b"xy")
     assert m.APPDATA_STATUS.unpack(appdata_status_body(3, True)) == (1, 3, 0)
     assert m.BCAST.unpack(bcast_body("a", b"zz")) == ("a", b"zz")
+    assert m.INVOKE.unpack(invoke_body("Wheel", "evade")) == ("Wheel", "evade")
     assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
     assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
     assert m.ID_ASSIGN.unpack(id_assign_body(2, m.ModuleId.parse("0.1"))) == (2, m.ModuleId.parse("0.1"))
@@ -120,6 +126,7 @@ _LAYOUTS = {
     "APPDATA_STATUS": ((m.Kind.APPDATA,), st.tuples(st.just(1), _u32, st.integers(0, 1)),
                        lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
+    "INVOKE": ((m.Kind.INVOKE,), st.tuples(_text, st.text(max_size=64)), invoke_body),
     "CHUNK": ((m.Kind.CODE_CHUNK, m.Kind.FILE_CHUNK),
               st.tuples(_u32, _positions, _text, st.binary(max_size=64)).map(
                   lambda v: (v[0], *v[1], v[2], v[3])),

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from modbot import node as node_module
 from modbot.link import Ticket, TicketState
 from modbot.messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, REQUEST, VERSION,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, INVOKE, REQUEST, VERSION,
     Kind, ModuleId, ProtocolError, ServiceMessage, encode_message, is_numeral, split_for_link,
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
@@ -560,7 +560,7 @@ def test_unknown_kind_byte_logged_and_dropped():
 _BODY_LAYOUTS = {
     Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST, Kind.REPLY: REQUEST,
     Kind.CODE_CHUNK: CHUNK, Kind.FILE_CHUNK: CHUNK, Kind.EXEC: REQUEST, Kind.START: REQUEST,
-    Kind.ID_ASSIGN: ID_ASSIGN,
+    Kind.ID_ASSIGN: ID_ASSIGN, Kind.INVOKE: INVOKE,
 }
 
 
@@ -752,51 +752,68 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     assert decoded == [] and parsed == []
 
 
-def _appdata_bodies(world, name: str) -> list[bytes]:
-    """Tap a module's sends: the body of every APPDATA message it sends."""
-    bodies = []
+def _sent(world, name: str, kind: Kind) -> list[ServiceMessage]:
+    """Tap a module's sends: every message of this kind it sends."""
+    sent = []
     module = world.modules[name]
     send_port = module.send_port
 
     def capture(port, msg):
-        if msg.kind is Kind.APPDATA:
-            bodies.append(msg.body)
+        if msg.kind is kind:
+            sent.append(msg)
         return send_port(port, msg)
 
     module.send_port = capture
-    return bodies
+    return sent
 
 
 def test_invoke_wants_no_status_and_send_still_gets_one():
     world = settled_pair()
     world.open_session("m1").submit("REGISTER sink")
-    sent, answered = _appdata_bodies(world, "m0"), _appdata_bodies(world, "m1")
-    world.modules["m0"].node.invoke_neighbors("sink", "Leaf", "wave")
+    m1 = world.modules["m1"].node
+    m1.file_store["leaf.role"] = "role Leaf extends Module { command wave(_) { } }\n"
+    assert m1.start_program("leaf.role") == "OK started leaf.role"
+    invoked = _sent(world, "m0", Kind.INVOKE)
+    sent, answered = _sent(world, "m0", Kind.APPDATA), _sent(world, "m1", Kind.APPDATA)
+    world.modules["m0"].node.invoke_neighbors("leaf.role", "Leaf", "wave")
     world.run_until_cs(300)
-    assert [APPDATA.unpack(body)[1] for body in sent] == [0]
-    assert [r[3].split()[1] for r in world.log.select("appmsg", "m1")] == ["sink"]
+    # One INVOKE message and no APPDATA leave m0; m1 runs the command,
+    # logs no appmsg and answers nothing.
+    assert [(msg.dst_app, msg.body) for msg in invoked] == [("leaf.role", INVOKE.pack("Leaf", "wave"))]
+    assert sent == []
+    assert world.log.select("run-begin", "m1")[-1][3] == "command wave"
+    assert world.log.select("appmsg") == []
     assert answered == []
     session = world.open_session("m0")
     session.submit("REGISTER src")
     session.submit(f"SEND 0.1 sink {b64(b'hi')}")
     world.run_until_cs(400)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
-    req_id = APPDATA.unpack(sent[1])[1]
+    req_id = APPDATA.unpack(sent[0].body)[1]
     assert req_id != 0
-    assert [APPDATA_STATUS.unpack(body) for body in answered] == [(1, req_id, 0)]
+    assert [APPDATA_STATUS.unpack(msg.body) for msg in answered] == [(1, req_id, 0)]
     assert world.log.select("drop") == []
+
+
+def test_invoke_for_a_name_with_no_engine_is_logged_as_drop():
+    world = settled_pair()
+    world.open_session("m1").submit("REGISTER sink")  # an app, not an engine
+    world.modules["m0"].node.invoke_neighbors("sink", "Leaf", "wave")
+    world.run_until_cs(300)
+    assert [r[3] for r in world.log.select("drop", "m1")] == ["invoke for unknown app sink"]
+    assert world.log.select("appmsg") == []
 
 
 def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
     world = settled_pair()
     world.open_session("m1").submit("REGISTER sink")
-    sent = _appdata_bodies(world, "m0")
+    sent = _sent(world, "m0", Kind.APPDATA)
     session = world.open_session("m0")
     session.submit("REGISTER src")
     session.submit(f"SEND 0.1 sink {b64(b'hi')}")
     world.run_until_cs(300)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
-    req_id = APPDATA.unpack(sent[0])[1]
+    req_id = APPDATA.unpack(sent[0].body)[1]
     src = ModuleId.parse("0.1")
     for late in (ServiceMessage(Kind.APPDATA, src, None, APPDATA_STATUS.pack(1, req_id, 0)),
                  ServiceMessage(Kind.REPLY, src, None, REQUEST.pack(req_id, "OK delivered"))):
@@ -804,3 +821,21 @@ def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
             world.modules["m0"].node.on_link_payload(1, part)
     assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"] * 2
     assert session.take_lines() == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "on_link_payload stores a stale beacon over the entry a delivered push "
+    "stored, so the pusher pushes again and the child rejects it"))
+def test_a_stale_beacon_after_a_delivered_push_starts_no_second_push():
+    # m1 adopted v1 from m0's push; a VERSION_ANNOUNCE that m1 sent before it
+    # adopted (a retransmission on a lossy link) arrives only now.
+    world = World(pair_topology(), seed=1)
+    world.run_until_cs(300)
+    m0 = world.modules["m0"].node
+    assert m0.neighbor_table[1] == (ModuleId.parse("0.1"), 1)
+    stale = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId(), None, VERSION.pack(0))
+    for part in stale.link_chunks:
+        m0.on_link_payload(1, part)
+    world.run_until_cs(600)
+    assert [r[3] for r in world.log.select("push", "m0")] == ["v=1 port=1 id=0.1"]
+    assert world.log.select("push-reject", "m1") == []
