@@ -39,21 +39,20 @@ class Kind(IntEnum):
     INVOKE = 4
     REPLY = 5
     VERSION_ANNOUNCE = 6
-    CODE_CHUNK = 7
+    CODE_PUSH = 7
     FILE_CHUNK = 8
     EXEC = 9
     START = 10
-    ID_ASSIGN = 11
+    CODE_CHUNK = 7  # an alias of CODE_PUSH: the name bench/micro.py uses
 
 
 _KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
 
-# Numbers travel as text in ids and in the CODE_CHUNK version label. Only
-# ASCII digits without a leading zero are accepted, so each number has one
-# text and a decoded message encodes back to the same bytes.
+# The numbers in an id travel as text. Only ASCII digits without a leading
+# zero are accepted, so each id has one text and a decoded message encodes
+# back to the same bytes.
 _NUMERAL = "(?:0|[1-9][0-9]*)"
 _ID_TEXT = re.compile(rf"{_NUMERAL}(?:\.{_NUMERAL})*")
-is_numeral = re.compile(_NUMERAL).fullmatch
 
 
 class _memo:
@@ -142,7 +141,7 @@ def _get_text(data: bytes, pos: int) -> tuple[str, int]:
         raise ProtocolError("bad string encoding") from None
 
 
-# The module-id codec, for the message header's src and ID_ASSIGN's new id.
+# The module-id codec, for the message header's src and CODE_PUSH's new id.
 
 def _put_id(module_id: ModuleId) -> bytes:
     return _put_text(str(module_id))
@@ -231,10 +230,10 @@ APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
 APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
 BCAST = Layout("", str, bytes, None)  # src_app, data
 INVOKE = Layout("", str, str, None)  # role, command
-CHUNK = Layout("IHH", str, bytes, (  # CODE_CHUNK, FILE_CHUNK; index < total rules out total 0
-    lambda _transfer_id, index, total, _label: index < total, "bad chunk position"))
+CHUNK = Layout("IHH", str, bytes, (  # FILE_CHUNK: transfer_id, index, total, name, data
+    lambda _transfer_id, index, total, _name: index < total, "bad chunk position"))  # no total 0
 REQUEST = Layout("I", None, str, None)  # EXEC, START, REPLY: req_id, text
-ID_ASSIGN = Layout("I", ModuleId, None, None)  # version, new id
+CODE_PUSH = Layout("I", ModuleId, bytes, None)  # version, the receiver's new id, code image
 
 chunk_body = CHUNK.pack  # the name bench/micro.py imports
 

@@ -25,14 +25,14 @@ from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, ID_ASSIGN, INVOKE, REQUEST, ROOT_ID, VERSION, Kind,
-    LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message, is_numeral,
+    APPDATA, APPDATA_STATUS, BCAST, CHUNK, CHUNK_DATA_MAX, CODE_PUSH, INVOKE, REQUEST, ROOT_ID,
+    VERSION, Kind, LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
+    encode_message,
 )
 from .sim import Timer, US_PER_MS, US_PER_S
 
 ANNOUNCE_PERIOD_US = US_PER_S  # re-announce once per simulated second
 _HELLO, _ANNOUNCE = Kind.HELLO, Kind.VERSION_ANNOUNCE  # bound once: the beacon kinds
-FILE_CHUNK_DATA = 512
 IMAGE_SIZE = 600
 
 
@@ -142,8 +142,6 @@ class ServiceNode:
         self.code_image = b""
         self._reassemblers: defaultdict[int, LinkReassembler] = defaultdict(LinkReassembler)
         self._file_transfers: dict[tuple[int, int], _Transfer] = {}
-        self._code_transfers: dict[tuple[int, int], _Transfer] = {}
-        self._code_ready: dict[int, tuple[int, bytes]] = {}
         self._pending: dict[int, tuple[Timer, Session]] = {}  # req_id -> (reply timer, asker)
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
@@ -223,28 +221,31 @@ class ServiceNode:
         self._push_inflight.add(port)
         version = self.version
         child = self.module_id.child(port)
-        msgs = self._chunk_messages(Kind.CODE_CHUNK, str(version), self.code_image)
-        msgs.append(ServiceMessage(Kind.ID_ASSIGN, self.module_id, None,
-                                   ID_ASSIGN.pack(version, child)))
+        msg = ServiceMessage(Kind.CODE_PUSH, self.module_id, None,
+                             CODE_PUSH.pack(version, child, self.code_image))
         self.host.log("push", f"v={version} port={port} id={child}")
 
-        def done(ok: bool) -> None:
+        def done(ticket: Ticket) -> None:
             self._push_inflight.discard(port)
-            if ok:  # the child holds what its next beacon will say
+            if ticket.state is TicketState.DELIVERED:  # the child holds what its beacons will say
                 self.neighbor_table[port] = (child, version)
             else:
                 self.host.log("push-fail", f"v={version} port={port}")
 
-        self._run_job(port, msgs, done)
+        self.host.send_port(port, msg).on_done(done)
 
-    def _chunk_messages(self, kind: Kind, label: str, blob: bytes) -> list[ServiceMessage]:
-        """One transfer's CODE_CHUNK/FILE_CHUNK messages, FILE_CHUNK_DATA
-        bytes of blob each, under a fresh transfer id."""
+    def _chunk_messages(self, name: str, blob: bytes) -> list[ServiceMessage]:
+        """One file's FILE_CHUNK messages under a fresh transfer id, each but
+        the last encoded to exactly k whole link chunks: k * CHUNK_DATA_MAX
+        bytes, with k = 2 for any header shorter than one link chunk."""
         transfer_id = next(self._transfer_counter)
-        parts = [blob[i:i + FILE_CHUNK_DATA] for i in range(0, len(blob), FILE_CHUNK_DATA)] or [b""]
+        header = len(encode_message(ServiceMessage(
+            Kind.FILE_CHUNK, self.module_id, None, CHUNK.pack(transfer_id, 0, 1, name, b""))))
+        size = (2 + header // CHUNK_DATA_MAX) * CHUNK_DATA_MAX - header
+        parts = [blob[i:i + size] for i in range(0, len(blob), size)] or [b""]
         return [
-            ServiceMessage(kind, self.module_id, None,
-                           CHUNK.pack(transfer_id, i, len(parts), label, part))
+            ServiceMessage(Kind.FILE_CHUNK, self.module_id, None,
+                           CHUNK.pack(transfer_id, i, len(parts), name, part))
             for i, part in enumerate(parts)
         ]
 
@@ -263,7 +264,7 @@ class ServiceNode:
         else:
             self.host.send_port(port, msg).on_done(partial(self._job_step, port, msgs, done))
 
-    def _adopt(self, port: int, version: int, new_id: ModuleId, blob: bytes, src: ModuleId) -> None:
+    def _adopt(self, version: int, new_id: ModuleId, blob: bytes, src: ModuleId) -> None:
         self.version = version
         self.module_id = new_id
         self.code_image = blob
@@ -310,6 +311,9 @@ class ServiceNode:
             except ProtocolError as exc:
                 self.host.log("protocol-error", f"{msg.kind.name}: {exc}")
                 return
+        entry = self.neighbor_table.get(port)
+        if entry is not None and beacon[1][1] < entry[1]:
+            return  # a stale beacon: a neighbour's version never falls
         entry = self.neighbor_table[port] = beacon[1]
         if entry[1] < self.version and port not in self._push_inflight:
             self._start_push(port)
@@ -329,16 +333,12 @@ class ServiceNode:
                 engine.on_invoke(role, command)
         elif kind is Kind.REPLY:
             self._resolve_pending(*REQUEST.unpack(msg.body))
-        elif kind is Kind.CODE_CHUNK:
-            self._on_code_chunk(port, msg)
+        elif kind is Kind.CODE_PUSH:
+            self._on_code_push(msg)
         elif kind is Kind.FILE_CHUNK:
             self._on_file_chunk(port, msg)
-        elif kind is Kind.ID_ASSIGN:
-            self._on_id_assign(port, msg)
-        elif kind is Kind.EXEC or kind is Kind.START:
+        else:  # EXEC or START: every other kind has its branch above
             self._serve(port, msg)
-        else:
-            self.host.log("drop", f"unhandled kind {kind.name}")
 
     def _on_appdata(self, port: int, msg: ServiceMessage) -> None:
         if msg.body[:1] == b"\x01":
@@ -370,8 +370,9 @@ class ServiceNode:
         for engine in self.engines.values():
             _invoke(engine, data)
 
-    def _accumulate(self, table: dict, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
-        """Shared in-order chunk collection; returns the completed transfer."""
+    def _accumulate(self, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
+        """In-order FILE_CHUNK collection; returns the completed transfer."""
+        table = self._file_transfers
         transfer_id, index, total, label, data = CHUNK.unpack(msg.body)
         key = (port, transfer_id)
         if index == 0:
@@ -389,24 +390,16 @@ class ServiceNode:
             return entry
         return None
 
-    def _on_code_chunk(self, port: int, msg: ServiceMessage) -> None:
-        entry = self._accumulate(self._code_transfers, port, msg)
-        if entry is None:
-            return
-        if not is_numeral(entry.label):
-            raise ProtocolError(f"bad code version label {entry.label!r}")
-        self._code_ready[port] = (int(entry.label), b"".join(entry.parts))
-
-    def _on_id_assign(self, port: int, msg: ServiceMessage) -> None:
-        version, new_id = ID_ASSIGN.unpack(msg.body)
-        ready = self._code_ready.pop(port, None)
-        if version > self.version and ready is not None and ready[0] == version:
-            self._adopt(port, version, new_id, ready[1], msg.src)
+    def _on_code_push(self, msg: ServiceMessage) -> None:
+        """Adopt a pushed version only if it is strictly newer."""
+        version, new_id, image = CODE_PUSH.unpack(msg.body)
+        if version > self.version:
+            self._adopt(version, new_id, image, msg.src)
         else:
             self.host.log("push-reject", f"v={version} from={msg.src}")
 
     def _on_file_chunk(self, port: int, msg: ServiceMessage) -> None:
-        entry = self._accumulate(self._file_transfers, port, msg)
+        entry = self._accumulate(port, msg)
         if entry is None:
             return
         blob = b"".join(entry.parts)
@@ -613,7 +606,7 @@ class ServiceNode:
             raise _Answer("ERR 400 file content must be utf-8 text")
         port = self._port_of(args[0])
         name = args[1]
-        msgs = self._chunk_messages(Kind.FILE_CHUNK, name, raw)
+        msgs = self._chunk_messages(name, raw)
         self._run_job(port, msgs, lambda ok: session.respond(
             f"OK transferred {name}" if ok else "ERR 409 transfer failed"))
 

@@ -2,7 +2,7 @@
 
 import re
 
-from modbot.link import FrameType, decode_frame
+from modbot.link import FrameType, Ticket, TicketState, decode_frame
 from modbot.messages import VERSION, Kind, ModuleId, decode_message
 from modbot.world import World
 
@@ -164,23 +164,32 @@ def test_beacons_carry_the_new_id_and_version():
 
 
 def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():
-    # The moment a push's ID_ASSIGN is acknowledged the pusher knows the
+    # The moment a push's CODE_PUSH is acknowledged the pusher knows the
     # child's new id and version, so a tick then pushes nothing again.
     world = build(chain_topology(2), seed=1)
-    node = world.modules["m0"].node
+    module = world.modules["m0"]
+    node = module.node
     seen = []
-    run_job = node._run_job
 
-    def spy(port, msgs, done):
-        def finished(ok: bool) -> None:
-            done(ok)
-            pushes = len(world.log.select("push", "m0"))
-            node._tick()
-            seen.append((ok, node.neighbor_table[port], len(world.log.select("push", "m0")) - pushes))
+    def finished(ticket: Ticket) -> None:
+        pushes = len(world.log.select("push", "m0"))
+        node._tick()
+        seen.append((ticket.state is TicketState.DELIVERED, node.neighbor_table[1],
+                     len(world.log.select("push", "m0")) - pushes))
 
-        run_job(port, msgs, finished)
+    class _Tap:
+        """The CODE_PUSH ticket, running `finished` after the node's own callback."""
 
-    node._run_job = spy
+        def __init__(self, ticket: Ticket):
+            self._ticket = ticket
+
+        def on_done(self, fn) -> None:
+            self._ticket.on_done(fn)
+            self._ticket.on_done(finished)
+
+    send_port = module.send_port
+    module.send_port = lambda port, msg: (
+        _Tap(send_port(port, msg)) if msg.kind is Kind.CODE_PUSH else send_port(port, msg))
     world.run_until_cs(200)
     assert seen == [(True, (ModuleId((0, 1)), 1), 0)]
     assert world.log.select("push-reject") == []

@@ -24,23 +24,24 @@ if str(BENCH) not in sys.path:
 
 import workloads  # noqa: E402
 
-CAR_DIGEST = "ab54fd354010c491018f4c07f8671e3a808397bd47466d10ecb9f072f7076035"
-CHAIN10_DIGEST = "e1d395952bf6de639f736e0b65f89655e9fa91c5466ccc769c01bae2f1047972"
-PAIR_SEND_DIGEST = "171d8cc2a069925ba9c1fe4be844aedff25fcefbc0d711bdb5d5811d3d90c4f9"
-CAR_UPGRADE_DIGEST = "21807d0599bf0775925e916656b9055803a67f1bf966f155642d1a80031a8589"
-CHAIN6_TWO_UPGRADES_DIGEST = "cc042aaa312e4329d18d7ff7d420321963155377f3bb4842e6c1e862a5450002"
-CHAIN12_MIXED_LOSS_DIGEST = "65c6d9e94d62fba3441a32e2410dd426955f0f288065485be3aa9039e1e61817"
-CAR_INVOKE_PROBE_DIGEST = "ebc6e400ef1eaa8364c8e2a719509ef0ac126e36c90d4ec81606ebbc096396fd"
-CHAIN4_UNSORTED_SCENARIO_DIGEST = "d2923044f169c28866ba4de2c1429655a646d1dddcc716063b68de7a5caab1d2"
+CAR_DIGEST = "fed1c825ec0227f3d689fec2dcd742eb940e76e88382d55c9f90c16078343d21"
+CHAIN10_DIGEST = "13343a026a0b86dde76821e302feab0c389effc565d4a9762b3f3a6f88cbcf41"
+PAIR_SEND_DIGEST = "787918978f001cd7c425f88333888fc6be61fc7c96ecf36c36dd58d5e74aa055"
+CAR_UPGRADE_DIGEST = "bd4d6cc0f8fa8b36dfbb847b68aaf8ca6a1d458c6c191ccc58e8909c19735c73"
+CHAIN6_TWO_UPGRADES_DIGEST = "0e8177e6fa6e149cae0d98f0fb0d5ebde3e5c428d3a78b6b2284c7f6499acbc2"
+CHAIN12_MIXED_LOSS_DIGEST = "fb51a964f6c26a3bdc25ed9f8f8f31463448cb549c151068da0f264bd750757c"
+CAR_INVOKE_PROBE_DIGEST = "6f01b7489c2318f69d68c37ffef5c1e6c4250466683acd81930e754ac92fed32"
+CHAIN4_UNSORTED_SCENARIO_DIGEST = "1d439cdd8a61cc2195653f7adc96951114603abaca7e14af3edaf3f2275849a3"
+LOSSY_CHAIN_PUTFILE_DIGEST = "b02bc53580475fa0edc5f818fea4320ea933ec3394c6bb5c3824c7bb335f9cde"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
     "diffuse_tree": (
-        "58aa54255336093ab7bfc9d32b1c9035eaecb3b2123597e6b93cb28580d0e311", 4385, 1393, 0),
+        "d5729c0673677da1c7820235405241997e5883393cb2d9cad2a79d55e8fa9794", 4385, 1393, 0),
     "apps_lossy": (
-        "fe3fffeed27449ff5032bc441cb19ba297dfdf1512307c4b8b9837ffadaf0c51", 2843, 2735, 11),
+        "327e66d5310844ddcf20184c3f1881c1d45694ce64e87674a09c00f392f13dcd", 2933, 2831, 15),
     "roles_swarm": (
-        "75e4cb2f7133a97bbae30dcb368875516e662a36555062c4a202e9a74a39730b", 9581, 819, 0),
+        "68785ffe648658b91f3df8535816e15b514fe921d27dbd9e9f4bf501992ef058", 9581, 819, 0),
 }
 
 
@@ -169,6 +170,30 @@ def test_lossy_pair_send_series_digest():
     assert _digest(world) == PAIR_SEND_DIGEST
 
 
+def test_lossy_chain_putfile_digest():
+    # Files of several sizes go both ways from the middle of a lossy chain,
+    # with a SEND queued behind each, so chunks, retransmissions and give-ups
+    # interleave with the status replies.
+    world = World(chain_topology(4, loss=0.2, max_retries=3), seed=11)
+    world.run_until_cs(300)
+    for name in ("m0", "m2"):
+        world.open_session(name).submit("REGISTER sink")
+    session = world.open_session("m1")
+    session.submit("REGISTER loader")
+    for i, size in enumerate((700, 2600, 5000)):
+        for target in ("0", "0.1.1"):
+            text = "".join(chr(97 + (i + j * 7) % 26) for j in range(size))
+            session.submit(f"PUTFILE {target} f{i} {base64.b64encode(text.encode()).decode()}")
+            session.submit(f"SEND {target} sink {base64.b64encode(b'after f%d' % i).decode()}")
+    world.run_until_cs(9000)
+    assert session.take_lines() == [
+        "OK registered loader", "OK transferred f0", "OK delivered", "OK transferred f0",
+        "OK delivered", "OK transferred f1", "OK delivered", "ERR 409 transfer failed",
+        "OK delivered", "ERR 409 transfer failed", "OK delivered", "OK transferred f2",
+        "OK delivered"]
+    assert _digest(world) == LOSSY_CHAIN_PUTFILE_DIGEST
+
+
 # Every module starts this four-level program. Severs and restores move
 # modules between shapes (Hub/Relay/Leaf <-> Cut or unassigned), and the
 # NORTH_SOUTH leaves b1 and b2 tie Leaf with Twin, so each logs one
@@ -199,7 +224,7 @@ role Cut extends Unit {
 }
 """
 
-TREE_ROLES_DIGEST = "41ca2e80c64770b20d5f1bdbb1d6638c1fea4dfb75be85194699ee7337168d14"
+TREE_ROLES_DIGEST = "e01143153ccdd35a55181be0d2e0f6ddddadf6379acb762df95b01226e50dc0b"
 
 
 def _role_tree_world() -> World:

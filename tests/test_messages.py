@@ -22,8 +22,6 @@ def test_module_id_basics():
     for text in ("0.x", " 1", "01", "0.01", "+1", "-1", "1_0", "\u0661", "0.", ".0", "0..1", "1\n"):
         with pytest.raises(m.ProtocolError):
             m.ModuleId.parse(text)
-    numerals = ("0", "7", "10", "01", "00", " 1", "+1", "1_0", "\u0661", "1.0", "")
-    assert [text for text in numerals if m.is_numeral(text)] == ["0", "7", "10"]
 
 
 def test_decoded_ids_are_shared_without_changing_identity_semantics():
@@ -76,8 +74,8 @@ def request_body(req_id: int, text: str) -> bytes:
     return struct.pack(">I", req_id) + text.encode("utf-8")
 
 
-def id_assign_body(version: int, new_id: m.ModuleId) -> bytes:
-    return struct.pack(">I", version) + _pstr(str(new_id))
+def code_push_body(version: int, new_id: m.ModuleId, image: bytes) -> bytes:
+    return struct.pack(">I", version) + _pstr(str(new_id)) + image
 
 
 def test_message_roundtrip_every_kind():
@@ -90,11 +88,11 @@ def test_message_roundtrip_every_kind():
         m.ServiceMessage(m.Kind.INVOKE, m.ROOT_ID, "car.role", m.INVOKE.pack("Wheel", "evade")),
         m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
-        m.ServiceMessage(m.Kind.CODE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 0, 2, "2", b"blob")),
+        m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
+                         m.CODE_PUSH.pack(2, m.ModuleId.parse("0.3"), b"image")),
         m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 1, 2, "a.role", b"text")),
         m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
         m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
-        m.ServiceMessage(m.Kind.ID_ASSIGN, m.ROOT_ID, None, m.ID_ASSIGN.pack(2, m.ModuleId.parse("0.3"))),
     ]
     for msg in samples:
         back = m.decode_message(m.encode_message(msg))
@@ -109,7 +107,8 @@ def test_body_parsers():
     assert m.INVOKE.unpack(invoke_body("Wheel", "evade")) == ("Wheel", "evade")
     assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
     assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
-    assert m.ID_ASSIGN.unpack(id_assign_body(2, m.ModuleId.parse("0.1"))) == (2, m.ModuleId.parse("0.1"))
+    assert m.CODE_PUSH.unpack(code_push_body(2, m.ModuleId.parse("0.1"), b"img")) == (
+        2, m.ModuleId.parse("0.1"), b"img")
 
 
 _u32 = st.integers(0, 2**32 - 1)
@@ -127,13 +126,14 @@ _LAYOUTS = {
                        lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
     "INVOKE": ((m.Kind.INVOKE,), st.tuples(_text, st.text(max_size=64)), invoke_body),
-    "CHUNK": ((m.Kind.CODE_CHUNK, m.Kind.FILE_CHUNK),
+    "CHUNK": ((m.Kind.FILE_CHUNK,),
               st.tuples(_u32, _positions, _text, st.binary(max_size=64)).map(
                   lambda v: (v[0], *v[1], v[2], v[3])),
               chunk_body),
     "REQUEST": ((m.Kind.EXEC, m.Kind.START, m.Kind.REPLY), st.tuples(_u32, st.text(max_size=64)),
                 request_body),
-    "ID_ASSIGN": ((m.Kind.ID_ASSIGN,), st.tuples(_u32, _ids), id_assign_body),
+    "CODE_PUSH": ((m.Kind.CODE_PUSH,), st.tuples(_u32, _ids, st.binary(max_size=64)),
+                  code_push_body),
 }
 
 
