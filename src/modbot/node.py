@@ -113,7 +113,7 @@ class _ExecSession(Session):
 @dataclass
 class _Transfer:
     total: int
-    label: str
+    name: str
     parts: list[bytes]
 
 
@@ -146,6 +146,7 @@ class ServiceNode:
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
+        self._held_push = None  # (req_ids it waits for, version, new id, image, pusher)
         self._hello = self._announce = None  # built by _advertise for the current id and version
         self._last_beacon: dict[int, tuple[bytes, tuple[ModuleId, int]]] = {}  # per port
 
@@ -370,46 +371,43 @@ class ServiceNode:
         for engine in self.engines.values():
             _invoke(engine, data)
 
-    def _accumulate(self, port: int, msg: ServiceMessage) -> Optional[_Transfer]:
-        """In-order FILE_CHUNK collection; returns the completed transfer."""
-        table = self._file_transfers
-        transfer_id, index, total, label, data = CHUNK.unpack(msg.body)
-        key = (port, transfer_id)
-        if index == 0:
-            table[key] = _Transfer(total=total, label=label, parts=[data])
-        else:
-            entry = table.get(key)
-            if entry is None or index != len(entry.parts) or total != entry.total:
-                table.pop(key, None)
-                self.host.log("transfer-reset", f"port={port} id={transfer_id}")
-                return None
-            entry.parts.append(data)
-        entry = table[key]
-        if len(entry.parts) == entry.total:
-            del table[key]
-            return entry
-        return None
-
     def _on_code_push(self, msg: ServiceMessage) -> None:
-        """Adopt a pushed version only if it is strictly newer."""
+        """Adopt a pushed version only if it is strictly newer. A push that
+        finds requests pending is held until each is answered: their replies
+        may queue behind it on the link, and adoption closes every session."""
         version, new_id, image = CODE_PUSH.unpack(msg.body)
-        if version > self.version:
-            self._adopt(version, new_id, image, msg.src)
-        else:
+        held = self._held_push
+        if version <= (held[1] if held else self.version):
             self.host.log("push-reject", f"v={version} from={msg.src}")
+        elif self._pending:
+            self._held_push = (set(self._pending), version, new_id, image, msg.src)
+        else:
+            self._adopt(version, new_id, image, msg.src)
 
     def _on_file_chunk(self, port: int, msg: ServiceMessage) -> None:
-        entry = self._accumulate(port, msg)
-        if entry is None:
+        """Collect a file's chunks in order; store it when the last arrives."""
+        transfer_id, index, total, name, data = CHUNK.unpack(msg.body)
+        key = (port, transfer_id)
+        if index == 0:
+            entry = self._file_transfers[key] = _Transfer(total=total, name=name, parts=[data])
+        else:
+            entry = self._file_transfers.get(key)
+            if entry is None or index != len(entry.parts) or total != entry.total:
+                self._file_transfers.pop(key, None)
+                self.host.log("transfer-reset", f"port={port} id={transfer_id}")
+                return
+            entry.parts.append(data)
+        if len(entry.parts) < total:
             return
+        del self._file_transfers[key]
         blob = b"".join(entry.parts)
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
-            self.host.log("drop", f"file {entry.label}: not utf-8 text")
+            self.host.log("drop", f"file {name}: not utf-8 text")
             return
-        self.file_store[entry.label] = text
-        self.host.log("file", f"{entry.label} bytes={len(blob)}")
+        self.file_store[name] = text
+        self.host.log("file", f"{name} bytes={len(blob)}")
 
     def _serve(self, port: int, msg: ServiceMessage) -> None:
         """EXEC/START: run the request here and answer it once, with a
@@ -447,20 +445,20 @@ class ServiceNode:
         msg.link_chunks  # encoded here, before anything is pending
 
         def expire() -> None:
-            if self._pending.pop(req_id, None) is not None:
-                session.respond(f"ERR 504 {verb} timeout")
+            if req_id in self._pending:
+                self._resolve_pending(req_id, f"ERR 504 {verb} timeout")
 
         def on_sent(ticket: Ticket) -> None:
             if ticket.state is TicketState.FAILED and req_id in self._pending:
-                self._pending.pop(req_id)[0].cancel()
-                session.respond("ERR 409 delivery failed")
+                self._resolve_pending(req_id, "ERR 409 delivery failed")
 
         timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
         self._pending[req_id] = (timer, session)
         self.host.send_port(port, msg).on_done(on_sent)
 
     def _resolve_pending(self, req_id: int, line: str) -> None:
-        """Answer the session that asked request req_id with a reply's line."""
+        """Answer the session that asked request req_id with line, then adopt
+        a held push once every request it waits for is answered."""
         pending = self._pending.pop(req_id, None)
         if pending is None:
             self.host.log("drop", f"reply for unknown request {req_id}")
@@ -468,6 +466,15 @@ class ServiceNode:
         timer, session = pending
         timer.cancel()
         session.respond(line)
+        held = self._held_push
+        if held is not None:
+            held[0].discard(req_id)
+            if not held[0]:
+                self._held_push = None
+                if held[1] > self.version:
+                    self._adopt(*held[1:])
+                else:  # a local upgrade overtook it
+                    self.host.log("push-reject", f"v={held[1]} from={held[4]}")
 
     # engine support
 

@@ -375,13 +375,69 @@ def test_sender_without_id_shows_as_dash():
     sender.submit(f"BCAST {b64(b'hi')}")
     sender.submit(f"SEND 0 sink {b64(b'hi')}")
     world.run_until_cs(60)
-    # The SEND's status queues behind m0's one-message code push, so m1's
-    # adoption closes the sender's session before the status arrives.
-    assert sender.take_lines()[1:] == ["OK delivered=1", "EVENT reset 1"]
-    assert [r[3] for r in world.log.select("drop", "m1")] == ["reply for unknown request 1"]
+    assert sender.take_lines()[1:3] == ["OK delivered=1", "OK delivered"]
     assert [l for l in sink.take_lines() if l.startswith("MSG")] == [f"MSG - a {b64(b'hi')}"] * 2
     assert [(r[2], r[3]) for r in world.log.records if r[2] in ("appmsg", "bcastmsg")] == \
         [("bcastmsg", f"- a {b64(b'hi')}"), ("appmsg", f"- a {b64(b'hi')}")]
+
+
+def test_a_push_that_finds_a_request_pending_is_held_until_it_is_answered():
+    # m0's push to m1 is on the link before the SEND's status, which queues
+    # behind it; m1 adopts only after the status has answered its session.
+    world = World(chain_topology(2))
+    m1 = world.modules["m1"].node
+    pending_at_push = []
+    on_code_push = m1._on_code_push
+    m1._on_code_push = lambda msg: (pending_at_push.append(sorted(m1._pending)), on_code_push(msg))
+    world.run_until_cs(2)
+    world.open_session("m0").submit("REGISTER sink")
+    sender = world.open_session("m1")
+    sender.submit("REGISTER a")
+    sender.submit(f"SEND 0 sink {b64(b'hi')}")
+    world.run_until_cs(60)
+    assert pending_at_push == [[1]]
+    assert sender.take_lines() == ["OK registered a", "OK delivered", "EVENT reset 1"]
+    assert world.log.select("drop", "m1") == []
+    assert [r[3] for r in world.log.select("push-accept", "m1")] == ["v=1 id=0.1 from=0"]
+
+
+def _push_held_behind_an_unanswered_send():
+    """A settled pair whose m1 holds a v2 push behind a SEND that m0 never
+    answers; returns (world, m1's node, the SEND's session)."""
+    world = settled_pair()
+    m1 = world.modules["m1"].node
+    world.modules["m0"].node._on_appdata = lambda port, msg: None
+    session = world.open_session("m1")
+    session.submit("REGISTER a")
+    session.submit(f"SEND 0 sink {b64(b'hi')}")
+    world.run_until_cs(210)
+    push = ServiceMessage(Kind.CODE_PUSH, ModuleId.parse("0"), None,
+                          CODE_PUSH.pack(2, ModuleId.parse("0.1"), b"v2 image"))
+    for part in push.link_chunks:
+        m1.on_link_payload(0, part)
+    assert m1.version == 1  # held behind request 1
+    return world, m1, session
+
+
+def test_a_held_push_is_adopted_when_the_request_it_waits_for_times_out():
+    world, m1, session = _push_held_behind_an_unanswered_send()
+    world.run_until_cs(210 + m1._reply_timeout_us() // 10_000)
+    assert session.take_lines() == ["OK registered a", "ERR 504 send timeout", "EVENT reset 2"]
+    assert (m1.version, m1.code_image) == (2, b"v2 image")
+    assert [r[3] for r in world.log.select("push-accept", "m1")][1:] == ["v=2 id=0.1 from=0"]
+
+
+def test_a_push_no_newer_than_the_held_one_or_than_a_local_upgrade_is_rejected():
+    world, m1, session = _push_held_behind_an_unanswered_send()
+    again = ServiceMessage(Kind.CODE_PUSH, ModuleId.parse("0"), None,
+                           CODE_PUSH.pack(2, ModuleId.parse("0.1"), b"v2 image"))
+    for part in again.link_chunks:
+        m1.on_link_payload(0, part)
+    m1.upgrade_local(3)  # overtakes the held v2 push
+    world.run_until_cs(210 + m1._reply_timeout_us() // 10_000)
+    assert session.take_lines() == ["OK registered a", "ERR 504 send timeout"]
+    assert [r[3] for r in world.log.select("push-reject", "m1")] == ["v=2 from=0"] * 2
+    assert m1.version == 3 and world.log.select("push-accept", "m1")[1:] == []
 
 
 def test_putfile_one_byte_and_large_are_stored_identically():
