@@ -119,6 +119,7 @@ class RoleEngine:
         current = self._current
         if current is not None and current.key == run.key:
             # Same command again: restart its timer rather than queueing.
+            self.host.log("run-restart", f"{run.kind} {run.name}")
             if current.timer is not None:
                 current.timer.cancel()
             current.index = 0
@@ -129,7 +130,8 @@ class RoleEngine:
             self._begin(run)
             return
         if any(queued.key == run.key for queued in self._queue):
-            return  # coalesce with the queued copy
+            self.host.log("run-coalesce", f"{run.kind} {run.name}")  # one queued copy runs
+            return
         self._queue.append(run)
 
     def _begin(self, run: _Run) -> None:

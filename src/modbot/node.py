@@ -146,7 +146,7 @@ class ServiceNode:
         self._req_counter = itertools.count(1)
         self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
-        self._held_push = None  # (req_ids it waits for, version, new id, image, pusher)
+        self._held_push = None  # (req_ids it waits for, version, new id, image, pusher, port)
         self._hello = self._announce = None  # built by _advertise for the current id and version
         self._last_beacon: dict[int, tuple[bytes, tuple[ModuleId, int]]] = {}  # per port
 
@@ -169,18 +169,20 @@ class ServiceNode:
         self._push_older(ports)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
-    def _advertise(self) -> None:
+    def _advertise(self, pusher: Optional[int] = None) -> None:
         """Build the HELLO and the tick's VERSION_ANNOUNCE for the current id
-        and version, send the HELLO on every connected port, then push to each
-        neighbour that runs an older version. Bootstrap and every change of
-        id or version end here, so the beacons are built once per change."""
+        and version, and tell each connected port of them once: nothing to
+        the pusher's port (its push named this id and version), a push to a
+        neighbour known to be older with no push in flight (the push names
+        them too), and the HELLO on every other port. Bootstrap and every
+        change of id or version end here, so the beacons are built once per change."""
         body = VERSION.pack(self.version)
         hello = self._hello = ServiceMessage(_HELLO, self.module_id, None, body)
         self._announce = ServiceMessage(_ANNOUNCE, self.module_id, None, body)
         ports = self.host.connected_ports()
-        for port in ports:
-            self.host.send_port(port, hello)
-        self._push_older(ports)
+        if pusher in ports:
+            ports.remove(pusher)
+        self._push_older(ports, hello)
 
     def on_link_up(self, port: int) -> None:
         self.host.send_port(port, self._hello)
@@ -210,13 +212,16 @@ class ServiceNode:
         self.host.log("version", str(self.version))
         self._advertise()
 
-    def _push_older(self, ports: Iterable[int]) -> None:
+    def _push_older(self, ports: Iterable[int], hello: Optional[ServiceMessage] = None) -> None:
         """Push to each of these ports whose neighbour runs an older version
-        and has no push in flight (versions are never negative, so v0 never pushes)."""
+        and has no push in flight (versions are never negative, so v0 never
+        pushes); send hello, if given, on each of the others."""
         for port in ports:
             entry = self.neighbor_table.get(port)
             if entry is not None and entry[1] < self.version and port not in self._push_inflight:
                 self._start_push(port)
+            elif hello is not None:
+                self.host.send_port(port, hello)
 
     def _start_push(self, port: int) -> None:
         self._push_inflight.add(port)
@@ -230,6 +235,8 @@ class ServiceNode:
             self._push_inflight.discard(port)
             if ticket.state is TicketState.DELIVERED:  # the child holds what its beacons will say
                 self.neighbor_table[port] = (child, version)
+                if version < self.version:  # this node moved on while the push was in flight
+                    self._start_push(port)
             else:
                 self.host.log("push-fail", f"v={version} port={port}")
 
@@ -265,7 +272,8 @@ class ServiceNode:
         else:
             self.host.send_port(port, msg).on_done(partial(self._job_step, port, msgs, done))
 
-    def _adopt(self, version: int, new_id: ModuleId, blob: bytes, src: ModuleId) -> None:
+    def _adopt(self, version: int, new_id: ModuleId, blob: bytes, src: ModuleId,
+               port: int) -> None:
         self.version = version
         self.module_id = new_id
         self.code_image = blob
@@ -276,7 +284,7 @@ class ServiceNode:
         for timer, _session in self._pending.values():
             timer.cancel()
         self._pending.clear()
-        self._advertise()
+        self._advertise(port)
 
     def _reset_sessions(self) -> None:
         """Sessions do not survive a version adoption; engines are restarted."""
@@ -335,7 +343,7 @@ class ServiceNode:
         elif kind is Kind.REPLY:
             self._resolve_pending(*REQUEST.unpack(msg.body))
         elif kind is Kind.CODE_PUSH:
-            self._on_code_push(msg)
+            self._on_code_push(port, msg)
         elif kind is Kind.FILE_CHUNK:
             self._on_file_chunk(port, msg)
         else:  # EXEC or START: every other kind has its branch above
@@ -371,18 +379,23 @@ class ServiceNode:
         for engine in self.engines.values():
             _invoke(engine, data)
 
-    def _on_code_push(self, msg: ServiceMessage) -> None:
-        """Adopt a pushed version only if it is strictly newer. A push that
-        finds requests pending is held until each is answered: their replies
-        may queue behind it on the link, and adoption closes every session."""
+    def _on_code_push(self, port: int, msg: ServiceMessage) -> None:
+        """Record the pusher's id and version as the port's neighbour entry
+        (a push is its beacon), then adopt the pushed version only if it is
+        strictly newer. A push that finds requests pending is held until each
+        is answered: their replies may queue behind it on the link, and
+        adoption closes every session."""
         version, new_id, image = CODE_PUSH.unpack(msg.body)
+        entry = self.neighbor_table.get(port)
+        if entry is None or entry[1] <= version:  # a neighbour's version never falls
+            self.neighbor_table[port] = (msg.src, version)
         held = self._held_push
         if version <= (held[1] if held else self.version):
             self.host.log("push-reject", f"v={version} from={msg.src}")
         elif self._pending:
-            self._held_push = (set(self._pending), version, new_id, image, msg.src)
+            self._held_push = (set(self._pending), version, new_id, image, msg.src, port)
         else:
-            self._adopt(version, new_id, image, msg.src)
+            self._adopt(version, new_id, image, msg.src, port)
 
     def _on_file_chunk(self, port: int, msg: ServiceMessage) -> None:
         """Collect a file's chunks in order; store it when the last arrives."""

@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from modbot.world import LinkSpec, ModuleSpec, Scenario, ScenarioEvent, Topology, World
 
@@ -14,6 +15,14 @@ SRC = CORPUS.parent / "src"
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
 
 _DIRS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
+
+# The world-level convergence property (tests/test_diffusion.py) runs under
+# the profile that HYPOTHESIS_PROFILE names, "convergence" by default; CI
+# runs it once more, untimed, under "convergence-10x". Other tests keep their
+# own settings.
+settings.register_profile("convergence", max_examples=100, deadline=None)
+settings.register_profile("convergence-10x", settings.get_profile("convergence"), max_examples=1000)
+CONVERGENCE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "convergence"))
 
 
 @pytest.fixture

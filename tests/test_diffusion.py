@@ -1,13 +1,17 @@
 """Versioned code diffusion: convergence, push accounting, id uniqueness."""
 
+import base64
 import re
 
+from hypothesis import given, settings, strategies as st
+
+from modbot import link
 from modbot.link import FrameType, Ticket, TicketState, decode_frame
 from modbot.messages import VERSION, Kind, ModuleId, decode_message
-from modbot.world import World
+from modbot.world import Scenario, ScenarioEvent, World
 
 from conftest import (
-    build, chain_topology, diamond_topology, tree_topology, upgrade_scenario,
+    CONVERGENCE, build, chain_topology, diamond_topology, tree_topology, upgrade_scenario,
 )
 
 
@@ -146,21 +150,130 @@ def _beacons_on_wire(port) -> list[tuple[str, str, int]]:
 
 
 def test_beacons_carry_the_new_id_and_version():
-    # A module sends one HELLO on each port at bootstrap and after each
-    # change of version; its next beacon there is the tick's announce, with
-    # the same id and version.
+    # A module sends one HELLO on each port at bootstrap. A push names the
+    # pusher's id and version and the receiver's new ones, so after a change
+    # of version neither end of a push sends a HELLO over it: the next
+    # beacon there is the tick's announce, with the new id and version.
     world = build(chain_topology(2), seed=1)
     root = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
     leaf = _beacons_on_wire(world.modules["m1"].ports[0].protocol)
     world.run_until_cs(1)
-    assert leaf == [("HELLO", "", 0)]
+    assert (root, leaf) == ([("HELLO", "0", 1)], [("HELLO", "", 0)])
     world.run_until_cs(250)  # m1 adopted v1 and its id before its first tick
-    assert leaf[1:3] == [("HELLO", "0.1", 1), ("VERSION_ANNOUNCE", "0.1", 1)]
+    assert leaf[1:] == [("VERSION_ANNOUNCE", "0.1", 1)] * 2
     sent_root, sent_leaf = len(root), len(leaf)
     world.modules["m0"].node.upgrade_local(2)
     world.run_until_cs(600)  # m1 adopted v2
-    assert root[sent_root:sent_root + 2] == [("HELLO", "0", 2), ("VERSION_ANNOUNCE", "0", 2)]
-    assert leaf[sent_leaf:sent_leaf + 2] == [("HELLO", "0.1", 2), ("VERSION_ANNOUNCE", "0.1", 2)]
+    assert set(root[sent_root:]) == {("VERSION_ANNOUNCE", "0", 2)}
+    assert set(leaf[sent_leaf:]) == {("VERSION_ANNOUNCE", "0.1", 2)}
+
+
+def _tap_adoptions(world: World) -> list[tuple[str, int, list, list]]:
+    """Record every adoption as (module, pusher's port, [(port, kind name)]
+    of each message it sent, the sends the rule expects): nothing to the
+    pusher, a push and no HELLO to each neighbour known to be older with no
+    push in flight, and a HELLO to each other neighbour."""
+    adoptions = []
+    for name, module in world.modules.items():
+        _tap_adoption(name, module, adoptions)
+    return adoptions
+
+
+def _tap_adoption(name, module, adoptions) -> None:
+    node, send_port, adopt = module.node, module.send_port, module.node._adopt
+    sent = []
+
+    def send(port, msg):
+        sent.append((port, msg.kind.name))
+        return send_port(port, msg)
+
+    def tapped(version, new_id, blob, src, pusher):
+        expected = []
+        for port in module.connected_ports():
+            entry = node.neighbor_table.get(port)
+            if port != pusher:
+                older = entry is not None and entry[1] < version
+                push = older and port not in node._push_inflight
+                expected.append((port, "CODE_PUSH" if push else "HELLO"))
+        sent.clear()
+        adopt(version, new_id, blob, src, pusher)
+        adoptions.append((name, pusher, list(sent), expected))
+
+    module.send_port = send
+    node._adopt = tapped
+
+
+def _check_adoption_sends(adoptions) -> int:
+    """Check that each adoption sent what the rule expects; returns the
+    number of HELLOs the adoptions sent."""
+    for name, pusher, sent, expected in adoptions:
+        assert sorted(sent) == sorted(expected), (name, pusher, sent, expected)
+    return sum(kind == "HELLO" for _name, _pusher, sent, _ in adoptions for _port, kind in sent)
+
+
+def test_an_adoption_greets_only_the_neighbours_no_push_told():
+    for topology, root in ((chain_topology(8), "m0"), (tree_topology(20, seed=42), "n0")):
+        world = build(topology, upgrade_scenario(root, 2, at_cs=500), seed=6)
+        adoptions = _tap_adoptions(world)
+        world.run_until_cs(1500)
+        assert _versions(world) == [2] * len(world.modules)
+        assert len(adoptions) == 2 * (len(world.modules) - 1)  # v1 at boot, then v2
+        # Lossless: every neighbour but the pusher is older, so none is greeted.
+        assert _check_adoption_sends(adoptions) == 0
+
+
+def test_an_adoption_greets_a_neighbour_at_its_new_version():
+    # The diamond's b holds l's v2 push behind a SEND that l never answers,
+    # and rejects r's; when the SEND times out b adopts l's push, greets r,
+    # which runs v2 already but does not know b's new id, and sends l nothing.
+    world = build(diamond_topology(), upgrade_scenario("t", 2, at_cs=1000), seed=9)
+    world.run_until_cs(990)
+    world.modules["l"].node._on_appdata = lambda port, msg: None
+    session = world.open_session("b")
+    session.submit("REGISTER a")
+    session.submit(f"SEND 0.1 sink {base64.b64encode(b'hi').decode()}")
+    adoptions = _tap_adoptions(world)
+    b = world.modules["b"].node
+    world.run_until_cs(1100)
+    assert b.version == 1
+    assert b.neighbor_table == {0: (ModuleId((0, 1)), 2), 1: (ModuleId((0, 2)), 2)}
+    world.run_until_cs(3000)
+    assert session.take_lines() == ["OK registered a", "ERR 504 send timeout", "EVENT reset 2"]
+    assert [(name, pusher, sent) for name, pusher, sent, _expected in adoptions][2:] == [
+        ("b", 0, [(1, "HELLO")])]
+    assert _check_adoption_sends(adoptions) == 1
+    assert world.modules["r"].node.neighbor_table[1] == (ModuleId((0, 1, 1)), 2)
+
+
+def test_the_receiver_of_a_push_holds_the_pushers_id_and_version():
+    # Neither m1 nor m2 gets a HELLO after m0's upgrade; each learns its
+    # pusher's new version from the push. (The diamond test above shows the
+    # same for a push that is held or rejected.)
+    world = build(chain_topology(3), seed=1)
+    world.run_until_cs(500)
+    m1, m2 = world.modules["m1"].node, world.modules["m2"].node
+    assert m1.neighbor_table[0] == (ModuleId((0,)), 1)
+    assert m2.neighbor_table[0] == (ModuleId((0, 1)), 1)
+    seen = []
+    on_code_push = m2._on_code_push
+    m2._on_code_push = lambda port, msg: (
+        on_code_push(port, msg), seen.append(m2.neighbor_table[port]))
+    world.modules["m0"].node.upgrade_local(2)
+    world.run_until_cs(560)  # before any module's next tick
+    assert seen == [(ModuleId((0, 1)), 2)]
+    assert m1.neighbor_table[0] == (ModuleId((0,)), 2)
+
+
+def test_a_pusher_that_adopted_again_while_its_push_was_in_flight_pushes_at_delivery():
+    # m0 reaches v3 while its v2 push to m1 is in flight. m1 greets no
+    # pusher, so m0 pushes v3 the moment the v2 push is delivered (520 cs),
+    # not on its next tick (600 cs).
+    scenario = Scenario(events=[
+        ScenarioEvent(500, "upgrade", ("m0", 2)), ScenarioEvent(505, "upgrade", ("m0", 3))])
+    world = build(chain_topology(3), scenario, seed=1)
+    world.run_until_cs(599)
+    assert _versions(world) == [3, 3, 3]
+    assert "520 m0 push v=3 port=1 id=0.1" in world.log.lines()
 
 
 def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():
@@ -193,3 +306,65 @@ def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():
     world.run_until_cs(200)
     assert seen == [(True, (ModuleId((0, 1)), 1), 0)]
     assert world.log.select("push-reject") == []
+
+
+@st.composite
+def _lossy_worlds(draw):
+    """A chain or tree of 2-6 modules at loss 0-0.3 and 1-3 retries, whose
+    topology root is upgraded one to three times; returns (world, newest
+    version, time of the last upgrade in cs)."""
+    n = draw(st.integers(2, 6))
+    loss = draw(st.floats(0.0, 0.3))
+    retries = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        topology = chain_topology(n, loss=loss, max_retries=retries)
+    else:
+        topology = tree_topology(n, draw(st.integers(0, 99)), loss=loss, max_retries=retries)
+    times = sorted(draw(st.lists(st.integers(0, 2000), min_size=1, max_size=3)))
+    events = [ScenarioEvent(t, "upgrade", (topology.root, version))
+              for version, t in enumerate(times, start=2)]
+    world = World(topology, Scenario(events=events), seed=draw(st.integers(0, 2**32 - 1)))
+    return world, len(times) + 1, times[-1]
+
+
+@settings(CONVERGENCE)
+@given(_lossy_worlds())
+def test_lossy_diffusion_converges_to_the_newest_version_with_distinct_ids(case):
+    # Quiescence: every module at the newest version, with no push in
+    # flight or held. Each tick retries what loss broke, so it comes.
+    world, newest, last_cs = case
+    nodes = [module.node for module in world.modules.values()]
+    t_cs = last_cs
+    while t_cs < last_cs + 30_000 and not all(
+            node.version == newest and not node._push_inflight and node._held_push is None
+            for node in nodes):
+        t_cs += 200
+        world.run_until_cs(t_cs)
+    assert _versions(world) == [newest] * len(nodes)
+    assert len(set(_ids(world))) == len(nodes)
+    for name in world.modules:
+        seen = [int(r[3]) for r in world.log.select("version", name)]
+        assert seen == sorted(seen)
+
+
+def test_a_failed_push_whose_child_adopted_is_healed_by_the_childs_next_announce():
+    # m1 adopts v2 at 980 cs, but every ACK it sends for the push's last
+    # frame is lost, so m0 logs push-fail at 1016 cs. m1's 1000 cs announce
+    # already told m0 that m1 runs v2 under id 0.1, so no push follows.
+    world = build(chain_topology(2, max_retries=3), upgrade_scenario("m0", 2, at_cs=960), seed=1)
+    m0 = world.modules["m0"].node
+    protocol = world.modules["m1"].ports[0].protocol
+    transmit = protocol._transmit
+
+    def lose_acks(data: bytes) -> None:
+        if not (data in link._ACK_SEQ and world.scheduler.now >= 977 * 10_000
+                and 1 in m0._push_inflight):
+            transmit(data)
+
+    protocol._transmit = lose_acks
+    world.run_until_cs(3000)
+    assert world.log.lines()[5:] == [
+        "960 m0 version 2", "960 m0 push v=2 port=1 id=0.1",
+        "980 m1 version 2", "980 m1 push-accept v=2 id=0.1 from=0",
+        "1016 m0 push-fail v=2 port=1"]
+    assert m0.neighbor_table[1] == (ModuleId((0, 1)), 2)

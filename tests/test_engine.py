@@ -95,6 +95,12 @@ def test_overlapping_evades_coalesce_and_extend():
         # from the first invoke and ends 25cs after the second
         assert resume_t >= 1035
         assert resume_t - reversal_t > 25
+    # The second trip restarts the head's handler, whose invocation restarts
+    # each wheel's evade; the log says so where the runs would be silent.
+    assert [(t, module, payload) for t, module, kind, payload in world.log.records
+            if kind == "run-restart"] == [
+        (1010, "head", "handler h0"), (1011, "wl", "command evade"),
+        (1011, "wr", "command evade")]
 
 
 def test_mutual_exclusion_no_overlapping_runs():
@@ -321,7 +327,8 @@ _WORKER = (
     " command halt(_) { self.$TURN_CONTINUOUSLY(0); (self.sleepcs(10)); }\n"
     "}\n"
 )
-_RUN_KINDS = ("run-begin", "run-end", "TURN_CONTINUOUSLY", "role")
+_RUN_KINDS = ("run-begin", "run-end", "run-restart", "run-coalesce", "TURN_CONTINUOUSLY",
+              "role")
 
 
 def worker_world(program: str = _WORKER, events=()) -> World:
@@ -379,7 +386,8 @@ def test_duplicate_queued_run_coalesces():
     world.run_until_cs(20)
     world.modules["w"].node.engines["w.role"].on_invoke("Worker", "halt")
     world.run_until_cs(100)
-    assert [r for r in run_log(world, 21) if r[1] == "run-begin"] == [
+    assert [r for r in run_log(world, 21) if r[1] in ("run-begin", "run-coalesce")] == [
+        (26, "run-coalesce", "handler h0"),
         (30, "run-begin", "handler h0"),
         (35, "run-begin", "behavior roam"),
         (85, "run-begin", "behavior roam"),

@@ -19,6 +19,10 @@ from modbot.world import Scenario, ScenarioEvent
 
 from conftest import chain_topology, tree_topology
 
+# 15.638 measured (16,326 calls, 1,044 frames) at a 700 cs horizon with an
+# adoption sending no HELLO to its pusher or to a port it pushes on; 15.757
+# (18,057 calls, 1,146 frames) at 700 cs before. The horizon moved from
+# 600 cs, where the skipped HELLOs leave 928 frames, under the floor.
 # 16.005 measured (16,485 calls, 1,030 frames) at a 600 cs horizon with a
 # push sent as one CODE_PUSH message and no stale beacon stored; 16.865
 # (19,327 calls, 1,146 frames) at 600 cs before. The horizon moved from
@@ -36,7 +40,7 @@ from conftest import chain_topology, tree_topology
 # without slicing; 17.780 (22,189) with lossless draws counted, not computed;
 # 18.780 (23,437) with ACKs taken by table; 22.985 (28,685) before; 23.21
 # (28,964) before that; 32.44 with a closure per frame
-CALLS_PER_FRAME_BUDGET = 16.01
+CALLS_PER_FRAME_BUDGET = 15.64
 
 _SRC = str(Path(modbot.__file__).resolve().parent)
 
@@ -54,7 +58,7 @@ def test_python_calls_per_link_frame_stay_within_budget():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        world.run_until_cs(600)
+        world.run_until_cs(700)
     finally:
         sys.setprofile(previous)
     frames = sum(link.transmissions for link in world.links)

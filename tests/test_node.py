@@ -388,7 +388,8 @@ def test_a_push_that_finds_a_request_pending_is_held_until_it_is_answered():
     m1 = world.modules["m1"].node
     pending_at_push = []
     on_code_push = m1._on_code_push
-    m1._on_code_push = lambda msg: (pending_at_push.append(sorted(m1._pending)), on_code_push(msg))
+    m1._on_code_push = lambda port, msg: (
+        pending_at_push.append(sorted(m1._pending)), on_code_push(port, msg))
     world.run_until_cs(2)
     world.open_session("m0").submit("REGISTER sink")
     sender = world.open_session("m1")
@@ -802,12 +803,12 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     m1 = world.modules["m1"].node
     assert m1.neighbor_table[0] == (ModuleId((0,)), 1)
     world.modules["m0"].node.upgrade_local(2)
-    world.run_until_cs(1200)  # new beacons both ways, and a push
+    world.run_until_cs(1200)  # a push, then one new announce each way and no HELLO
     assert decoded.count(Kind.VERSION_ANNOUNCE) == 2
     assert decoded.count(Kind.CODE_PUSH) == 1
     assert m1.neighbor_table[0] == (ModuleId((0,)), 2)
     assert world.modules["m0"].node.neighbor_table[1] == (ModuleId((0, 1)), 2)
-    assert len(parsed) == decoded.count(Kind.HELLO) + decoded.count(Kind.VERSION_ANNOUNCE) == 4
+    assert len(parsed) == decoded.count(Kind.HELLO) + decoded.count(Kind.VERSION_ANNOUNCE) == 2
     decoded.clear()
     parsed.clear()
     world.run_until_cs(2000)
@@ -935,6 +936,7 @@ def test_an_equal_or_older_code_push_is_rejected_and_changes_nothing(version):
         m1.on_link_payload(0, part)
     assert [r[3] for r in world.log.select("push-reject", "m1")] == [f"v={version} from=0"]
     assert (str(m1.module_id), m1.version, m1.code_image) == ("0.1", 1, image)
+    assert m1.neighbor_table[0] == (ModuleId.parse("0"), 1)  # an older push does not lower it
 
 
 def test_the_retired_id_assign_kind_byte_is_a_protocol_error():
