@@ -2,19 +2,18 @@
 
 Binary layouts are documented in docs/protocol.md. Every message is
 
-    kind(1) | src_id pstr | dst_app pstr | body
+    kind(1) | src_id | dst_app pstr | body
 
-where pstr is a 1-byte length followed by that many UTF-8 bytes (length 0
-in the dst_app slot means "none"). Each body shape is declared once, as a
-`Layout`. A serialized message larger than one link payload is split into
-link chunks, each prefixed with a 4-byte (index, count) header; the
-reliable link keeps chunks in order, so reassembly is a straight
-concatenation.
+where src_id is in the id codec below and pstr is a 1-byte length followed
+by that many UTF-8 bytes (length 0 in the dst_app slot means "none"). Each
+body shape is declared once, as a `Layout`. A serialized message larger
+than one link payload is split into link chunks, each prefixed with a
+4-byte (index, count) header; the reliable link keeps chunks in order, so
+reassembly is a straight concatenation.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -48,11 +47,8 @@ class Kind(IntEnum):
 
 _KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
 
-# The numbers in an id travel as text. Only ASCII digits without a leading
-# zero are accepted, so each id has one text and a decoded message encodes
-# back to the same bytes.
-_NUMERAL = "(?:0|[1-9][0-9]*)"
-_ID_TEXT = re.compile(rf"{_NUMERAL}(?:\.{_NUMERAL})*")
+MAX_PORT = 255  # an id carries one byte per port index
+MAX_HOPS = 0x3FFF  # the longest id whose hop count fits a 2-byte varint
 
 
 class _memo:
@@ -75,15 +71,6 @@ class ModuleId:
 
     path: tuple[int, ...] = ()
 
-    @classmethod
-    def parse(cls, text: str) -> "ModuleId":
-        """The id whose text this is; no other text names the same id."""
-        if text == "":
-            return cls(())
-        if _ID_TEXT.fullmatch(text) is None:
-            raise ProtocolError(f"bad module id {text!r}")
-        return cls(tuple(map(int, text.split("."))))
-
     def child(self, port: int) -> "ModuleId":
         return ModuleId(self.path + (port,))
 
@@ -98,11 +85,6 @@ class ModuleId:
     def _text(self) -> str:
         # Kept in the instance dict, outside the fields that eq and hash use.
         return ".".join(map(str, self.path))
-
-
-# ModuleId is immutable, so one parsed instance can serve every message
-# that carries the same id text.
-_parse_id = lru_cache(maxsize=1024)(ModuleId.parse)
 
 
 ROOT_ID = ModuleId((0,))
@@ -141,15 +123,40 @@ def _get_text(data: bytes, pos: int) -> tuple[str, int]:
         raise ProtocolError("bad string encoding") from None
 
 
-# The module-id codec, for the message header's src and CODE_PUSH's new id.
+# The module-id codec, for the message header's src and CODE_PUSH's new id:
+# the hop count as a minimal little-endian base-128 varint of 1 or 2 bytes,
+# then one byte per port index. The decoder refuses any other spelling, so
+# a decoded message encodes back to the same bytes. A ModuleId is immutable,
+# so one decoded instance serves every message with the same port bytes.
 
 def _put_id(module_id: ModuleId) -> bytes:
-    return _put_text(str(module_id))
+    hops = len(module_id.path)
+    if hops > MAX_HOPS:
+        raise ProtocolError(f"module id of {hops} hops is too long")
+    length = (hops,) if hops < 0x80 else (0x80 | hops & 0x7F, hops >> 7)
+    try:
+        return bytes(length) + bytes(module_id.path)
+    except ValueError:
+        raise ProtocolError(f"module id {module_id} has a port index outside 0-{MAX_PORT}") from None
+
+
+_id_of_ports = lru_cache(maxsize=1024)(lambda ports: ModuleId(tuple(ports)))
 
 
 def _get_id(data: bytes, pos: int) -> tuple[ModuleId, int]:
-    text, pos = _get_text(data, pos)
-    return _parse_id(text), pos
+    try:
+        hops = data[pos]
+        if hops & 0x80:  # a second byte, neither 0 (not minimal) nor continued (a third)
+            high = data[pos + 1]
+            if not 0 < high < 0x80:
+                raise ProtocolError("non-minimal or over-long module id length")
+            hops, pos = hops & 0x7F | high << 7, pos + 1
+    except IndexError:
+        raise ProtocolError("truncated module id") from None
+    end = pos + 1 + hops
+    if end > len(data):
+        raise ProtocolError("truncated module id")
+    return _id_of_ports(data[pos + 1:end]), end
 
 
 _FIELDS = {str: (_put_text, _get_text), ModuleId: (_put_id, _get_id)}
@@ -178,8 +185,8 @@ def decode_message(data: bytes) -> ServiceMessage:
 
 class Layout:
     """One message body shape: a fixed big-endian `struct` prefix (one
-    format letter per value), then at most one pstr `field` holding `str`
-    text or a `ModuleId`, then at most a `tail` that runs to the end of
+    format letter per value), then at most one `field`: `str` as a pstr or
+    a `ModuleId` as an id, then at most a `tail` that runs to the end of
     the body, as `bytes` or as UTF-8 `str`. `pack(*values)` takes the
     values in that order and `unpack(body)` returns them as a tuple or
     raises ProtocolError; bytes after a body with no tail are ignored.

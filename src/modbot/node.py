@@ -172,10 +172,10 @@ class ServiceNode:
     def _advertise(self, pusher: Optional[int] = None) -> None:
         """Build the HELLO and the tick's VERSION_ANNOUNCE for the current id
         and version, and tell each connected port of them once: nothing to
-        the pusher's port (its push named this id and version), a push to a
-        neighbour known to be older with no push in flight (the push names
-        them too), and the HELLO on every other port. Bootstrap and every
-        change of id or version end here, so the beacons are built once per change."""
+        the pusher's port (its push named this id and version) or to one with
+        a push in flight, a push to a neighbour known to be older (the push
+        names them too), and the HELLO on every other port. Bootstrap and
+        every change of id or version end here, so the beacons are built once per change."""
         body = VERSION.pack(self.version)
         hello = self._hello = ServiceMessage(_HELLO, self.module_id, None, body)
         self._announce = ServiceMessage(_ANNOUNCE, self.module_id, None, body)
@@ -214,11 +214,14 @@ class ServiceNode:
 
     def _push_older(self, ports: Iterable[int], hello: Optional[ServiceMessage] = None) -> None:
         """Push to each of these ports whose neighbour runs an older version
-        and has no push in flight (versions are never negative, so v0 never
-        pushes); send hello, if given, on each of the others."""
+        (versions are never negative, so v0 never pushes); send hello, if
+        given, on each of the others, but neither where a push is in flight:
+        its DELIVERED callback pushes the current version, which hello names."""
         for port in ports:
+            if port in self._push_inflight:
+                continue
             entry = self.neighbor_table.get(port)
-            if entry is not None and entry[1] < self.version and port not in self._push_inflight:
+            if entry is not None and entry[1] < self.version:
                 self._start_push(port)
             elif hello is not None:
                 self.host.send_port(port, hello)

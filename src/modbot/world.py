@@ -28,13 +28,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Optional
 
 from .dynarole import CENTER_AXES, DIRECTIONS, PhysSnapshot, RoleProgram
 from .link import LinkConfig, PortProtocol, Ticket
-from .messages import ServiceMessage, send_message
+from .messages import MAX_PORT, ServiceMessage, send_message
 from .node import ServiceNode, Session
 from .sim import EventLog, Rng, Scheduler, US_PER_CS, US_PER_MS
 
@@ -133,6 +133,7 @@ def _parse_kv(fields: list[str], line_no: int, diags: list[str],
 _MODULE_KEYS = frozenset({"center", "ports", "sensors"})
 _LINK_KEYS = frozenset({"loss", "prop_ms", "byte_us"})
 _CONFIG_KEYS = frozenset(_NUMERIC_KEYS)
+_PORT_INDICES = frozenset(range(MAX_PORT + 1))
 
 
 def _port_index(text: str) -> Optional[int]:
@@ -140,6 +141,12 @@ def _port_index(text: str) -> Optional[int]:
         return int(text) if text.isdecimal() else None
     except ValueError:  # more digits than int() converts
         return None
+
+
+def _port_errors(modules: list[ModuleSpec]) -> list[str]:
+    """A module id carries each port index in one byte, so 0-255 only."""
+    return [f"module {spec.name!r}: port index {idx} is outside 0-{MAX_PORT}"
+            for spec in modules for idx in sorted(spec.ports) if idx not in _PORT_INDICES]
 
 
 def _split_end(token: str) -> tuple[str, Optional[int]]:
@@ -216,6 +223,8 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
                 except ValueError:
                     diags.append(f"line {line_no}: bad sensor entry {part!r}")
             spec = ModuleSpec(name=name, center=center, ports=ports, sensors=sensors)
+            if not _PORT_INDICES.issuperset(ports):
+                diags += [f"line {line_no}: {error}" for error in _port_errors([spec])]
             modules.append(spec)
             by_name[name] = spec
         elif record == "link":
@@ -462,6 +471,8 @@ class World:
     """A built topology plus scheduled scenario, ready to run."""
 
     def __init__(self, topology: Topology, scenario: Scenario | None = None, seed: int = 0):
+        if not _PORT_INDICES.issuperset(set().union(*map(attrgetter("ports"), topology.modules))):
+            raise LoadError(_port_errors(topology.modules))
         self.scheduler = Scheduler()
         self.rng = Rng(seed)
         self.log = EventLog(self.scheduler)

@@ -171,8 +171,8 @@ def test_beacons_carry_the_new_id_and_version():
 def _tap_adoptions(world: World) -> list[tuple[str, int, list, list]]:
     """Record every adoption as (module, pusher's port, [(port, kind name)]
     of each message it sent, the sends the rule expects): nothing to the
-    pusher, a push and no HELLO to each neighbour known to be older with no
-    push in flight, and a HELLO to each other neighbour."""
+    pusher or to a port with a push in flight, a push and no HELLO to each
+    neighbour known to be older, and a HELLO to each other neighbour."""
     adoptions = []
     for name, module in world.modules.items():
         _tap_adoption(name, module, adoptions)
@@ -191,10 +191,9 @@ def _tap_adoption(name, module, adoptions) -> None:
         expected = []
         for port in module.connected_ports():
             entry = node.neighbor_table.get(port)
-            if port != pusher:
+            if port != pusher and port not in node._push_inflight:
                 older = entry is not None and entry[1] < version
-                push = older and port not in node._push_inflight
-                expected.append((port, "CODE_PUSH" if push else "HELLO"))
+                expected.append((port, "CODE_PUSH" if older else "HELLO"))
         sent.clear()
         adopt(version, new_id, blob, src, pusher)
         adoptions.append((name, pusher, list(sent), expected))
@@ -271,9 +270,26 @@ def test_a_pusher_that_adopted_again_while_its_push_was_in_flight_pushes_at_deli
     scenario = Scenario(events=[
         ScenarioEvent(500, "upgrade", ("m0", 2)), ScenarioEvent(505, "upgrade", ("m0", 3))])
     world = build(chain_topology(3), scenario, seed=1)
+    beacons = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
+    world.run_until_cs(504)
+    sent = len(beacons)
     world.run_until_cs(599)
+    # The v3 push names the id and version that a HELLO queued at 505 cs
+    # behind the v2 push would, so none goes on the wire.
+    assert [beacon for beacon in beacons[sent:] if beacon[0] == "HELLO"] == []
     assert _versions(world) == [3, 3, 3]
     assert "520 m0 push v=3 port=1 id=0.1" in world.log.lines()
+
+
+def test_diffusion_reaches_past_depth_127():
+    # A module id carries its hop count and one byte per hop, so a chain
+    # of 130 converges; with ids as dotted text, a pstr of over 255 bytes
+    # stopped diffusion at m127.
+    world = build(chain_topology(130), upgrade_scenario("m0", 2, at_cs=100), seed=1)
+    world.run_until_cs(4000)
+    assert _accepts(world, 2) == {f"m{i}": 1 for i in range(1, 130)}
+    assert world.log.select("protocol-error") == []
+    assert str(world.modules["m129"].node.module_id) == ".".join(["0"] + ["1"] * 129)
 
 
 def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():

@@ -25,23 +25,23 @@ if str(BENCH) not in sys.path:
 import workloads  # noqa: E402
 
 CAR_DIGEST = "fed1c825ec0227f3d689fec2dcd742eb940e76e88382d55c9f90c16078343d21"
-CHAIN10_DIGEST = "7f25e63c3d7040cda801a6ade6030e2490f0be6f1e1b2440194b8547d7d4e9e2"
-PAIR_SEND_DIGEST = "c6aa4c3150f30df6fbe868cd588d33f545907e01ae1e68dc9e7301e4b48e60cc"
+CHAIN10_DIGEST = "ceb41d410825aa8ce4827c9a50a6c6519393ef3751b785de3cf9f2c6217a0d66"
+PAIR_SEND_DIGEST = "1a265fbbd6b24dde1ee1ddac6da00be8ca11c1ca44f196d5b45a4db74e17d43f"
 CAR_UPGRADE_DIGEST = "309222ae332a5d57e605e3298a1f65b473c10716974846a497132c9ef3bf12be"
-CHAIN6_TWO_UPGRADES_DIGEST = "3f6fcb79443b1dc7028a396a8073fbd6aabda7ec86d97929849e6ac203f1f03b"
-CHAIN12_MIXED_LOSS_DIGEST = "5c2f87b5e2ee1b05f086a5c7b90120686ec4be816da79ecf6002953cd5c79504"
+CHAIN6_TWO_UPGRADES_DIGEST = "38ee845a6e5610fd5e406790da3edf9b5a66a550f6b05d07cf2c24d2dcd63e4c"
+CHAIN12_MIXED_LOSS_DIGEST = "4afeebe251718b2a941b8307da75a146055d5930c8470182cff1fcfe1854c69d"
 CAR_INVOKE_PROBE_DIGEST = "6f01b7489c2318f69d68c37ffef5c1e6c4250466683acd81930e754ac92fed32"
-CHAIN4_UNSORTED_SCENARIO_DIGEST = "fe4f262d153079539f3239aabd1b6b3533e26d38075d6870b25e1ffbd7bdb695"
-LOSSY_CHAIN_PUTFILE_DIGEST = "e417d27230aa251dc7e9f1eacf81a90c159b146d911d06513f28f24a28433af0"
+CHAIN4_UNSORTED_SCENARIO_DIGEST = "3306bf72d75df159382f8154786a9c0c5603d8454504af5bc5652446089cd6cb"
+LOSSY_CHAIN_PUTFILE_DIGEST = "2773cc5a73d26e2f520c3e80e485fbd3e93189c5d625c6b4a96495a89dce9e0c"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
     "diffuse_tree": (
-        "a07419b43924c2f1446fab9216c6752845e1cbe82b3873d675502d54c9ad747d", 4385, 1393, 0),
+        "b7e46585e25d7c0e48825970196235714d763987c3473808d8bd26e1a459af3c", 4385, 1393, 0),
     "apps_lossy": (
-        "6069f55af8d4ffc53468296308a0cc1e5c8e55d430e89549140b8bc51434124e", 2973, 2865, 10),
+        "c80cf5fdb15c3eae478c76b86054db1cd34b5f8cee86096a5d92613ad0548209", 3075, 2969, 11),
     "roles_swarm": (
-        "fe1550d1b63abae69c6373fa753fda2dcbd914cfeb1ee51a7371ab9716b02047", 9581, 819, 0),
+        "39cfa1de822a008e9fc7e231029ec2b2140b337f2dbf28235f14886e928f3435", 9581, 819, 0),
 }
 
 

@@ -13,7 +13,8 @@ _TOPOLOGY_RECORDS = ["config", "module a", "module b", "link", "file a", "root",
 _TOPOLOGY_TOKENS = [
     "=", "a", "b", "a.0", "b.0", "a.1",
     "a.x", "a.", ".0", "a.²", "center=EAST_WEST", "center=BAD", "ports=0:EAST",
-    "ports=0:EAST,1:WEST", "ports=²:EAST", "ports=0", "sensors=1:0", "sensors=x:1",
+    "ports=0:EAST,1:WEST", "ports=²:EAST", "ports=0", "ports=255:UP,256:DOWN", "a.255", "a.256",
+    "sensors=1:0", "sensors=x:1",
     "loss=0.5", "loss=2", "loss=nan", "loss=", "prop_ms=-1", "prop_ms=3", "byte_us=x",
     "max_retries=abc", "max_retries=2", "ack_timeout_ms=0", "ack_timeout_ms=50", "k=v",
 ]
@@ -43,6 +44,21 @@ def test_parse_topology_raises_only_load_error(text):
         parse_topology(text, base_dir=os.devnull)
     except LoadError as exc:
         assert exc.diagnostics
+
+
+@settings(max_examples=50)
+@given(st.integers(0, 2**70))
+def test_a_port_index_that_a_module_id_cannot_carry_is_a_line_diagnostic(index):
+    text = f"module a center=EAST_WEST ports={index}:EAST\n"
+    if index <= 255:  # one byte per port in a module id
+        assert list(parse_topology(text).modules[0].ports) == [index]
+        return
+    try:
+        parse_topology(text)
+    except LoadError as exc:
+        assert exc.diagnostics == [f"line 1: module 'a': port index {index} is outside 0-255"]
+    else:
+        raise AssertionError(f"port {index} accepted")
 
 
 @settings(max_examples=60)

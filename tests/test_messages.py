@@ -15,28 +15,77 @@ from modbot.sim import Scheduler, US_PER_MS
 
 def test_module_id_basics():
     assert str(m.ROOT_ID) == "0"
-    assert m.ModuleId.parse("0.3.1").path == (0, 3, 1)
-    assert str(m.ModuleId.parse("0").child(3)) == "0.3"
-    assert str(m.ModuleId.parse("0.3").child(1)) == "0.3.1"
-    assert m.ModuleId.parse("").unassigned
-    for text in ("0.x", " 1", "01", "0.01", "+1", "-1", "1_0", "\u0661", "0.", ".0", "0..1", "1\n"):
-        with pytest.raises(m.ProtocolError):
-            m.ModuleId.parse(text)
+    assert str(m.ModuleId((0, 3, 1))) == "0.3.1"
+    assert str(m.ModuleId((0,)).child(3)) == "0.3"
+    assert str(m.ModuleId((0, 3)).child(1)) == "0.3.1"
+    assert m.ModuleId(()).unassigned and str(m.ModuleId(())) == ""
 
 
 def test_decoded_ids_are_shared_without_changing_identity_semantics():
     wire = m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId((0, 2)), None))
+    assert wire == bytes([1, 2, 0, 2, 0])  # kind, 2 hops, ports 0 and 2, no dst_app
     first, second = m.decode_message(wire), m.decode_message(wire)
-    assert first.src is second.src  # one immutable instance per id text
+    assert first.src is second.src  # one immutable instance per id's port bytes
     assert str(first.src) == "0.2"
     fresh = m.ModuleId((0, 2))  # its text is not cached yet; first.src's is
     assert first.src == fresh and hash(first.src) == hash(fresh)
-    assert len({first.src, fresh, m.ModuleId.parse("0.2")}) == 1
+    assert len({first.src, fresh, m.ModuleId((0, 2))}) == 1
     assert first.src != m.ModuleId((0, 2, 0))
-    with pytest.raises(m.ProtocolError):
-        m.decode_message(bytes([1, 3]) + b"0.x" + b"\x00")
-    with pytest.raises(m.ProtocolError):  # bad ids are not memoised as good
-        m.decode_message(bytes([1, 3]) + b"0.x" + b"\x00")
+    for _ in range(2):  # bad ids are not memoised as good
+        with pytest.raises(m.ProtocolError):
+            m.decode_message(bytes([1, 0x80, 0x00, 0]))
+
+
+def id_bytes(module_id: m.ModuleId) -> bytes:
+    """The id codec's reference: hop count as a little-endian base-128
+    varint of one or two bytes, then one byte per port index."""
+    hops = len(module_id.path)
+    length = bytes([hops]) if hops < 0x80 else bytes([0x80 | hops % 0x80, hops // 0x80])
+    return length + bytes(module_id.path)
+
+
+# Paths of 0-20 hops, and paths at the varint's boundary lengths made by
+# repeating a short byte pattern.
+_paths = st.one_of(
+    st.lists(st.integers(0, m.MAX_PORT), max_size=20),
+    st.tuples(st.sampled_from([127, 128, 16_383]), st.binary(min_size=1, max_size=8)).map(
+        lambda case: list((case[1] * case[0])[:case[0]])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_paths, st.binary(max_size=4), st.binary(max_size=4))
+def test_id_codec_round_trips_every_path_up_to_the_hop_limit(path, before, after):
+    module_id = m.ModuleId(tuple(path))
+    raw = m._put_id(module_id)
+    assert raw == id_bytes(module_id)
+    assert m._get_id(before + raw + after, len(before)) == (module_id, len(before) + len(raw))
+    for cut in {0, 1, 2, len(raw) // 2, len(raw) - 1} & set(range(len(raw))):
+        with pytest.raises(m.ProtocolError, match="truncated module id"):
+            m._get_id(raw[:cut], 0)
+
+
+@pytest.mark.parametrize("path, error", [
+    ((0,) * 16_384, "16384 hops is too long"),
+    ((0, 256), "port index outside 0-255"),
+    ((0, -1), "port index outside 0-255"),
+], ids=["16384-hops", "port-256", "port-negative"])
+def test_id_codec_refuses_an_id_it_cannot_carry(path, error):
+    with pytest.raises(m.ProtocolError, match=error):
+        m._put_id(m.ModuleId(path))
+    with pytest.raises(m.ProtocolError, match=error):
+        m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId(path), None))
+
+
+@pytest.mark.parametrize("raw", [
+    b"", b"\x02\x00", b"\x81", b"\x80\x01" + bytes(127),  # truncated
+    b"\x80\x00", b"\xff\x00\x00",  # non-minimal: 0 and 127 in two bytes
+    b"\x80\x80\x01",  # a third varint byte (16,384 hops)
+])
+def test_id_codec_refuses_truncated_and_non_minimal_fields(raw):
+    with pytest.raises(m.ProtocolError, match="module id"):
+        m._get_id(raw, 0)
+    with pytest.raises(m.ProtocolError, match="module id"):
+        m.decode_message(bytes([m.Kind.HELLO]) + raw)
 
 
 # The body builders the layouts replaced, kept as the byte-level reference.
@@ -75,13 +124,13 @@ def request_body(req_id: int, text: str) -> bytes:
 
 
 def code_push_body(version: int, new_id: m.ModuleId, image: bytes) -> bytes:
-    return struct.pack(">I", version) + _pstr(str(new_id)) + image
+    return struct.pack(">I", version) + id_bytes(new_id) + image
 
 
 def test_message_roundtrip_every_kind():
     samples = [
         m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)),
-        m.ServiceMessage(m.Kind.APPDATA, m.ModuleId.parse("0.1"), "ctl",
+        m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
                          m.APPDATA.pack(0, 7, "src", b"\x00\x01payload")),
         m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.APPDATA_STATUS.pack(1, 7, 1)),
         m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
@@ -89,7 +138,7 @@ def test_message_roundtrip_every_kind():
         m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
         m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
-                         m.CODE_PUSH.pack(2, m.ModuleId.parse("0.3"), b"image")),
+                         m.CODE_PUSH.pack(2, m.ModuleId((0, 3)), b"image")),
         m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 1, 2, "a.role", b"text")),
         m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
         m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
@@ -107,8 +156,8 @@ def test_body_parsers():
     assert m.INVOKE.unpack(invoke_body("Wheel", "evade")) == ("Wheel", "evade")
     assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
     assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
-    assert m.CODE_PUSH.unpack(code_push_body(2, m.ModuleId.parse("0.1"), b"img")) == (
-        2, m.ModuleId.parse("0.1"), b"img")
+    assert m.CODE_PUSH.unpack(code_push_body(2, m.ModuleId((0, 1)), b"img")) == (
+        2, m.ModuleId((0, 1)), b"img")
 
 
 _u32 = st.integers(0, 2**32 - 1)
@@ -226,7 +275,7 @@ def test_split_matches_the_slicing_reference_at_every_length_to_600():
 
 
 def test_small_appdata_fits_one_link_frame():
-    msg = m.ServiceMessage(m.Kind.APPDATA, m.ModuleId.parse("0.1"), "ctl",
+    msg = m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
                            m.APPDATA.pack(0, 1, "app", b"x" * 100))
     assert len(m.split_for_link(m.encode_message(msg))) == 1
 
@@ -234,7 +283,7 @@ def test_small_appdata_fits_one_link_frame():
 def test_600_byte_chunk_body_takes_three_link_frames():
     body = m.CHUNK.pack(1, 0, 1, "big.role", b"t" * 583)
     assert len(body) == 600
-    msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ModuleId.parse("0"), None, body)
+    msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ModuleId((0,)), None, body)
     parts = m.split_for_link(m.encode_message(msg))
     assert len(parts) == 3
     reasm = m.LinkReassembler()
@@ -341,7 +390,7 @@ def test_message_ticket_delivers_over_pipe():
 
 
 def _announce(version: int = 3) -> m.ServiceMessage:
-    return m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId.parse("0.1"), None,
+    return m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId((0, 1)), None,
                             m.VERSION.pack(version))
 
 

@@ -412,8 +412,8 @@ def _push_held_behind_an_unanswered_send():
     session.submit("REGISTER a")
     session.submit(f"SEND 0 sink {b64(b'hi')}")
     world.run_until_cs(210)
-    push = ServiceMessage(Kind.CODE_PUSH, ModuleId.parse("0"), None,
-                          CODE_PUSH.pack(2, ModuleId.parse("0.1"), b"v2 image"))
+    push = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
+                          CODE_PUSH.pack(2, ModuleId((0, 1)), b"v2 image"))
     for part in push.link_chunks:
         m1.on_link_payload(0, part)
     assert m1.version == 1  # held behind request 1
@@ -430,8 +430,8 @@ def test_a_held_push_is_adopted_when_the_request_it_waits_for_times_out():
 
 def test_a_push_no_newer_than_the_held_one_or_than_a_local_upgrade_is_rejected():
     world, m1, session = _push_held_behind_an_unanswered_send()
-    again = ServiceMessage(Kind.CODE_PUSH, ModuleId.parse("0"), None,
-                           CODE_PUSH.pack(2, ModuleId.parse("0.1"), b"v2 image"))
+    again = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
+                           CODE_PUSH.pack(2, ModuleId((0, 1)), b"v2 image"))
     for part in again.link_chunks:
         m1.on_link_payload(0, part)
     m1.upgrade_local(3)  # overtakes the held v2 push
@@ -590,7 +590,7 @@ def test_commands_without_arguments_refuse_stray_ones(line):
 def test_malformed_message_body_logged_and_dropped():
     world = settled_pair()
     node = world.modules["m0"].node
-    bad = ServiceMessage(Kind.EXEC, ModuleId.parse("0.1"), None, b"\x01")
+    bad = ServiceMessage(Kind.EXEC, ModuleId((0, 1)), None, b"\x01")
     for part in split_for_link(encode_message(bad)):
         node.on_link_payload(1, part)
     assert any("EXEC" in r[3] for r in world.log.select("protocol-error", "m0"))
@@ -600,7 +600,7 @@ def test_malformed_beacon_logged_again_when_repeated():
     world = settled_pair()
     node = world.modules["m0"].node
     before = dict(node.neighbor_table)
-    bad = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId.parse("0.1"), None, b"\x01")
+    bad = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId((0, 1)), None, b"\x01")
     for _ in range(2):
         for part in split_for_link(encode_message(bad)):
             node.on_link_payload(1, part)
@@ -656,7 +656,7 @@ def test_every_kind_with_any_body_is_handled_or_logged_as_protocol_error(message
     world.open_session("m0").submit("REGISTER app")
     for kind, body, dst_app in messages:
         before = len(world.log.select("protocol-error", "m0"))
-        for part in ServiceMessage(kind, ModuleId.parse("0.1"), dst_app, body).link_chunks:
+        for part in ServiceMessage(kind, ModuleId((0, 1)), dst_app, body).link_chunks:
             node.on_link_payload(1, part)
         errors = world.log.select("protocol-error", "m0")[before:]
         assert [r[3].split(":")[0] for r in errors] == [kind.name] * _rejects(kind, body)
@@ -877,7 +877,7 @@ def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
     world.run_until_cs(300)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
     req_id = APPDATA.unpack(sent[0].body)[1]
-    src = ModuleId.parse("0.1")
+    src = ModuleId((0, 1))
     for late in (ServiceMessage(Kind.APPDATA, src, None, APPDATA_STATUS.pack(1, req_id, 0)),
                  ServiceMessage(Kind.REPLY, src, None, REQUEST.pack(req_id, "OK delivered"))):
         for part in late.link_chunks:
@@ -892,7 +892,7 @@ def test_a_stale_beacon_after_a_delivered_push_starts_no_second_push():
     world = World(pair_topology(), seed=1)
     world.run_until_cs(300)
     m0 = world.modules["m0"].node
-    assert m0.neighbor_table[1] == (ModuleId.parse("0.1"), 1)
+    assert m0.neighbor_table[1] == (ModuleId((0, 1)), 1)
     stale = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId(), None, VERSION.pack(0))
     for part in stale.link_chunks:
         m0.on_link_payload(1, part)
@@ -918,11 +918,11 @@ def test_a_push_is_one_code_push_message_of_three_link_frames():
     protocol._transmit = tap
     world.run_until_cs(300)
     assert [CODE_PUSH.unpack(msg.body) for msg in pushed] == [
-        (1, ModuleId.parse("0.1"), node_module.make_image(1))]
+        (1, ModuleId((0, 1)), node_module.make_image(1))]
     assert len(pushed[0].link_chunks) == 3
     assert chunked == list(pushed[0].link_chunks)  # one frame each, none sent again
     assert world.modules["m1"].node.version == 1
-    assert m0.node.neighbor_table[1] == (ModuleId.parse("0.1"), 1)
+    assert m0.node.neighbor_table[1] == (ModuleId((0, 1)), 1)
 
 
 @pytest.mark.parametrize("version", [1, 0])
@@ -930,13 +930,13 @@ def test_an_equal_or_older_code_push_is_rejected_and_changes_nothing(version):
     world = settled_pair()
     m1 = world.modules["m1"].node
     image = m1.code_image
-    push = ServiceMessage(Kind.CODE_PUSH, ModuleId.parse("0"), None,
-                          CODE_PUSH.pack(version, ModuleId.parse("0.7"), b"other image"))
+    push = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
+                          CODE_PUSH.pack(version, ModuleId((0, 7)), b"other image"))
     for part in push.link_chunks:
         m1.on_link_payload(0, part)
     assert [r[3] for r in world.log.select("push-reject", "m1")] == [f"v={version} from=0"]
     assert (str(m1.module_id), m1.version, m1.code_image) == ("0.1", 1, image)
-    assert m1.neighbor_table[0] == (ModuleId.parse("0"), 1)  # an older push does not lower it
+    assert m1.neighbor_table[0] == (ModuleId((0,)), 1)  # an older push does not lower it
 
 
 def test_the_retired_id_assign_kind_byte_is_a_protocol_error():

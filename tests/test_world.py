@@ -117,6 +117,17 @@ def test_scenario_referencing_unknown_module_refuses_to_run():
         World(topo, scen)
 
 
+def test_a_programmatic_port_index_a_module_id_cannot_carry_refuses_to_run():
+    modules = [ModuleSpec("a", "EAST_WEST", {255: "EAST"}),
+               ModuleSpec("b", "EAST_WEST", {0: "WEST"})]
+    World(Topology(modules=modules, links=[LinkSpec("a", 255, "b", 0)], root="a"))
+    modules += [ModuleSpec("c", "EAST_WEST", {1: "EAST", 256: "WEST", -1: "UP"})]
+    with pytest.raises(LoadError) as exc:
+        World(Topology(modules=modules, links=[], root="a"))
+    assert exc.value.diagnostics == ["module 'c': port index -1 is outside 0-255",
+                                     "module 'c': port index 256 is outside 0-255"]
+
+
 class _Counter:
     def __init__(self):
         self.count = 0
@@ -531,6 +542,8 @@ def test_later_config_line_overrides_earlier():
                  id="superscript-endpoint"),
     pytest.param("module a center=EAST_WEST ports=" + "1" * 5000 + ":EAST\n",
                  ["line 1: bad port entry '" + "1" * 5000 + ":EAST'"], id="huge-port"),
+    pytest.param("module a center=EAST_WEST ports=255:EAST,256:WEST\n",
+                 ["line 1: module 'a': port index 256 is outside 0-255"], id="port-256"),
 ])
 def test_every_value_is_diagnosed_on_its_own_line(text, expected):
     with pytest.raises(LoadError) as exc:
