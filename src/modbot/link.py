@@ -7,19 +7,21 @@ Wire frame, bit exact:
     | 1 B  | 1 B  | 1 B | 2 B         | 0-255 B | 2 B BE |
     +------+------+-----+-------------+---------+--------+
 
-type: 0x01 = DATA, 0x02 = ACK. crc: CRC-16/CCITT-FALSE (poly 0x1021, init
-0xFFFF, no reflection, no final xor) over type..payload. There is no byte
-stuffing; a receiver resynchronizes by scanning for 0x7E and validating
-length and CRC.
+type: 0x01 | tag << 4 = DATA of stream tag 0-15, 0x02 = ACK. crc:
+CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection, no final xor)
+over type..payload. There is no byte stuffing; a receiver resynchronizes by
+scanning for 0x7E and validating length and CRC.
 
 One PortProtocol instance runs per module port. The sender keeps at most
 one unacknowledged DATA frame outstanding, retransmits it on timeout, and
-gives up after max_retries, reporting the failure on the send ticket. The
-receiver acknowledges every valid DATA frame and delivers a payload upward
-only when its seq differs from that of the last frame it delivered: with
-one frame in flight and no reordering, a duplicate from a lost ACK repeats
-that seq (the alternating-bit rule). After exactly 255 give-ups in a row a
-fresh frame repeats it too, and is dropped while its ticket reads DELIVERED.
+gives up after max_retries, reporting the failure on the send ticket. Its
+queued messages take turns frame by frame, each under the stream tag it
+opened with (see PortProtocol). The receiver acknowledges every valid DATA
+frame and delivers a payload upward, with its tag, only when its seq
+differs from that of the last frame it delivered: with one frame in flight
+and no reordering, a duplicate from a lost ACK repeats that seq (the
+alternating-bit rule). After exactly 255 give-ups in a row a fresh frame
+repeats it too, and is dropped while its ticket reads DELIVERED.
 
 The 256 ACK frames are encoded once, at import. A port takes bytes equal
 to one of them, met on an empty decoder buffer, by table lookup; the
@@ -39,6 +41,8 @@ from .sim import Scheduler, Timer, US_PER_MS
 
 START_BYTE = 0x7E
 MAX_PAYLOAD = 255
+TAGS = 16  # stream tags, the high nibble of a DATA frame's type byte
+_ALL_TAGS = (1 << TAGS) - 1
 _MIN_FRAME = 7  # start + type + seq + len16 + crc16
 _START = bytes([START_BYTE])
 _HEADER = struct.Struct(">BBH")  # type, seq, len
@@ -91,12 +95,15 @@ class Frame:
     frame_type: FrameType
     seq: int
     payload: bytes = b""
+    tag: int = 0  # a DATA frame's stream
 
     def __post_init__(self):
         if not 0 <= self.seq <= 0xFF:
             raise EncodingError(f"seq out of range: {self.seq}")
-        if self.frame_type is _ACK and self.payload:
-            raise EncodingError("ACK frames carry no payload")
+        if not 0 <= self.tag < TAGS:
+            raise EncodingError(f"tag out of range: {self.tag}")
+        if self.frame_type is _ACK and (self.payload or self.tag):
+            raise EncodingError("ACK frames carry no payload and no tag")
 
 
 # Every ACK there can be, encoded, and its inverse: bytes equal to one of
@@ -113,7 +120,7 @@ def encode_frame(frame: Frame) -> bytes:
     payload = frame.payload
     if len(payload) > MAX_PAYLOAD:
         raise EncodingError(f"payload too long: {len(payload)} > {MAX_PAYLOAD}")
-    body = _HEADER.pack(frame.frame_type, frame.seq, len(payload)) + payload
+    body = _HEADER.pack(frame.frame_type | frame.tag << 4, frame.seq, len(payload)) + payload
     return _START + body + _CRC.pack(crc16(body))
 
 
@@ -121,9 +128,10 @@ def _parse_at(data: bytes, pos: int):
     """Try to read one frame starting at data[pos] (which must be 0x7E).
 
     Returns ("frame", Frame, end) | ("need", None, pos) | ("bad", None, pos).
-    A frame that passes its CRC is still "bad" unless it is DATA or an ACK
-    without payload. Those are Frame.__post_init__'s checks (seq is one
-    byte), so the decoded Frame is built without re-running it.
+    A frame that passes its CRC is still "bad" unless it is DATA (of any
+    tag) or an ACK without payload or tag. Those are Frame.__post_init__'s
+    checks (seq is one byte), so the decoded Frame is built without
+    re-running it.
     """
     if len(data) - pos < _MIN_FRAME:
         return "need", None, pos
@@ -136,7 +144,7 @@ def _parse_at(data: bytes, pos: int):
     if crc16(data[pos + 1:end - 2]) != (data[end - 2] << 8) | data[end - 1]:
         return "bad", None, pos
     ftype = data[pos + 1]
-    if ftype == 0x01:
+    if ftype & 0x0F == 0x01:
         frame_type = _DATA
     elif ftype == 0x02 and not length:
         frame_type = _ACK
@@ -146,6 +154,7 @@ def _parse_at(data: bytes, pos: int):
     frame.frame_type = frame_type
     frame.seq = data[pos + 2]
     frame.payload = bytes(data[pos + 5:end - 2])
+    frame.tag = ftype >> 4
     return "frame", frame, end
 
 
@@ -180,12 +189,13 @@ class FrameDecoder:
         buf = self._buf
         n = len(data)
         if (not buf and _MIN_FRAME <= n <= _MIN_FRAME + MAX_PAYLOAD and data[0] == START_BYTE
-                and data[1] == 0x01 and n == _MIN_FRAME + ((data[3] << 8) | data[4])
+                and data[1] & 0x0F == 0x01 and n == _MIN_FRAME + ((data[3] << 8) | data[4])
                 and crc16(data[1:-2]) == (data[-2] << 8) | data[-1]):
             # Fast path: nothing buffered and data is exactly one DATA frame;
             # built the way _parse_at builds one.
             frame = object.__new__(Frame)
             frame.frame_type, frame.seq, frame.payload = _DATA, data[2], bytes(data[5:-2])
+            frame.tag = data[1] >> 4
             return [frame]
         buf.extend(data)
         frames: list[Frame] = []
@@ -230,14 +240,15 @@ class Ticket:
     """One send (one message's payloads, see PortProtocol.send) and the
     sender's queue entry for it. Resolves once: DELIVERED when its last
     frame was acknowledged and FAILED when one frame ran out of retries or
-    the send was cancelled before transmission. `transmissions` is 1 once
-    the first frame left, plus 1 per retransmission of any of its frames.
-    The underscored fields belong to the sending PortProtocol. `_callbacks`
+    the send was cancelled. `transmissions` is 1 once the first frame left,
+    plus 1 per retransmission of any of its frames. The underscored fields
+    belong to the sending PortProtocol; `_tag` is the stream tag that the
+    ticket's frames carry, chosen when its first frame leaves. `_callbacks`
     is None until the first `on_done` (announces, HELLOs and INVOKEs never
     call it) and again once the ticket resolves, so it keeps none alive."""
 
     __slots__ = ("state", "transmissions", "_callbacks",
-                 "_payloads", "_index", "_frame", "_seq", "_retries_used", "_timer")
+                 "_payloads", "_index", "_frame", "_seq", "_retries_used", "_timer", "_tag")
 
     def __init__(self, payloads: Sequence[bytes]):
         self.state = _PENDING
@@ -249,6 +260,7 @@ class Ticket:
         self._seq = 0
         self._retries_used = 0
         self._timer: Optional[Timer] = None
+        self._tag = 0
 
     @property
     def done(self) -> bool:
@@ -282,9 +294,17 @@ class LinkStats:
 class PortProtocol:
     """Stop-and-wait protocol instance for one module port.
 
-    Outgoing messages queue FIFO, one ticket each, behind the single
-    outstanding frame; delivery order on a healthy link therefore matches
-    submission order.
+    Outgoing messages queue, one ticket each, behind the single outstanding
+    frame, and take turns frame by frame: after the ACK of a ticket's
+    non-final frame the ticket moves to the back of the queue if another
+    one waits there. A ticket opens when its first frame leaves, under the
+    lowest stream tag that no other open ticket holds (tag 0 when none is
+    open), and holds it until it resolves. At most TAGS tickets are open at
+    once: when every tag is held and the queue's head has not opened, the
+    ticket on the wire keeps going instead of yielding. Tickets open in
+    submission order, so one-frame messages arrive in submission order on
+    a healthy link, and while a tag is free a message waits at most one
+    frame per ticket ahead of it.
 
     `on_bytes` takes a whole ACK met on an empty decoder buffer from the
     ACK table and feeds all other bytes to `FrameDecoder.feed`.
@@ -294,7 +314,7 @@ class PortProtocol:
         self,
         scheduler: Scheduler,
         transmit: Callable[[bytes], None],
-        deliver: Callable[[bytes], None],
+        deliver: Callable[[int, bytes], None],  # (tag, payload)
         config: LinkConfig | None = None,
     ):
         self._scheduler = scheduler
@@ -305,6 +325,7 @@ class PortProtocol:
         self._decoder = FrameDecoder()
         self._queue: deque[Ticket] = deque()
         self._outstanding: Ticket | None = None
+        self._tags = 0  # bit t set while an open ticket holds tag t
         self._next_seq = 0
         self._last_seq = 0xFF  # seq of the last DATA frame delivered
         self._on_timeout = self._on_timeout  # bound once: armed for every DATA frame
@@ -315,10 +336,10 @@ class PortProtocol:
 
     def send(self, payloads: Sequence[bytes]) -> Ticket:
         """Queue one message's payloads (one or more) as one ticket. They
-        leave back to back, each with the next seq and a fresh retry
-        budget; the first give-up fails the ticket and drops the payloads
-        not yet sent. The sequence is kept, not copied, so it must not
-        change afterwards."""
+        leave in order, taking turns with other tickets' frames, each with
+        the next seq, the ticket's tag and a fresh retry budget; the first
+        give-up fails the ticket and drops the payloads not yet sent. The
+        sequence is kept, not copied, so it must not change afterwards."""
         if not payloads:
             raise EncodingError("empty message")
         for payload in payloads:
@@ -327,7 +348,6 @@ class PortProtocol:
         ticket = Ticket(payloads)
         if self._outstanding is None and not self._queue:  # idle: on the wire at once
             self._outstanding = ticket
-            ticket.transmissions = 1
             self._start_next(ticket)
         else:
             self._queue.append(ticket)
@@ -336,10 +356,13 @@ class PortProtocol:
         return ticket
 
     def cancel(self, ticket: Ticket) -> bool:
-        """Withdraw a still-queued message; fails its ticket without sending."""
+        """Withdraw a queued message; fails its ticket and sends none of its
+        frames that have not left."""
         if ticket not in self._queue:
             return False
         self._queue.remove(ticket)
+        if ticket._index >= 0:  # it had opened
+            self._tags &= ~(1 << ticket._tag)
         ticket._resolve(_FAILED)
         return True
 
@@ -358,7 +381,7 @@ class PortProtocol:
             if seq != self._last_seq:
                 self._last_seq = seq
                 self.stats.rx_delivered += 1
-                self._deliver(frame.payload)
+                self._deliver(frame.tag, frame.payload)
             else:
                 self.stats.rx_duplicates += 1
 
@@ -368,17 +391,24 @@ class PortProtocol:
         if self._outstanding is not None or not self._queue:
             return
         ticket = self._outstanding = self._queue.popleft()
-        ticket.transmissions = 1
         self._start_next(ticket)
 
     def _start_next(self, ticket: Ticket) -> None:
-        """Put the ticket's next payload on the wire under the next seq."""
-        ticket._index += 1
+        """Put the ticket's next payload on the wire under the next seq; the
+        first one opens the ticket under the lowest free tag."""
+        index = ticket._index = ticket._index + 1
+        if not index:
+            tags = self._tags
+            free = ~tags & (tags + 1)  # the lowest clear bit
+            self._tags = tags | free
+            ticket._tag = free.bit_length() - 1
+            ticket.transmissions = 1
         seq = ticket._seq = self._next_seq
         self._next_seq = (seq + 1) & 0xFF
         ticket._retries_used = 0
         frame = object.__new__(Frame)  # valid as built, like the decoder's frames
-        frame.frame_type, frame.seq, frame.payload = _DATA, seq, ticket._payloads[ticket._index]
+        frame.frame_type, frame.seq, frame.payload = _DATA, seq, ticket._payloads[index]
+        frame.tag = ticket._tag
         ticket._frame = encode_frame(frame)
         self._transmit(ticket._frame)
         self.stats.tx_data += 1
@@ -391,6 +421,7 @@ class PortProtocol:
             return
         if ticket._retries_used >= self.config.max_retries:
             self._outstanding = None
+            self._tags &= ~(1 << ticket._tag)
             self.stats.give_ups += 1
             ticket._resolve(_FAILED)
             self._pump()
@@ -409,9 +440,15 @@ class PortProtocol:
             return
         ticket._timer.cancel()  # an outstanding ticket always has its timer armed
         if ticket._index + 1 < len(ticket._payloads):
+            queue = self._queue
+            # Yield to the queue's head, unless it would need a tag and none is free.
+            if queue and (queue[0]._index >= 0 or self._tags != _ALL_TAGS):
+                queue.append(ticket)
+                ticket = self._outstanding = queue.popleft()
             self._start_next(ticket)
             return
         self._outstanding = None
+        self._tags &= ~(1 << ticket._tag)
         ticket._resolve(_DELIVERED)
         if self._queue:
             self._pump()

@@ -8,8 +8,9 @@ where src_id is in the id codec below and pstr is a 1-byte length followed
 by that many UTF-8 bytes (length 0 in the dst_app slot means "none"). Each
 body shape is declared once, as a `Layout`. A serialized message larger
 than one link payload is split into link chunks, each prefixed with a
-4-byte (index, count) header; the reliable link keeps chunks in order, so
-reassembly is a straight concatenation.
+4-byte (index, count) header. The link sends one message's chunks under
+one stream tag and keeps each stream in order, so with one reassembler per
+(port, tag), reassembly is a straight concatenation.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ class Kind(IntEnum):
     REPLY = 5
     VERSION_ANNOUNCE = 6
     CODE_PUSH = 7
-    FILE_CHUNK = 8
+    FILE = 8
     EXEC = 9
     START = 10
     CODE_CHUNK = 7  # an alias of CODE_PUSH: the name bench/micro.py uses
@@ -237,12 +238,13 @@ APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
 APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
 BCAST = Layout("", str, bytes, None)  # src_app, data
 INVOKE = Layout("", str, str, None)  # role, command
-CHUNK = Layout("IHH", str, bytes, (  # FILE_CHUNK: transfer_id, index, total, name, data
-    lambda _transfer_id, index, total, _name: index < total, "bad chunk position"))  # no total 0
+FILE = Layout("", str, bytes, None)  # name, data
 REQUEST = Layout("I", None, str, None)  # EXEC, START, REPLY: req_id, text
 CODE_PUSH = Layout("I", ModuleId, bytes, None)  # version, the receiver's new id, code image
 
-chunk_body = CHUNK.pack  # the name bench/micro.py imports
+# The retired FILE_CHUNK body (transfer_id, index, total, name, data); only
+# bench/micro.py uses it.
+chunk_body = Layout("IHH", str, bytes, None).pack
 
 
 # Link-payload chunking.
@@ -258,11 +260,12 @@ def split_for_link(data: bytes) -> list[bytes]:
 
 
 class LinkReassembler:
-    """Rebuilds serialized messages from in-order link chunks.
+    """Rebuilds serialized messages from the in-order link chunks of one
+    stream (one port's tag).
 
-    The link guarantees order, so anything out of step means the sender
-    aborted mid-message; the partial buffer is dropped and reassembly
-    restarts at the next index-0 chunk.
+    The link keeps a stream in order, so anything out of step means the
+    sender aborted mid-message; the partial buffer is dropped and
+    reassembly restarts at the next index-0 chunk.
     """
 
     def __init__(self):
@@ -297,7 +300,8 @@ class LinkReassembler:
 
 
 def send_message(port: PortProtocol, msg: ServiceMessage) -> Ticket:
-    """Send one message's link chunks as one port entry: the ticket is
-    DELIVERED when every chunk was acknowledged and FAILED at the first
-    chunk the link gave up on, whose later chunks are never sent."""
+    """Send one message's link chunks as one port entry, all under one
+    stream tag: the ticket is DELIVERED when every chunk was acknowledged
+    and FAILED at the first chunk the link gave up on, whose later chunks
+    are never sent."""
     return port.send(msg.link_chunks)

@@ -17,17 +17,15 @@ from __future__ import annotations
 import base64
 import itertools
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, CHUNK_DATA_MAX, CODE_PUSH, INVOKE, REQUEST, ROOT_ID,
-    VERSION, Kind, LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
-    encode_message,
+    APPDATA, APPDATA_STATUS, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, ROOT_ID, VERSION, Kind,
+    LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
 )
 from .sim import Timer, US_PER_MS, US_PER_S
 
@@ -110,13 +108,6 @@ class _ExecSession(Session):
             self._on_response(line)
 
 
-@dataclass
-class _Transfer:
-    total: int
-    name: str
-    parts: list[bytes]
-
-
 class ServiceNode:
     """Middleware state machine for one module.
 
@@ -140,11 +131,9 @@ class ServiceNode:
         self.engines: dict[str, RoleEngine] = {}
         self.file_store: dict[str, str] = {}
         self.code_image = b""
-        self._reassemblers: defaultdict[int, LinkReassembler] = defaultdict(LinkReassembler)
-        self._file_transfers: dict[tuple[int, int], _Transfer] = {}
+        self._reassemblers = defaultdict(LinkReassembler)  # one per stream: (port, link tag)
         self._pending: dict[int, tuple[Timer, Session]] = {}  # req_id -> (reply timer, asker)
         self._req_counter = itertools.count(1)
-        self._transfer_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
         self._held_push = None  # (req_ids it waits for, version, new id, image, pusher, port)
         self._hello = self._announce = None  # built by _advertise for the current id and version
@@ -227,11 +216,15 @@ class ServiceNode:
                 self.host.send_port(port, hello)
 
     def _start_push(self, port: int) -> None:
-        self._push_inflight.add(port)
         version = self.version
         child = self.module_id.child(port)
-        msg = ServiceMessage(Kind.CODE_PUSH, self.module_id, None,
-                             CODE_PUSH.pack(version, child, self.code_image))
+        try:
+            msg = ServiceMessage(Kind.CODE_PUSH, self.module_id, None,
+                                 CODE_PUSH.pack(version, child, self.code_image))
+        except ProtocolError as exc:  # the child's id does not fit the wire
+            self.host.log("protocol-error", f"CODE_PUSH: {exc}")
+            return
+        self._push_inflight.add(port)
         self.host.log("push", f"v={version} port={port} id={child}")
 
         def done(ticket: Ticket) -> None:
@@ -245,36 +238,6 @@ class ServiceNode:
 
         self.host.send_port(port, msg).on_done(done)
 
-    def _chunk_messages(self, name: str, blob: bytes) -> list[ServiceMessage]:
-        """One file's FILE_CHUNK messages under a fresh transfer id, each but
-        the last encoded to exactly k whole link chunks: k * CHUNK_DATA_MAX
-        bytes, with k = 2 for any header shorter than one link chunk."""
-        transfer_id = next(self._transfer_counter)
-        header = len(encode_message(ServiceMessage(
-            Kind.FILE_CHUNK, self.module_id, None, CHUNK.pack(transfer_id, 0, 1, name, b""))))
-        size = (2 + header // CHUNK_DATA_MAX) * CHUNK_DATA_MAX - header
-        parts = [blob[i:i + size] for i in range(0, len(blob), size)] or [b""]
-        return [
-            ServiceMessage(Kind.FILE_CHUNK, self.module_id, None,
-                           CHUNK.pack(transfer_id, i, len(parts), name, part))
-            for i, part in enumerate(parts)
-        ]
-
-    def _run_job(self, port: int, msgs: list[ServiceMessage], done: Callable[[bool], None]) -> None:
-        """Send messages one after another, each from the previous ticket's
-        DELIVERED callback; abort the job on first failure. That callback is
-        a partial of `_job_step` over an iterator of the messages, so nothing
-        in a job refers back to itself and reference counting frees it."""
-        self._job_step(port, iter(msgs), done, None)
-
-    def _job_step(self, port: int, msgs: Iterator, done: Callable, ticket: Ticket | None) -> None:
-        if ticket is not None and ticket.state is not TicketState.DELIVERED:
-            done(False)
-        elif (msg := next(msgs, None)) is None:
-            done(True)
-        else:
-            self.host.send_port(port, msg).on_done(partial(self._job_step, port, msgs, done))
-
     def _adopt(self, version: int, new_id: ModuleId, blob: bytes, src: ModuleId,
                port: int) -> None:
         self.version = version
@@ -282,7 +245,6 @@ class ServiceNode:
         self.code_image = blob
         self.host.log("version", str(version))
         self.host.log("push-accept", f"v={version} id={new_id} from={src}")
-        self._file_transfers.clear()
         self._reset_sessions()
         for timer, _session in self._pending.values():
             timer.cancel()
@@ -303,8 +265,8 @@ class ServiceNode:
 
     # inbound message path
 
-    def on_link_payload(self, port: int, payload: bytes) -> None:
-        whole = self._reassemblers[port].feed(payload)
+    def on_link_payload(self, port: int, tag: int, payload: bytes) -> None:
+        whole = self._reassemblers[port, tag].feed(payload)
         if whole is None:
             return
         # Beacons repeat byte for byte: a repeat only stores its (id, version) again.
@@ -347,8 +309,8 @@ class ServiceNode:
             self._resolve_pending(*REQUEST.unpack(msg.body))
         elif kind is Kind.CODE_PUSH:
             self._on_code_push(port, msg)
-        elif kind is Kind.FILE_CHUNK:
-            self._on_file_chunk(port, msg)
+        elif kind is Kind.FILE:
+            self._on_file(msg)
         else:  # EXEC or START: every other kind has its branch above
             self._serve(port, msg)
 
@@ -400,23 +362,8 @@ class ServiceNode:
         else:
             self._adopt(version, new_id, image, msg.src, port)
 
-    def _on_file_chunk(self, port: int, msg: ServiceMessage) -> None:
-        """Collect a file's chunks in order; store it when the last arrives."""
-        transfer_id, index, total, name, data = CHUNK.unpack(msg.body)
-        key = (port, transfer_id)
-        if index == 0:
-            entry = self._file_transfers[key] = _Transfer(total=total, name=name, parts=[data])
-        else:
-            entry = self._file_transfers.get(key)
-            if entry is None or index != len(entry.parts) or total != entry.total:
-                self._file_transfers.pop(key, None)
-                self.host.log("transfer-reset", f"port={port} id={transfer_id}")
-                return
-            entry.parts.append(data)
-        if len(entry.parts) < total:
-            return
-        del self._file_transfers[key]
-        blob = b"".join(entry.parts)
+    def _on_file(self, msg: ServiceMessage) -> None:
+        name, blob = FILE.unpack(msg.body)
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
@@ -629,9 +576,10 @@ class ServiceNode:
             raise _Answer("ERR 400 file content must be utf-8 text")
         port = self._port_of(args[0])
         name = args[1]
-        msgs = self._chunk_messages(name, raw)
-        self._run_job(port, msgs, lambda ok: session.respond(
-            f"OK transferred {name}" if ok else "ERR 409 transfer failed"))
+        msg = ServiceMessage(Kind.FILE, self.module_id, None, FILE.pack(name, raw))
+        self.host.send_port(port, msg).on_done(lambda ticket: session.respond(
+            f"OK transferred {name}" if ticket.state is TicketState.DELIVERED
+            else "ERR 409 transfer failed"))
 
     def _cmd_exec(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:

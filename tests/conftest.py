@@ -16,13 +16,24 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.ge
 
 _DIRS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
 
-# The world-level convergence property (tests/test_diffusion.py) runs under
-# the profile that HYPOTHESIS_PROFILE names, "convergence" by default; CI
-# runs it once more, untimed, under "convergence-10x". Other tests keep their
-# own settings.
+# The world-level convergence property (tests/test_diffusion.py) and the
+# link properties (tests/test_link_stateful.py) each run under a profile,
+# "convergence" and "link", or under its "-10x" variant (10x the examples)
+# when HYPOTHESIS_PROFILE names that; CI runs each once more, untimed, so.
+# Other tests keep their own settings.
 settings.register_profile("convergence", max_examples=100, deadline=None)
 settings.register_profile("convergence-10x", settings.get_profile("convergence"), max_examples=1000)
-CONVERGENCE = settings.get_profile(os.environ.get("HYPOTHESIS_PROFILE", "convergence"))
+settings.register_profile("link", max_examples=40, stateful_step_count=25, deadline=None)
+settings.register_profile("link-10x", settings.get_profile("link"), max_examples=400)
+
+
+def _profile(name: str) -> settings:
+    chosen = os.environ.get("HYPOTHESIS_PROFILE")
+    return settings.get_profile(chosen if chosen in (name, f"{name}-10x") else name)
+
+
+CONVERGENCE = _profile("convergence")
+LINK = _profile("link")
 
 
 @pytest.fixture

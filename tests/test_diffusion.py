@@ -265,8 +265,9 @@ def test_the_receiver_of_a_push_holds_the_pushers_id_and_version():
 
 def test_a_pusher_that_adopted_again_while_its_push_was_in_flight_pushes_at_delivery():
     # m0 reaches v3 while its v2 push to m1 is in flight. m1 greets no
-    # pusher, so m0 pushes v3 the moment the v2 push is delivered (520 cs),
-    # not on its next tick (600 cs).
+    # pusher, so m0 pushes v3 the moment the v2 push is delivered (521 cs:
+    # the 500 cs tick's announce took its turn after the push's first
+    # frame), not on its next tick (600 cs).
     scenario = Scenario(events=[
         ScenarioEvent(500, "upgrade", ("m0", 2)), ScenarioEvent(505, "upgrade", ("m0", 3))])
     world = build(chain_topology(3), scenario, seed=1)
@@ -278,7 +279,7 @@ def test_a_pusher_that_adopted_again_while_its_push_was_in_flight_pushes_at_deli
     # behind the v2 push would, so none goes on the wire.
     assert [beacon for beacon in beacons[sent:] if beacon[0] == "HELLO"] == []
     assert _versions(world) == [3, 3, 3]
-    assert "520 m0 push v=3 port=1 id=0.1" in world.log.lines()
+    assert "521 m0 push v=3 port=1 id=0.1" in world.log.lines()
 
 
 def test_diffusion_reaches_past_depth_127():

@@ -37,9 +37,9 @@ class Pipe:
 def make_pair(config_a=None, config_b=None):
     scheduler = Scheduler()
     ab, ba = Pipe(scheduler), Pipe(scheduler)
-    delivered_a, delivered_b = [], []
-    proto_a = PortProtocol(scheduler, ab.transmit, delivered_a.append, config_a)
-    proto_b = PortProtocol(scheduler, ba.transmit, delivered_b.append, config_b)
+    delivered_a, delivered_b = [], []  # payloads, whatever their stream tag
+    proto_a = PortProtocol(scheduler, ab.transmit, lambda _tag, p: delivered_a.append(p), config_a)
+    proto_b = PortProtocol(scheduler, ba.transmit, lambda _tag, p: delivered_b.append(p), config_b)
     ab.receive = proto_b.on_bytes
     ba.receive = proto_a.on_bytes
     return scheduler, proto_a, proto_b, ab, ba, delivered_a, delivered_b
@@ -267,3 +267,67 @@ def test_fresh_frame_after_a_run_of_give_ups_is_delivered(give_ups):
     scheduler.run_until(scheduler.now + 10 * US_PER_MS)
     assert fresh.state is TicketState.DELIVERED
     assert delivered == [b"first", b"fresh"]
+
+
+def _tagged_pair():
+    """make_pair, with b's deliveries kept as (tag, payload) and a's frames kept."""
+    scheduler, a, b, ab, ba, _, _ = make_pair()
+    streams, frames = [], []
+    b._deliver = lambda tag, payload: streams.append((tag, payload))
+    transmit = ab.transmit
+    a._transmit = lambda data: (frames.append(data), transmit(data))
+    return scheduler, a, streams, frames
+
+
+def test_a_one_frame_send_overtakes_a_multi_frame_message_under_the_next_tag():
+    scheduler, a, streams, frames = _tagged_pair()
+    long = a.send([b"l0", b"l1", b"l2"])
+    short = a.send([b"s"])
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert streams == [(0, b"l0"), (1, b"s"), (0, b"l1"), (0, b"l2")]
+    assert frames == [encode_frame(Frame(FrameType.DATA, 0, b"l0")),
+                      encode_frame(Frame(FrameType.DATA, 1, b"s", tag=1)),
+                      encode_frame(Frame(FrameType.DATA, 2, b"l1")),
+                      encode_frame(Frame(FrameType.DATA, 3, b"l2"))]
+    assert [frame[1] for frame in frames] == [0x01, 0x11, 0x01, 0x01]
+    assert long.state is short.state is TicketState.DELIVERED
+    assert a._tags == 0
+
+
+def test_multi_frame_messages_take_turns_frame_by_frame():
+    scheduler, a, streams, _ = _tagged_pair()
+    a.send([b"a0", b"a1", b"a2"])
+    a.send([b"b0", b"b1"])
+    a.send([b"c0"])
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert streams == [(0, b"a0"), (1, b"b0"), (2, b"c0"), (0, b"a1"), (1, b"b1"), (0, b"a2")]
+
+
+def test_past_sixteen_open_tickets_the_one_on_the_wire_keeps_going():
+    scheduler, a, streams, _ = _tagged_pair()
+    tickets = [a.send([bytes([i, 0]), bytes([i, 1])]) for i in range(17)]
+    scheduler.run_until(1_000 * US_PER_MS)
+    # Tickets 0-15 open under tags 0-15. Ticket 16 then finds no tag free,
+    # so ticket 15 keeps the wire for its second frame, and on its
+    # resolution ticket 16 opens under the tag it freed.
+    assert streams[:18] == [(i, bytes([i, 0])) for i in range(16)] + [
+        (15, bytes([15, 1])), (15, bytes([16, 0]))]
+    assert streams[18:] == [(i, bytes([i, 1])) for i in range(15)] + [(15, bytes([16, 1]))]
+    assert all(t.state is TicketState.DELIVERED for t in tickets)
+    assert a._tags == 0
+
+
+def test_a_give_up_frees_the_tag_of_a_part_sent_message():
+    scheduler, a, b, ab, ba, _, _ = make_pair(LinkConfig(max_retries=1))
+    streams = []
+    b._deliver = lambda tag, payload: streams.append((tag, payload))
+    long = a.send([b"l0", b"l1"])
+    a.send([b"s"])
+    ab.drop_plan = [False, True, True]  # after l0: s passes, l1 is lost twice
+    scheduler.run_until(1_000 * US_PER_MS)
+    assert long.state is TicketState.FAILED
+    assert a._tags == 0
+    again = a.send([b"x0", b"x1"])
+    scheduler.run_until(2_000 * US_PER_MS)
+    assert again.state is TicketState.DELIVERED
+    assert streams == [(0, b"l0"), (1, b"s"), (0, b"x0"), (0, b"x1")]

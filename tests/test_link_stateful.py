@@ -1,29 +1,35 @@
 """Stateful property test of a PortProtocol pair carrying whole messages.
 
-Both ports send messages of 1-4 link chunks through `send_message` while
-frames are dropped in either direction and time advances. The drops in
-one run never exceed `max_retries`, so no frame can run out of retries:
-every message must arrive, reassembled, in order and exactly once, and
-the DELIVERED tickets must be exactly the messages that arrived (the last
-one may still wait for its ACK).
+Both ports send messages of 1-4 link chunks through `send_message`, now
+and then more than 16 multi-chunk ones at once, while frames are dropped
+in either direction and time advances; the receivers reassemble each
+stream tag on its own. The drops in one run never exceed `max_retries`,
+so no frame can run out of retries. Every message must arrive exactly once
+and whole; the DELIVERED tickets must be exactly the messages that arrived
+(the last one may still wait for its ACK); one-chunk messages must arrive
+in submission order; and at every frame sent, no two open tickets of a
+port may share a tag.
 
-A second property feeds random streams of DATA frames, ACKs and junk,
-cut at random points, to one port and to a reference port that hands
-every decoded frame to the receive handler the link used before ACKs
+A second property feeds random streams of DATA frames of any tag, ACKs
+and junk, cut at random points, to one port and to a reference port that
+hands every decoded frame to the receive handler the link used before ACKs
 were taken by table, given the last-delivered duplicate rule; both must
 count, transmit and deliver the same.
 """
 
 import itertools
+from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from modbot import messages as m
 from modbot.link import (
-    _ACK, _ACKS, _DELIVERED, Frame, FrameType, LinkConfig, PortProtocol, TicketState, encode_frame,
+    _ACK, _ACKS, TAGS, Frame, FrameType, LinkConfig, PortProtocol, TicketState, encode_frame,
 )
 from modbot.sim import Scheduler, US_PER_MS
+
+from conftest import LINK
 
 MAX_RETRIES = 3
 HEADER = len(m.encode_message(m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None)))
@@ -31,14 +37,17 @@ DIRECTIONS = ("ab", "ba")
 
 
 class _Pipe:
-    """One direction of the link: 1 ms delay, drops the next `drop_next` frames."""
+    """One direction of the link: 1 ms delay, drops the next `drop_next`
+    frames, and runs `check` on each frame sent."""
 
     def __init__(self, scheduler: Scheduler):
         self.scheduler = scheduler
         self.receiver = None
         self.drop_next = 0
+        self.check = lambda: None
 
     def transmit(self, data: bytes) -> None:
+        self.check()
         if self.drop_next:
             self.drop_next -= 1
         else:
@@ -51,8 +60,9 @@ class LinkPairMachine(RuleBasedStateMachine):
         self.scheduler = Scheduler()
         self.drops_left = MAX_RETRIES
         self.counter = 0
+        self.sending = None
         self.pipes = {d: _Pipe(self.scheduler) for d in DIRECTIONS}
-        self.sent = {d: [] for d in DIRECTIONS}  # (body, ticket) per send
+        self.sent = {d: [] for d in DIRECTIONS}  # (body, ticket, chunks) per send
         self.received = {d: [] for d in DIRECTIONS}  # reassembled bodies
         config = LinkConfig(ack_timeout_ms=10, max_retries=MAX_RETRIES)
         # Port "a" sends on pipe "ab" and receives from "ba"; "b" the reverse.
@@ -60,27 +70,50 @@ class LinkPairMachine(RuleBasedStateMachine):
             name: PortProtocol(self.scheduler, self.pipes[out].transmit, self._receiver(into), config)
             for name, out, into in (("a", "ab", "ba"), ("b", "ba", "ab"))
         }
-        self.pipes["ab"].receiver = self.ports["b"]
-        self.pipes["ba"].receiver = self.ports["a"]
+        for d in DIRECTIONS:
+            self.pipes[d].receiver = self.ports[d[1]]
+            self.pipes[d].check = lambda d=d: self._open_tags_differ(d)
 
     def _receiver(self, d: str):
-        reassembler = m.LinkReassembler()
+        reassemblers = defaultdict(m.LinkReassembler)  # one per stream tag
 
-        def deliver(payload: bytes) -> None:
-            whole = reassembler.feed(payload)
+        def deliver(tag: int, payload: bytes) -> None:
+            whole = reassemblers[tag].feed(payload)
             if whole is not None:
                 self.received[d].append(m.decode_message(whole).body)
 
         return deliver
 
-    @rule(d=st.sampled_from(DIRECTIONS), chunks=st.integers(1, 4), extra=st.integers(0, m.CHUNK_DATA_MAX - 1))
-    def send(self, d, chunks, extra):
+    def _send(self, d: str, chunks: int, extra: int) -> None:
         self.counter += 1
         size = max(4, (chunks - 1) * m.CHUNK_DATA_MAX + 1 + extra - HEADER)
         body = self.counter.to_bytes(4, "big") + bytes(size - 4)
         msg = m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, body)
         assert len(msg.link_chunks) == chunks
-        self.sent[d].append((body, m.send_message(self.ports[d[0]], msg)))
+        self.sending = d  # the new ticket is not in self.sent until send returns
+        self.sent[d].append((body, m.send_message(self.ports[d[0]], msg), chunks))
+        self.sending = None
+
+    def _open_tags_differ(self, d: str) -> None:
+        """No two open tickets of the port hold one tag, and the port's tag
+        mask is exactly theirs."""
+        if self.sending == d:
+            return
+        tags = [ticket._tag for _, ticket, _ in self.sent[d]
+                if ticket._index >= 0 and not ticket.done]
+        assert len(set(tags)) == len(tags) <= TAGS
+        assert self.ports[d[0]]._tags == sum(1 << tag for tag in tags)
+
+    @rule(d=st.sampled_from(DIRECTIONS), chunks=st.integers(1, 4), extra=st.integers(0, m.CHUNK_DATA_MAX - 1))
+    def send(self, d, chunks, extra):
+        self._send(d, chunks, extra)
+
+    @rule(d=st.sampled_from(DIRECTIONS), count=st.integers(TAGS + 1, TAGS + 4),
+          chunks=st.integers(2, 4), extra=st.integers(0, m.CHUNK_DATA_MAX - 1))
+    def flood(self, d, count, chunks, extra):
+        """Queue more multi-chunk messages on one port than there are tags."""
+        for _ in range(count):
+            self._send(d, chunks, extra)
 
     @precondition(lambda self: self.drops_left > 0)
     @rule(d=st.sampled_from(DIRECTIONS), k=st.integers(1, MAX_RETRIES))
@@ -96,30 +129,36 @@ class LinkPairMachine(RuleBasedStateMachine):
     @invariant()
     def delivered_tickets_match_arrivals(self):
         for d in DIRECTIONS:
-            bodies = [body for body, _ in self.sent[d]]
-            states = [ticket.state for _, ticket in self.sent[d]]
+            bodies = {body for body, _, _ in self.sent[d]}
             arrived = self.received[d]
-            assert arrived == bodies[:len(arrived)]  # in order, exactly once
-            done = states.count(TicketState.DELIVERED)
-            assert states[:done] == [TicketState.DELIVERED] * done
+            assert len(set(arrived)) == len(arrived)  # exactly once
+            assert set(arrived) <= bodies  # whole: each is a sent body, byte for byte
+            states = [ticket.state for _, ticket, _ in self.sent[d]]
             assert TicketState.FAILED not in states
-            assert done <= len(arrived) <= done + 1
+            done = {body for body, ticket, _ in self.sent[d] if ticket.state is TicketState.DELIVERED}
+            assert done <= set(arrived) and len(arrived) <= len(done) + 1
+            one_chunk = [body for body, _, chunks in self.sent[d] if chunks == 1]
+            arrived_one_chunk = [body for body in arrived if body in set(one_chunk)]
+            assert arrived_one_chunk == one_chunk[:len(arrived_one_chunk)]  # in order
+            self._open_tags_differ(d)
 
     def teardown(self):
         self.scheduler.run_until(self.scheduler.now + 60_000 * US_PER_MS)
         for d in DIRECTIONS:
-            assert self.received[d] == [body for body, _ in self.sent[d]]
-            assert all(t.state is TicketState.DELIVERED for _, t in self.sent[d])
+            assert sorted(self.received[d]) == sorted(body for body, _, _ in self.sent[d])
+            assert all(t.state is TicketState.DELIVERED for _, t, _ in self.sent[d])
+            assert self.ports[d[0]]._tags == 0
 
 
-LinkPairMachine.TestCase.settings = settings(max_examples=40, stateful_step_count=25, deadline=None)
-test_link_pair_delivers_every_message_once_in_order = LinkPairMachine.TestCase
+LinkPairMachine.TestCase.settings = LINK
+test_link_pair_delivers_every_message_once_and_whole = LinkPairMachine.TestCase
 
 
 # The receive path against the one it replaced: a port whose on_bytes
 # hands every frame of FrameDecoder.feed to `_handle_frame` as it stood
 # before ACKs were taken by table and DATA handled in on_bytes, with the
-# duplicate rule keyed on the last delivered seq.
+# duplicate rule keyed on the last delivered seq. What the sender does with
+# a matching ACK is `_on_ack`'s queue discipline, so both ports run it.
 
 
 class _ReferencePort(PortProtocol):
@@ -131,15 +170,7 @@ class _ReferencePort(PortProtocol):
         if frame.frame_type is _ACK:
             ticket = self._outstanding
             if ticket is not None and ticket._seq == frame.seq:
-                if ticket._timer is not None:
-                    ticket._timer.cancel()
-                if ticket._index + 1 < len(ticket._payloads):
-                    self._start_next(ticket)
-                    return
-                self._outstanding = None
-                ticket._resolve(_DELIVERED)
-                if self._queue:
-                    self._pump()
+                self._on_ack(frame.seq)
             else:
                 self.stats.stale_acks += 1
             return
@@ -149,7 +180,7 @@ class _ReferencePort(PortProtocol):
         if frame.seq != self._last_seq:
             self._last_seq = frame.seq
             self.stats.rx_delivered += 1
-            self._deliver(frame.payload)
+            self._deliver(frame.tag, frame.payload)
         else:
             self.stats.rx_duplicates += 1
 
@@ -158,9 +189,9 @@ class _ReferencePort(PortProtocol):
 # match or repeat an outstanding seq and most DATA frames are expected or
 # duplicates.
 _wire_frames = st.builds(
-    lambda data, seq, payload: encode_frame(
-        Frame(FrameType.DATA, seq, payload) if data else Frame(FrameType.ACK, seq)),
-    st.booleans(), st.integers(0, 5), st.binary(max_size=12),
+    lambda data, seq, payload, tag: encode_frame(
+        Frame(FrameType.DATA, seq, payload, tag) if data else Frame(FrameType.ACK, seq)),
+    st.booleans(), st.integers(0, 5), st.binary(max_size=12), st.integers(0, TAGS - 1),
 )
 _wire_junk = st.lists(st.one_of(st.just(0x7E), st.integers(0, 255)), min_size=1, max_size=8).map(bytes)
 
@@ -180,12 +211,13 @@ def _port(cls):
     """A port with three two-payload messages queued, and one list of what
     it transmitted and delivered, in order."""
     out = []
-    port = cls(Scheduler(), lambda data: out.append(("tx", data)), lambda p: out.append(("rx", p)))
+    port = cls(Scheduler(), lambda data: out.append(("tx", data)),
+               lambda tag, p: out.append(("rx", tag, p)))
     tickets = [port.send([bytes([i, 0]), bytes([i, 1])]) for i in range(3)]
     return port, out, tickets
 
 
-@settings(max_examples=200, deadline=None)
+@settings(LINK, max_examples=5 * LINK.max_examples)
 @given(_received_streams())
 def test_receive_path_matches_the_reference_handler(pieces):
     ref, ref_out, ref_tickets = _port(_ReferencePort)

@@ -115,8 +115,8 @@ def invoke_body(role: str, command: str) -> bytes:
     return _pstr(role) + command.encode("utf-8")
 
 
-def chunk_body(transfer_id: int, index: int, total: int, name: str, data: bytes) -> bytes:
-    return struct.pack(">IHH", transfer_id, index, total) + _pstr(name) + data
+def file_body(name: str, data: bytes) -> bytes:
+    return _pstr(name) + data
 
 
 def request_body(req_id: int, text: str) -> bytes:
@@ -139,7 +139,7 @@ def test_message_roundtrip_every_kind():
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
         m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
                          m.CODE_PUSH.pack(2, m.ModuleId((0, 3)), b"image")),
-        m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None, m.CHUNK.pack(9, 1, 2, "a.role", b"text")),
+        m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("a.role", b"text")),
         m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
         m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
     ]
@@ -154,7 +154,7 @@ def test_body_parsers():
     assert m.APPDATA_STATUS.unpack(appdata_status_body(3, True)) == (1, 3, 0)
     assert m.BCAST.unpack(bcast_body("a", b"zz")) == ("a", b"zz")
     assert m.INVOKE.unpack(invoke_body("Wheel", "evade")) == ("Wheel", "evade")
-    assert m.CHUNK.unpack(chunk_body(1, 0, 3, "f", b"d")) == (1, 0, 3, "f", b"d")
+    assert m.FILE.unpack(file_body("f", b"d")) == ("f", b"d")
     assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
     assert m.CODE_PUSH.unpack(code_push_body(2, m.ModuleId((0, 1)), b"img")) == (
         2, m.ModuleId((0, 1)), b"img")
@@ -163,8 +163,6 @@ def test_body_parsers():
 _u32 = st.integers(0, 2**32 - 1)
 _text = st.text(max_size=16)  # at most 64 UTF-8 bytes, so it fits a pstr
 _ids = st.lists(st.integers(0, 255), max_size=6).map(lambda path: m.ModuleId(tuple(path)))
-_positions = st.integers(1, 0xFFFF).flatmap(
-    lambda total: st.tuples(st.integers(0, total - 1), st.just(total)))
 
 # layout name: (kinds that carry it, values strategy, reference builder of the values)
 _LAYOUTS = {
@@ -175,10 +173,7 @@ _LAYOUTS = {
                        lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
     "INVOKE": ((m.Kind.INVOKE,), st.tuples(_text, st.text(max_size=64)), invoke_body),
-    "CHUNK": ((m.Kind.FILE_CHUNK,),
-              st.tuples(_u32, _positions, _text, st.binary(max_size=64)).map(
-                  lambda v: (v[0], *v[1], v[2], v[3])),
-              chunk_body),
+    "FILE": ((m.Kind.FILE,), st.tuples(_text, st.binary(max_size=64)), file_body),
     "REQUEST": ((m.Kind.EXEC, m.Kind.START, m.Kind.REPLY), st.tuples(_u32, st.text(max_size=64)),
                 request_body),
     "CODE_PUSH": ((m.Kind.CODE_PUSH,), st.tuples(_u32, _ids, st.binary(max_size=64)),
@@ -229,11 +224,9 @@ def test_decode_rejects_malformed():
     with pytest.raises(m.ProtocolError):
         m.decode_message(bytes([1, 200]))  # truncated pstr
     with pytest.raises(m.ProtocolError):
-        m.CHUNK.unpack(m.CHUNK.pack(1, 0, 3, "f", b"")[:6])
-    for layout, values in [(m.CHUNK, (1, 0, 0, "f", b"")), (m.CHUNK, (1, 3, 3, "f", b"")),
-                           (m.APPDATA, (2, 1, "a", b""))]:
-        with pytest.raises(m.ProtocolError, match="bad (chunk position|appdata subtype)"):
-            layout.unpack(layout.pack(*values))
+        m.FILE.unpack(m.FILE.pack("file", b"")[:3])  # truncated name
+    with pytest.raises(m.ProtocolError, match="bad appdata subtype"):
+        m.APPDATA.unpack(m.APPDATA.pack(2, 1, "a", b""))
 
 
 def test_protocol_doc_layout_table_matches_the_code():
@@ -281,9 +274,9 @@ def test_small_appdata_fits_one_link_frame():
 
 
 def test_600_byte_chunk_body_takes_three_link_frames():
-    body = m.CHUNK.pack(1, 0, 1, "big.role", b"t" * 583)
+    body = m.FILE.pack("big.role", b"t" * 591)
     assert len(body) == 600
-    msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ModuleId((0,)), None, body)
+    msg = m.ServiceMessage(m.Kind.FILE, m.ModuleId((0,)), None, body)
     parts = m.split_for_link(m.encode_message(msg))
     assert len(parts) == 3
     reasm = m.LinkReassembler()
@@ -334,18 +327,15 @@ class _DyingPipe:
 def test_message_ticket_fails_whole_message_and_cancels_siblings(dies):
     scheduler = Scheduler()
     pipe = _DyingPipe(scheduler, alive=dies)
-    port = PortProtocol(scheduler, pipe.transmit, lambda data: None,
+    port = PortProtocol(scheduler, pipe.transmit, lambda tag, data: None,
                         LinkConfig(ack_timeout_ms=10, max_retries=1))
     pipe.peer = PortProtocol(
         scheduler, lambda data: scheduler.call_after(1000, lambda: port.on_bytes(data)),
-        lambda data: None)
-    msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None,
-                           m.CHUNK.pack(1, 0, 1, "f", bytes(1000)))
+        lambda tag, data: None)
+    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("f", bytes(1000)))
     chunks = msg.link_chunks
     assert len(chunks) == 5
     ticket = m.send_message(port, msg)
-    behind = _announce()
-    m.send_message(port, behind)
     outcomes = []
     ticket.on_done(lambda t: outcomes.append((t.state, len(pipe.frames))))
     scheduler.run_until(10_000 * US_PER_MS)
@@ -355,7 +345,11 @@ def test_message_ticket_fails_whole_message_and_cancels_siblings(dies):
     # remaining chunks were dropped unsent.
     assert outcomes == [(TicketState.FAILED, dies + 2)]
     assert pipe.frames[:dies + 2] == list(enumerate(chunks[:dies])) + [(dies, chunks[dies])] * 2
-    # The message queued behind it starts at the next seq (and dies too).
+    # The next message starts at the next seq (and dies too). Sent while
+    # the long one was open, it would have taken its turn after one frame.
+    behind = _announce()
+    m.send_message(port, behind)
+    scheduler.run_until(20_000 * US_PER_MS)
     assert pipe.frames[dies + 2:] == [(dies + 1, behind.link_chunks[0])] * 2
     assert ticket.transmissions == 1 + 1  # the first frame, plus one retransmission
 
@@ -372,13 +366,12 @@ def test_message_ticket_delivers_over_pipe():
             scheduler.call_after(1000, lambda: self.peer.on_bytes(data))
 
     down, up = _Loop(), _Loop()
-    port_a = PortProtocol(scheduler, down.transmit, lambda d: None)
-    port_b = PortProtocol(scheduler, up.transmit, delivered.append)
+    port_a = PortProtocol(scheduler, down.transmit, lambda tag, d: None)
+    port_b = PortProtocol(scheduler, up.transmit, lambda tag, d: delivered.append(d))
     down.peer = port_b
     up.peer = port_a
     payload = random.Random(5).randbytes(5000)
-    msg = m.ServiceMessage(m.Kind.FILE_CHUNK, m.ROOT_ID, None,
-                           m.CHUNK.pack(1, 0, 1, "f", payload))
+    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("f", payload))
     ticket = m.send_message(port_a, msg)
     scheduler.run_until(60_000 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED
@@ -397,7 +390,7 @@ def _announce(version: int = 3) -> m.ServiceMessage:
 def test_one_chunk_message_fails_after_every_retry_over_dead_pipe():
     scheduler = Scheduler()
     pipe = _DeadPipe()
-    port = PortProtocol(scheduler, pipe.transmit, lambda data: None,
+    port = PortProtocol(scheduler, pipe.transmit, lambda tag, data: None,
                         LinkConfig(ack_timeout_ms=10, max_retries=3))
     ticket = m.send_message(port, _announce())
     scheduler.run_until(10_000 * US_PER_MS)
@@ -414,8 +407,8 @@ def test_one_chunk_message_delivers_over_loopback_pipe():
     def pipe_to(name: str):
         return lambda data: scheduler.call_after(1000, lambda: ports[name].on_bytes(data))
 
-    ports["a"] = PortProtocol(scheduler, pipe_to("b"), lambda data: None)
-    ports["b"] = PortProtocol(scheduler, pipe_to("a"), delivered.append)
+    ports["a"] = PortProtocol(scheduler, pipe_to("b"), lambda tag, data: None)
+    ports["b"] = PortProtocol(scheduler, pipe_to("a"), lambda tag, data: delivered.append(data))
     msg = _announce()
     ticket = m.send_message(ports["a"], msg)
     scheduler.run_until(1_000 * US_PER_MS)

@@ -10,9 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from modbot import node as node_module
 from modbot.link import FrameType, Ticket, TicketState, decode_frame
 from modbot.messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CHUNK, CHUNK_DATA_MAX, CODE_PUSH, INVOKE, REQUEST, VERSION,
-    Kind, LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message, encode_message,
-    split_for_link,
+    APPDATA, APPDATA_STATUS, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, VERSION, Kind, ModuleId,
+    ProtocolError, ServiceMessage, decode_message, encode_message, split_for_link,
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
 
@@ -382,8 +381,9 @@ def test_sender_without_id_shows_as_dash():
 
 
 def test_a_push_that_finds_a_request_pending_is_held_until_it_is_answered():
-    # m0's push to m1 is on the link before the SEND's status, which queues
-    # behind it; m1 adopts only after the status has answered its session.
+    # m1's SEND of 900 B (4 frames) is still on the link when m0's push
+    # (3 frames, taking turns with the status) arrives; m1 adopts only
+    # after the status has answered its session.
     world = World(chain_topology(2))
     m1 = world.modules["m1"].node
     pending_at_push = []
@@ -394,7 +394,7 @@ def test_a_push_that_finds_a_request_pending_is_held_until_it_is_answered():
     world.open_session("m0").submit("REGISTER sink")
     sender = world.open_session("m1")
     sender.submit("REGISTER a")
-    sender.submit(f"SEND 0 sink {b64(b'hi')}")
+    sender.submit(f"SEND 0 sink {b64(b'h' * 900)}")
     world.run_until_cs(60)
     assert pending_at_push == [[1]]
     assert sender.take_lines() == ["OK registered a", "OK delivered", "EVENT reset 1"]
@@ -415,7 +415,7 @@ def _push_held_behind_an_unanswered_send():
     push = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
                           CODE_PUSH.pack(2, ModuleId((0, 1)), b"v2 image"))
     for part in push.link_chunks:
-        m1.on_link_payload(0, part)
+        m1.on_link_payload(0, 0, part)
     assert m1.version == 1  # held behind request 1
     return world, m1, session
 
@@ -433,7 +433,7 @@ def test_a_push_no_newer_than_the_held_one_or_than_a_local_upgrade_is_rejected()
     again = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
                            CODE_PUSH.pack(2, ModuleId((0, 1)), b"v2 image"))
     for part in again.link_chunks:
-        m1.on_link_payload(0, part)
+        m1.on_link_payload(0, 0, part)
     m1.upgrade_local(3)  # overtakes the held v2 push
     world.run_until_cs(210 + m1._reply_timeout_us() // 10_000)
     assert session.take_lines() == ["OK registered a", "ERR 504 send timeout"]
@@ -592,7 +592,7 @@ def test_malformed_message_body_logged_and_dropped():
     node = world.modules["m0"].node
     bad = ServiceMessage(Kind.EXEC, ModuleId((0, 1)), None, b"\x01")
     for part in split_for_link(encode_message(bad)):
-        node.on_link_payload(1, part)
+        node.on_link_payload(1, 0, part)
     assert any("EXEC" in r[3] for r in world.log.select("protocol-error", "m0"))
 
 
@@ -603,7 +603,7 @@ def test_malformed_beacon_logged_again_when_repeated():
     bad = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId((0, 1)), None, b"\x01")
     for _ in range(2):
         for part in split_for_link(encode_message(bad)):
-            node.on_link_payload(1, part)
+            node.on_link_payload(1, 0, part)
     errors = [r[3] for r in world.log.select("protocol-error", "m0")]
     assert len(errors) == 2 and errors[0] == errors[1]
     assert errors[0].startswith("VERSION_ANNOUNCE: ")
@@ -614,14 +614,14 @@ def test_unknown_kind_byte_logged_and_dropped():
     world = settled_pair()
     node = world.modules["m0"].node
     for part in split_for_link(bytes([99, 0, 0])):
-        node.on_link_payload(1, part)
+        node.on_link_payload(1, 0, part)
     assert any("unknown message kind" in r[3]
                for r in world.log.select("protocol-error", "m0"))
 
 
 _BODY_LAYOUTS = {
     Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST, Kind.REPLY: REQUEST,
-    Kind.CODE_PUSH: CODE_PUSH, Kind.FILE_CHUNK: CHUNK, Kind.EXEC: REQUEST, Kind.START: REQUEST,
+    Kind.CODE_PUSH: CODE_PUSH, Kind.FILE: FILE, Kind.EXEC: REQUEST, Kind.START: REQUEST,
     Kind.INVOKE: INVOKE,
 }
 
@@ -657,7 +657,7 @@ def test_every_kind_with_any_body_is_handled_or_logged_as_protocol_error(message
     for kind, body, dst_app in messages:
         before = len(world.log.select("protocol-error", "m0"))
         for part in ServiceMessage(kind, ModuleId((0, 1)), dst_app, body).link_chunks:
-            node.on_link_payload(1, part)
+            node.on_link_payload(1, 0, part)
         errors = world.log.select("protocol-error", "m0")[before:]
         assert [r[3].split(":")[0] for r in errors] == [kind.name] * _rejects(kind, body)
     world.run_until_cs(600)
@@ -881,7 +881,7 @@ def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
     for late in (ServiceMessage(Kind.APPDATA, src, None, APPDATA_STATUS.pack(1, req_id, 0)),
                  ServiceMessage(Kind.REPLY, src, None, REQUEST.pack(req_id, "OK delivered"))):
         for part in late.link_chunks:
-            world.modules["m0"].node.on_link_payload(1, part)
+            world.modules["m0"].node.on_link_payload(1, 0, part)
     assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"] * 2
     assert session.take_lines() == []
 
@@ -895,7 +895,7 @@ def test_a_stale_beacon_after_a_delivered_push_starts_no_second_push():
     assert m0.neighbor_table[1] == (ModuleId((0, 1)), 1)
     stale = ServiceMessage(Kind.VERSION_ANNOUNCE, ModuleId(), None, VERSION.pack(0))
     for part in stale.link_chunks:
-        m0.on_link_payload(1, part)
+        m0.on_link_payload(1, 0, part)
     world.run_until_cs(600)
     assert [r[3] for r in world.log.select("push", "m0")] == ["v=1 port=1 id=0.1"]
     assert world.log.select("push-reject", "m1") == []
@@ -933,7 +933,7 @@ def test_an_equal_or_older_code_push_is_rejected_and_changes_nothing(version):
     push = ServiceMessage(Kind.CODE_PUSH, ModuleId((0,)), None,
                           CODE_PUSH.pack(version, ModuleId((0, 7)), b"other image"))
     for part in push.link_chunks:
-        m1.on_link_payload(0, part)
+        m1.on_link_payload(0, 0, part)
     assert [r[3] for r in world.log.select("push-reject", "m1")] == [f"v={version} from=0"]
     assert (str(m1.module_id), m1.version, m1.code_image) == ("0.1", 1, image)
     assert m1.neighbor_table[0] == (ModuleId((0,)), 1)  # an older push does not lower it
@@ -944,7 +944,7 @@ def test_the_retired_id_assign_kind_byte_is_a_protocol_error():
     m1 = world.modules["m1"].node
     # Kind 11 with the body an ID_ASSIGN carried: version 2, new id 0.7.
     for part in split_for_link(bytes([11, 1]) + b"0" + b"\x00" + VERSION.pack(2) + b"\x030.7"):
-        m1.on_link_payload(0, part)
+        m1.on_link_payload(0, 0, part)
     assert [r[3] for r in world.log.select("protocol-error", "m1")] == ["unknown message kind 11"]
     assert (str(m1.module_id), m1.version) == ("0.1", 1)
 
@@ -954,30 +954,61 @@ _deep_ids = st.lists(st.integers(0, 255), max_size=60).map(lambda path: ModuleId
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.binary(max_size=5000), _names, _deep_ids)
-@example(bytes(5000), "n" * 255, ModuleId((255,) * 60))
-@example(b"", "", ModuleId())
-def test_file_chunks_fill_whole_link_chunks_and_round_trip(blob, name, module_id):
-    node = node_module.ServiceNode(host=None)
-    node.module_id = module_id
-    msgs = node._chunk_messages(name, blob)
-    header = len(encode_message(ServiceMessage(
-        Kind.FILE_CHUNK, module_id, None, CHUNK.pack(1, 0, 1, name, b""))))
-    k = 2 + header // CHUNK_DATA_MAX
-    reassembler, transfer_ids, data = LinkReassembler(), set(), []
-    for i, msg in enumerate(msgs):
-        chunks = msg.link_chunks
-        if i < len(msgs) - 1:  # every message but the last fills k whole link chunks
-            assert [len(chunk) for chunk in chunks] == [4 + CHUNK_DATA_MAX] * k
-        else:
-            assert len(chunks) <= k
-        whole = None
-        for chunk in chunks:
-            whole = reassembler.feed(chunk)
-        back = decode_message(whole)
-        assert (back.kind, back.src) == (Kind.FILE_CHUNK, module_id)
-        transfer_id, index, total, label, part = CHUNK.unpack(back.body)
-        assert (index, total, label) == (i, len(msgs), name)
-        transfer_ids.add(transfer_id)
-        data.append(part)
-    assert len(transfer_ids) == 1 and b"".join(data) == blob
+@given(st.text(max_size=2000), _names, _deep_ids)
+@example("x" * 5000, "n" * 255, ModuleId((255,) * 60))
+@example("", "", ModuleId())
+def test_a_file_is_one_message_stored_whole_from_its_link_chunks(text, name, module_id):
+    world = settled_pair()
+    m1 = world.modules["m1"].node
+    data = text.encode()
+    msg = ServiceMessage(Kind.FILE, module_id, None, FILE.pack(name, data))
+    for part in msg.link_chunks:  # under a tag other than 0, as an interleaved file would be
+        m1.on_link_payload(0, 3, part)
+    assert m1.file_store[name] == text
+    assert world.log.select("file", "m1")[-1][3] == f"{name} bytes={len(data)}"
+
+
+def test_a_send_submitted_behind_a_file_arrives_before_it():
+    world = settled_pair()
+    files, sends, sink = world.open_session("m0"), world.open_session("m0"), world.open_session("m1")
+    for session, name in ((files, "files"), (sends, "sends"), (sink, "sink")):
+        session.submit(f"REGISTER {name}")
+    world.run_until_cs(210)
+    files.submit(f"PUTFILE 0.1 f {b64(b'x' * 3000)}")
+    sends.submit(f"SEND 0.1 sink {b64(b'hi')}")
+    world.run_until_cs(600)
+    assert [r[2] for r in world.log.records if r[2] in ("appmsg", "file")] == ["appmsg", "file"]
+    assert files.take_lines()[-1] == "OK transferred f"
+    assert sends.take_lines()[-1] == "OK delivered"
+
+
+def test_a_file_answered_transferred_across_an_adoption_is_stored_whole():
+    # Defect 1e's repro: m1 adopts v2 while its PUTFILE to m2 is on the wire,
+    # then pushes v2 to m2, which adopts it while the file is still arriving.
+    world = World(chain_topology(3), upgrade_scenario("m0", 2, 300))
+    world.run_until_cs(299)
+    session = world.open_session("m1")
+    session.submit("REGISTER a")
+    text = "".join(f"line {i:04d}\n" for i in range(300))
+    assert len(text) == 3000
+    session.submit(f"PUTFILE 0.1.1 f {b64(text.encode())}")
+    world.run_until_cs(600)
+    lines = session.take_lines()
+    assert [line for line in lines if "transfer" in line] != []  # the PUTFILE was answered
+    assert world.modules["m2"].node.version == 2
+    if "OK transferred f" in lines:
+        assert world.modules["m2"].node.file_store.get("f") == text
+
+
+def test_a_push_whose_child_id_does_not_fit_the_wire_is_a_protocol_error():
+    # A module 16,383 hops deep cannot name a child: 16,384 hops do not fit
+    # the id's 2-byte hop count.
+    world = settled_pair()
+    m0 = world.modules["m0"].node
+    m0.module_id = ModuleId((0,) * 16_383)
+    pushes = len(world.log.select("push", "m0"))
+    m0.upgrade_local(5)
+    assert [r[3] for r in world.log.select("protocol-error", "m0")] == [
+        "CODE_PUSH: module id of 16384 hops is too long"]
+    assert len(world.log.select("push", "m0")) == pushes
+    assert m0._push_inflight == set()
