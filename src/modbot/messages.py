@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from .link import PortProtocol, Ticket
 
@@ -190,17 +190,13 @@ class Layout:
     a `ModuleId` as an id, then at most a `tail` that runs to the end of
     the body, as `bytes` or as UTF-8 `str`. `pack(*values)` takes the
     values in that order and `unpack(body)` returns them as a tuple or
-    raises ProtocolError; bytes after a body with no tail are ignored.
-    `check` is None or (rule, error): unpack raises ProtocolError(error)
-    unless rule(*values) holds for the prefix and field values."""
+    raises ProtocolError; bytes after a body with no tail are ignored."""
 
-    def __init__(self, prefix: str, field: Optional[type], tail: Optional[type],
-                 check: Optional[tuple[Callable[..., bool], str]]):
+    def __init__(self, prefix: str, field: Optional[type], tail: Optional[type]):
         self._prefix = struct.Struct(">" + prefix)
         self._count = len(prefix)
         self._put, self._get = _FIELDS.get(field, (None, None))
         self._tail = tail
-        self._check = check
 
     def pack(self, *values) -> bytes:
         body = self._prefix.pack(*values[:self._count])
@@ -219,8 +215,6 @@ class Layout:
         if self._get is not None:
             value, pos = self._get(body, pos)
             values += (value,)
-        if self._check is not None and not self._check[0](*values):
-            raise ProtocolError(self._check[1])
         if self._tail is bytes:
             values += (bytes(body[pos:]),)
         elif self._tail is str:
@@ -232,19 +226,18 @@ class Layout:
 
 
 # Every body shape on the wire, with the values in order (docs/protocol.md).
-VERSION = Layout("I", None, None, None)  # HELLO, VERSION_ANNOUNCE: version
-APPDATA = Layout("BI", str, bytes, (  # subtype 0, req_id, src_app, data
-    lambda subtype, _req_id, _src_app: subtype == 0, "bad appdata subtype"))
-APPDATA_STATUS = Layout("BIB", None, None, None)  # subtype 1, req_id, code (0 = accepted)
-BCAST = Layout("", str, bytes, None)  # src_app, data
-INVOKE = Layout("", str, str, None)  # role, command
-FILE = Layout("", str, bytes, None)  # name, data
-REQUEST = Layout("I", None, str, None)  # EXEC, START, REPLY: req_id, text
-CODE_PUSH = Layout("I", ModuleId, bytes, None)  # version, the receiver's new id, code image
+# A request body (APPDATA, FILE, EXEC, START) starts with the req_id its REPLY repeats.
+VERSION = Layout("I", None, None)  # HELLO, VERSION_ANNOUNCE: version
+APPDATA = Layout("I", str, bytes)  # req_id, src_app, data
+BCAST = Layout("", str, bytes)  # src_app, data
+INVOKE = Layout("", str, str)  # role, command
+FILE = Layout("I", str, bytes)  # req_id, name, data
+REQUEST = Layout("I", None, str)  # EXEC, START, REPLY: req_id, text
+CODE_PUSH = Layout("I", ModuleId, bytes)  # version, the receiver's new id, code image
 
 # The retired FILE_CHUNK body (transfer_id, index, total, name, data); only
 # bench/micro.py uses it.
-chunk_body = Layout("IHH", str, bytes, None).pack
+chunk_body = Layout("IHH", str, bytes).pack
 
 
 # Link-payload chunking.

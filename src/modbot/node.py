@@ -24,10 +24,10 @@ from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, ROOT_ID, VERSION, Kind,
-    LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
+    APPDATA, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, ROOT_ID, VERSION, Kind, LinkReassembler,
+    ModuleId, ProtocolError, ServiceMessage, decode_message,
 )
-from .sim import Timer, US_PER_MS, US_PER_S
+from .sim import US_PER_MS, US_PER_S
 
 ANNOUNCE_PERIOD_US = US_PER_S  # re-announce once per simulated second
 _HELLO, _ANNOUNCE = Kind.HELLO, Kind.VERSION_ANNOUNCE  # bound once: the beacon kinds
@@ -132,7 +132,7 @@ class ServiceNode:
         self.file_store: dict[str, str] = {}
         self.code_image = b""
         self._reassemblers = defaultdict(LinkReassembler)  # one per stream: (port, link tag)
-        self._pending: dict[int, tuple[Timer, Session]] = {}  # req_id -> (reply timer, asker)
+        self._pending: dict[int, Session] = {}  # req_id -> the session that asked
         self._req_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
         self._held_push = None  # (req_ids it waits for, version, new id, image, pusher, port)
@@ -246,8 +246,6 @@ class ServiceNode:
         self.host.log("version", str(version))
         self.host.log("push-accept", f"v={version} id={new_id} from={src}")
         self._reset_sessions()
-        for timer, _session in self._pending.values():
-            timer.cancel()
         self._pending.clear()
         self._advertise(port)
 
@@ -310,30 +308,24 @@ class ServiceNode:
         elif kind is Kind.CODE_PUSH:
             self._on_code_push(port, msg)
         elif kind is Kind.FILE:
-            self._on_file(msg)
+            self._on_file(port, msg)
         else:  # EXEC or START: every other kind has its branch above
             self._serve(port, msg)
 
     def _on_appdata(self, port: int, msg: ServiceMessage) -> None:
-        if msg.body[:1] == b"\x01":
-            _, req_id, code = APPDATA_STATUS.unpack(msg.body)
-            self._resolve_pending(req_id, "ERR 404 unknown app" if code else "OK delivered")
-            return
-        _, req_id, src_app, data = APPDATA.unpack(msg.body)
+        req_id, src_app, data = APPDATA.unpack(msg.body)
         name = msg.dst_app or ""
-        code = 0 if name in self.apps or name in self.engines else 1  # 1 = unknown app
-        if code:
+        if name not in self.apps and name not in self.engines:
             self.host.log("drop", f"appdata for unknown app {msg.dst_app}")
+            self._reply(port, req_id, "ERR 404 unknown app")
+            return
+        text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
+        self.host.log("appmsg", text)
+        if name in self.apps:
+            self.apps[name].push(f"MSG {text}")
         else:
-            text = f"{str(msg.src) or '-'} {src_app} {_b64(data)}"
-            self.host.log("appmsg", text)
-            if name in self.apps:
-                self.apps[name].push(f"MSG {text}")
-            else:
-                _invoke(self.engines[name], data)
-        if req_id:  # 0: the sender wants no status
-            self.host.send_port(port, ServiceMessage(
-                Kind.APPDATA, self.module_id, None, APPDATA_STATUS.pack(1, req_id, code)))
+            _invoke(self.engines[name], data)
+        self._reply(port, req_id, "OK delivered")
 
     def _on_bcast(self, port: int, msg: ServiceMessage) -> None:
         src_app, data = BCAST.unpack(msg.body)
@@ -362,29 +354,30 @@ class ServiceNode:
         else:
             self._adopt(version, new_id, image, msg.src, port)
 
-    def _on_file(self, msg: ServiceMessage) -> None:
-        name, blob = FILE.unpack(msg.body)
+    def _on_file(self, port: int, msg: ServiceMessage) -> None:
+        req_id, name, blob = FILE.unpack(msg.body)
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError:
             self.host.log("drop", f"file {name}: not utf-8 text")
+            self._reply(port, req_id, "ERR 400 file content must be utf-8 text")
             return
         self.file_store[name] = text
         self.host.log("file", f"{name} bytes={len(blob)}")
+        self._reply(port, req_id, f"OK transferred {name}")
 
     def _serve(self, port: int, msg: ServiceMessage) -> None:
-        """EXEC/START: run the request here and answer it once, with a
-        REPLY carrying its response line under the request's req_id."""
+        """EXEC/START: run the request here and answer it once."""
         req_id, text = REQUEST.unpack(msg.body)
-
-        def answer(line: str) -> None:
-            self.host.send_port(port, ServiceMessage(
-                Kind.REPLY, self.module_id, None, REQUEST.pack(req_id, line)))
-
         if msg.kind is Kind.EXEC:
-            _ExecSession(self, answer).submit(text)
+            _ExecSession(self, partial(self._reply, port, req_id)).submit(text)
         else:
-            answer(self.start_program(text))
+            self._reply(port, req_id, self.start_program(text))
+
+    def _reply(self, port: int, req_id: int, line: str) -> None:
+        """Answer request req_id, which came in on port, with one REPLY."""
+        self.host.send_port(port, ServiceMessage(
+            Kind.REPLY, self.module_id, None, REQUEST.pack(req_id, line)))
 
     # pending request bookkeeping
 
@@ -398,11 +391,10 @@ class ServiceNode:
         """Send the request message body_of(req_id) and answer the session
         exactly once: with the reply's line when it arrives (see
         `_resolve_pending`), `ERR 409 delivery failed` when the link gave up
-        on the request and `ERR 504 <verb> timeout` when no reply came in
-        time. The message is encoded first, so a field too long for the
-        wire raises ProtocolError with nothing pending. The reply timer is
-        armed before the send, which fixes its place in the scheduler's
-        same-time order."""
+        on the request (it may still have arrived) and `ERR 504 <verb>
+        timeout` when no reply came in time after the link delivered it: the
+        reply timer starts at that delivery. The message is encoded first, so
+        a field too long for the wire raises ProtocolError with nothing pending."""
         req_id = next(self._req_counter)
         msg = ServiceMessage(kind, self.module_id, dst_app, body_of(req_id))
         msg.link_chunks  # encoded here, before anything is pending
@@ -412,23 +404,27 @@ class ServiceNode:
                 self._resolve_pending(req_id, f"ERR 504 {verb} timeout")
 
         def on_sent(ticket: Ticket) -> None:
-            if ticket.state is TicketState.FAILED and req_id in self._pending:
+            if req_id not in self._pending:
+                return  # answered already: the reply can overtake the last ACK
+            if ticket.state is TicketState.FAILED:
                 self._resolve_pending(req_id, "ERR 409 delivery failed")
+            else:
+                self.host.scheduler.call_after(self._reply_timeout_us(), expire)
 
-        timer = self.host.scheduler.call_after(self._reply_timeout_us(), expire)
-        self._pending[req_id] = (timer, session)
+        self._pending[req_id] = session
         self.host.send_port(port, msg).on_done(on_sent)
 
     def _resolve_pending(self, req_id: int, line: str) -> None:
-        """Answer the session that asked request req_id with line, then adopt
-        a held push once every request it waits for is answered."""
-        pending = self._pending.pop(req_id, None)
-        if pending is None:
+        """Answer the session that asked request req_id with line. Once every
+        request a held push waits for is answered, adopt the push before the
+        session starts its next command: the adoption may close the session."""
+        session = self._pending.pop(req_id, None)
+        if session is None:
             self.host.log("drop", f"reply for unknown request {req_id}")
             return
-        timer, session = pending
-        timer.cancel()
+        advancing, session._advancing = session._advancing, True  # respond() starts no command
         session.respond(line)
+        session._advancing = advancing
         held = self._held_push
         if held is not None:
             held[0].discard(req_id)
@@ -438,6 +434,7 @@ class ServiceNode:
                     self._adopt(*held[1:])
                 else:  # a local upgrade overtook it
                     self.host.log("push-reject", f"v={held[1]} from={held[4]}")
+        session._advance()
 
     # engine support
 
@@ -544,7 +541,7 @@ class ServiceNode:
         data = _decode_b64(args[2])
         self._request(
             session, self._port_of(args[0]), Kind.APPDATA,
-            lambda req_id: APPDATA.pack(0, req_id, session.name or "", data),
+            lambda req_id: APPDATA.pack(req_id, session.name or "", data),
             "send", dst_app=args[1])
 
     def _cmd_bcast(self, session: Session, args: list[str]) -> None:
@@ -574,12 +571,8 @@ class ServiceNode:
             raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _Answer("ERR 400 file content must be utf-8 text")
-        port = self._port_of(args[0])
-        name = args[1]
-        msg = ServiceMessage(Kind.FILE, self.module_id, None, FILE.pack(name, raw))
-        self.host.send_port(port, msg).on_done(lambda ticket: session.respond(
-            f"OK transferred {name}" if ticket.state is TicketState.DELIVERED
-            else "ERR 409 transfer failed"))
+        self._request(session, self._port_of(args[0]), Kind.FILE,
+                      lambda req_id: FILE.pack(req_id, args[1], raw), "putfile")
 
     def _cmd_exec(self, session: Session, args: list[str]) -> None:
         if len(args) != 2:

@@ -201,7 +201,7 @@ def test_criterion_5d_monotonic_versions_and_atomic_files_under_loss():
         # a transfer cut off by the sever must leave no partial file
         session.submit(f"PUTFILE 0.1 beta.txt {b64}")
         world.run_until_cs(12_000)
-        assert session.take_lines()[-1] == "ERR 409 transfer failed"
+        assert session.take_lines()[-1] == "ERR 409 delivery failed"
         store = world.modules["m1"].node.file_store
         assert "beta.txt" not in store
         assert all(value == content for name, value in store.items() if name == "alpha.txt")

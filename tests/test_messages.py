@@ -99,12 +99,8 @@ def version_body(version: int) -> bytes:
     return struct.pack(">I", version)
 
 
-def appdata_body(src_app: str, req_id: int, data: bytes) -> bytes:
-    return b"\x00" + struct.pack(">I", req_id) + _pstr(src_app) + data
-
-
-def appdata_status_body(req_id: int, ok: bool) -> bytes:
-    return b"\x01" + struct.pack(">IB", req_id, 0 if ok else 1)
+def appdata_body(req_id: int, src_app: str, data: bytes) -> bytes:
+    return struct.pack(">I", req_id) + _pstr(src_app) + data
 
 
 def bcast_body(src_app: str, data: bytes) -> bytes:
@@ -115,8 +111,8 @@ def invoke_body(role: str, command: str) -> bytes:
     return _pstr(role) + command.encode("utf-8")
 
 
-def file_body(name: str, data: bytes) -> bytes:
-    return _pstr(name) + data
+def file_body(req_id: int, name: str, data: bytes) -> bytes:
+    return struct.pack(">I", req_id) + _pstr(name) + data
 
 
 def request_body(req_id: int, text: str) -> bytes:
@@ -131,15 +127,14 @@ def test_message_roundtrip_every_kind():
     samples = [
         m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)),
         m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
-                         m.APPDATA.pack(0, 7, "src", b"\x00\x01payload")),
-        m.ServiceMessage(m.Kind.APPDATA, m.ROOT_ID, None, m.APPDATA_STATUS.pack(1, 7, 1)),
+                         m.APPDATA.pack(7, "src", b"\x00\x01payload")),
         m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
         m.ServiceMessage(m.Kind.INVOKE, m.ROOT_ID, "car.role", m.INVOKE.pack("Wheel", "evade")),
         m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
         m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
         m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
                          m.CODE_PUSH.pack(2, m.ModuleId((0, 3)), b"image")),
-        m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("a.role", b"text")),
+        m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack(8, "a.role", b"text")),
         m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
         m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
     ]
@@ -150,11 +145,10 @@ def test_message_roundtrip_every_kind():
 
 def test_body_parsers():
     assert m.VERSION.unpack(version_body(9)) == (9,)
-    assert m.APPDATA.unpack(appdata_body("a", 3, b"xy")) == (0, 3, "a", b"xy")
-    assert m.APPDATA_STATUS.unpack(appdata_status_body(3, True)) == (1, 3, 0)
+    assert m.APPDATA.unpack(appdata_body(3, "a", b"xy")) == (3, "a", b"xy")
     assert m.BCAST.unpack(bcast_body("a", b"zz")) == ("a", b"zz")
     assert m.INVOKE.unpack(invoke_body("Wheel", "evade")) == ("Wheel", "evade")
-    assert m.FILE.unpack(file_body("f", b"d")) == ("f", b"d")
+    assert m.FILE.unpack(file_body(5, "f", b"d")) == (5, "f", b"d")
     assert m.REQUEST.unpack(request_body(2, "line")) == (2, "line")
     assert m.CODE_PUSH.unpack(code_push_body(2, m.ModuleId((0, 1)), b"img")) == (
         2, m.ModuleId((0, 1)), b"img")
@@ -167,13 +161,10 @@ _ids = st.lists(st.integers(0, 255), max_size=6).map(lambda path: m.ModuleId(tup
 # layout name: (kinds that carry it, values strategy, reference builder of the values)
 _LAYOUTS = {
     "VERSION": ((m.Kind.HELLO, m.Kind.VERSION_ANNOUNCE), st.tuples(_u32), version_body),
-    "APPDATA": ((m.Kind.APPDATA,), st.tuples(st.just(0), _u32, _text, st.binary(max_size=64)),
-                lambda _, req_id, src_app, data: appdata_body(src_app, req_id, data)),
-    "APPDATA_STATUS": ((m.Kind.APPDATA,), st.tuples(st.just(1), _u32, st.integers(0, 1)),
-                       lambda _, req_id, code: appdata_status_body(req_id, code == 0)),
+    "APPDATA": ((m.Kind.APPDATA,), st.tuples(_u32, _text, st.binary(max_size=64)), appdata_body),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
     "INVOKE": ((m.Kind.INVOKE,), st.tuples(_text, st.text(max_size=64)), invoke_body),
-    "FILE": ((m.Kind.FILE,), st.tuples(_text, st.binary(max_size=64)), file_body),
+    "FILE": ((m.Kind.FILE,), st.tuples(_u32, _text, st.binary(max_size=64)), file_body),
     "REQUEST": ((m.Kind.EXEC, m.Kind.START, m.Kind.REPLY), st.tuples(_u32, st.text(max_size=64)),
                 request_body),
     "CODE_PUSH": ((m.Kind.CODE_PUSH,), st.tuples(_u32, _ids, st.binary(max_size=64)),
@@ -224,9 +215,9 @@ def test_decode_rejects_malformed():
     with pytest.raises(m.ProtocolError):
         m.decode_message(bytes([1, 200]))  # truncated pstr
     with pytest.raises(m.ProtocolError):
-        m.FILE.unpack(m.FILE.pack("file", b"")[:3])  # truncated name
-    with pytest.raises(m.ProtocolError, match="bad appdata subtype"):
-        m.APPDATA.unpack(m.APPDATA.pack(2, 1, "a", b""))
+        m.FILE.unpack(m.FILE.pack(1, "file", b"")[:7])  # truncated name
+    with pytest.raises(m.ProtocolError, match="truncated body"):
+        m.APPDATA.unpack(m.APPDATA.pack(1, "a", b"")[:3])  # truncated req_id
 
 
 def test_protocol_doc_layout_table_matches_the_code():
@@ -269,12 +260,12 @@ def test_split_matches_the_slicing_reference_at_every_length_to_600():
 
 def test_small_appdata_fits_one_link_frame():
     msg = m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
-                           m.APPDATA.pack(0, 1, "app", b"x" * 100))
+                           m.APPDATA.pack(1, "app", b"x" * 100))
     assert len(m.split_for_link(m.encode_message(msg))) == 1
 
 
 def test_600_byte_chunk_body_takes_three_link_frames():
-    body = m.FILE.pack("big.role", b"t" * 591)
+    body = m.FILE.pack(1, "big.role", b"t" * 587)
     assert len(body) == 600
     msg = m.ServiceMessage(m.Kind.FILE, m.ModuleId((0,)), None, body)
     parts = m.split_for_link(m.encode_message(msg))
@@ -332,7 +323,7 @@ def test_message_ticket_fails_whole_message_and_cancels_siblings(dies):
     pipe.peer = PortProtocol(
         scheduler, lambda data: scheduler.call_after(1000, lambda: port.on_bytes(data)),
         lambda tag, data: None)
-    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("f", bytes(1000)))
+    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack(1, "f", bytes(1000)))
     chunks = msg.link_chunks
     assert len(chunks) == 5
     ticket = m.send_message(port, msg)
@@ -371,7 +362,7 @@ def test_message_ticket_delivers_over_pipe():
     down.peer = port_b
     up.peer = port_a
     payload = random.Random(5).randbytes(5000)
-    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack("f", payload))
+    msg = m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack(1, "f", payload))
     ticket = m.send_message(port_a, msg)
     scheduler.run_until(60_000 * US_PER_MS)
     assert ticket.state is TicketState.DELIVERED

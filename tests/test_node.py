@@ -3,6 +3,7 @@
 import base64
 import functools
 import gc
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,12 +11,12 @@ from hypothesis import example, given, settings, strategies as st
 from modbot import node as node_module
 from modbot.link import FrameType, Ticket, TicketState, decode_frame
 from modbot.messages import (
-    APPDATA, APPDATA_STATUS, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, VERSION, Kind, ModuleId,
+    APPDATA, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, VERSION, Kind, ModuleId,
     ProtocolError, ServiceMessage, decode_message, encode_message, split_for_link,
 )
 from modbot.world import LinkSpec, ModuleSpec, Topology, World, load_scenario, load_topology
 
-from conftest import chain_topology, pair_topology, upgrade_scenario
+from conftest import REQUESTS, chain_topology, pair_topology, upgrade_scenario
 
 
 def b64(data: bytes) -> str:
@@ -106,6 +107,8 @@ def test_state_unknown_module_404():
 _REQUESTS = {
     "STATE": ("STATE 0.1", "ERR 409 delivery failed", "ERR 504 state timeout"),
     "SEND": (f"SEND 0.1 sink {b64(b'hi')}", "ERR 409 delivery failed", "ERR 504 send timeout"),
+    "PUTFILE": (f"PUTFILE 0.1 f {b64(b'hi')}", "ERR 409 delivery failed",
+                "ERR 504 putfile timeout"),
     "EXEC": (f"EXEC 0.1 {b64(b'VERSION')}", "ERR 409 delivery failed", "ERR 504 exec timeout"),
     "START": ("START 0.1 missing.role", "ERR 409 delivery failed", "ERR 504 start timeout"),
 }
@@ -150,6 +153,126 @@ def test_request_severed_answers_once(verb, case):
         expected = timeout_line
     world.run_until_cs(2000)
     assert session.take_lines() == [expected]
+
+
+# 6,000 bytes take 2 s on the wire, longer than the pair's 1.5 s reply timeout.
+_LONG = "".join(f"{i:05d}\n" for i in range(1000)).encode()
+
+
+@pytest.mark.parametrize("line, answer", [
+    (f"SEND 0.1 sink {b64(_LONG)}", "OK delivered"),
+    (f"PUTFILE 0.1 f {b64(_LONG)}", "OK transferred f"),
+], ids=["SEND", "PUTFILE"])
+def test_a_request_longer_on_the_wire_than_the_reply_timeout_is_answered_by_its_reply(
+        line, answer):
+    # Lossless: the reply timer starts when the link has delivered the request.
+    world = settled_pair()
+    sink = world.open_session("m1")
+    sink.submit("REGISTER sink")
+    session = world.open_session("m0")
+    session.submit("REGISTER src")
+    session.submit(line)
+    world.run_until_cs(1000)
+    assert session.take_lines() == ["OK registered src", answer]
+    send = line.startswith("SEND")
+    [(arrived_cs, *_)] = world.log.select("appmsg" if send else "file", "m1")
+    assert (arrived_cs - 200) * 10_000 > world.modules["m0"].node._reply_timeout_us()
+    if send:
+        assert [l for l in sink.take_lines() if l.startswith("MSG")] == [f"MSG 0 src {b64(_LONG)}"]
+    else:
+        assert world.modules["m1"].node.file_store["f"] == _LONG.decode()
+
+
+@pytest.mark.parametrize("verb", ["SEND", "PUTFILE"])
+def test_a_request_answered_504_was_delivered(verb):
+    # The link is cut the moment m0 learns that m1 has the request, so
+    # m1's REPLY is lost past its retries.
+    world = settled_pair()
+    sink = world.open_session("m1")
+    sink.submit("REGISTER sink")
+    session = world.open_session("m0")
+    session.submit("REGISTER src")
+    m0 = world.modules["m0"]
+    send_port = m0.send_port
+
+    def cut(ticket):
+        assert ticket.state is TicketState.DELIVERED
+        world.links[0].severed = True
+
+    def cut_at_delivery(port, msg):
+        ticket = send_port(port, msg)
+        ticket.on_done(cut)
+        return ticket
+
+    m0.send_port = cut_at_delivery
+    session.submit(f"SEND 0.1 sink {b64(b'data')}" if verb == "SEND" else
+                   f"PUTFILE 0.1 f {b64(b'data')}")
+    del m0.send_port
+    world.run_until_cs(2000)
+    assert session.take_lines() == ["OK registered src", f"ERR 504 {verb.lower()} timeout"]
+    if verb == "SEND":
+        assert [l for l in sink.take_lines() if l.startswith("MSG")] == [
+            f"MSG 0 src {b64(b'data')}"]
+    else:
+        assert world.modules["m1"].node.file_store["f"] == "data"
+    assert world.links[0].drops > 0  # the REPLY and its retransmissions
+
+
+@REQUESTS
+@given(st.integers(2, 4), st.sampled_from([0.0, 0.1, 0.2, 0.3]), st.integers(1, 5),
+       st.integers(0, 2**16),
+       st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans(), st.integers(1, 1500)),
+                min_size=1, max_size=8),
+       st.none() | st.tuples(st.integers(0, 3), st.integers(0, 1500)))
+def test_every_answer_to_a_request_holds_at_its_receiver(n, loss, max_retries, seed, ops, upgrade):
+    """On a lossy chain of 2-4 modules, with SENDs and PUTFILEs to
+    neighbours and maybe an upgrade under way: every `OK delivered` payload
+    reached its sink exactly once (and no payload twice), every `OK
+    transferred` file is stored whole (and none in part), every `ERR 504`
+    request reached its receiver, and a session that no adoption reset
+    answers every command."""
+    scenario = upgrade and upgrade_scenario(f"m{upgrade[0] % n}", 2, 400 + upgrade[1])
+    world = World(chain_topology(n, loss=loss, max_retries=max_retries), scenario, seed=seed)
+    arrived = {name: [] for name in world.modules}  # the bodies of the messages each node got
+    for name, module in world.modules.items():
+        def dispatch(port, msg, dispatch=module.node._dispatch, bodies=arrived[name]):
+            bodies.append(msg.body)
+            dispatch(port, msg)
+        module.node._dispatch = dispatch
+    world.run_until_cs(400)
+    for name in world.modules:
+        world.open_session(name).submit("REGISTER sink")
+    sessions, asked = {}, defaultdict(list)
+    for k, (i, up, send, size) in enumerate(ops):
+        i %= n
+        j = i - 1 if up and i > 0 or i == n - 1 else i + 1
+        if i not in sessions:
+            sessions[i] = world.open_session(f"m{i}")
+            sessions[i].submit(f"REGISTER a{i}")
+        data = (f"op {k} " + "x" * size).encode()
+        target = ".".join(["0"] + ["1"] * j)
+        sessions[i].submit(f"SEND {target} sink {b64(data)}" if send else
+                           f"PUTFILE {target} f{k} {b64(data)}")
+        asked[i].append((f"m{j}", f"f{k}" if not send else None, data))
+    world.run_until_cs(20_000)
+    for i, session in sessions.items():
+        lines = session.take_lines()
+        answers = [line for line in lines if line.startswith(("OK", "ERR"))][1:]
+        assert len(answers) == len(asked[i]) or "EVENT reset 2" in lines
+        for (target, name, data), answer in zip(asked[i], answers):
+            receiver = world.modules[target].node
+            if name is None:
+                copies = [r for r in world.log.select("appmsg", target)
+                          if r[3].endswith(b64(data))]
+                assert len(copies) <= 1
+                if answer == "OK delivered":
+                    assert len(copies) == 1
+            else:
+                assert receiver.file_store.get(name) in (None, data.decode())
+                if answer == f"OK transferred {name}":
+                    assert receiver.file_store[name] == data.decode()
+            if answer.startswith("ERR 504"):
+                assert any(data in body for body in arrived[target]), answer
 
 
 def test_neighbors_listing():
@@ -225,8 +348,9 @@ def test_closed_session_starts_no_queued_command():
 
 
 def test_session_reset_by_adoption_starts_no_queued_command():
-    # m1 adopts v2 while its PUTFILE to m2 is in flight; the SEND queued
-    # behind it belongs to a session the reset closed.
+    # m0's v2 push reaches m1 while m1's PUTFILE to m2 is in flight, so m1
+    # holds the push until m2 answers the PUTFILE, and adopts it before the
+    # session starts the SEND queued behind: the reset closes the session.
     world = World(chain_topology(3), upgrade_scenario("m0", 2, 300))
     world.run_until_cs(299)
     session = world.open_session("m1")
@@ -234,15 +358,16 @@ def test_session_reset_by_adoption_starts_no_queued_command():
     session.submit(f"PUTFILE 0.1.1 f {b64(b'x' * 3000)}")
     session.submit(f"SEND 0.1.1 nobody {b64(b'hi')}")
     world.run_until_cs(600)
-    assert session.take_lines() == ["OK registered a", "EVENT reset 2", "OK transferred f"]
+    assert session.take_lines() == ["OK registered a", "OK transferred f", "EVENT reset 2"]
     assert not world.log.select("drop")
+    assert [r[1] for r in world.log.select("push-accept")][-2:] == ["m1", "m2"]
 
 
 def test_finished_pushes_and_file_transfers_leave_no_cyclic_garbage():
-    # A PUTFILE job's next step is a partial over an iterator of its
-    # messages, not a closure that refers to itself, and a push is one
-    # message: once either ends, reference counting frees it, and the cyclic
-    # GC finds none of it.
+    # A file is one FILE message and a push one CODE_PUSH message, each
+    # answered through callbacks that refer to nothing that refers back:
+    # once either ends, reference counting frees it, and the cyclic GC
+    # finds none of it.
     gc.collect()
     gc.garbage.clear()
     gc.disable()
@@ -382,8 +507,8 @@ def test_sender_without_id_shows_as_dash():
 
 def test_a_push_that_finds_a_request_pending_is_held_until_it_is_answered():
     # m1's SEND of 900 B (4 frames) is still on the link when m0's push
-    # (3 frames, taking turns with the status) arrives; m1 adopts only
-    # after the status has answered its session.
+    # (3 frames, taking turns with the reply) arrives; m1 adopts only
+    # after the reply has answered its session.
     world = World(chain_topology(2))
     m1 = world.modules["m1"].node
     pending_at_push = []
@@ -470,7 +595,7 @@ def test_putfile_interrupted_leaves_store_unchanged():
     world.run_until_cs(210)  # a few chunks under way
     world.links[0].severed = True
     world.run_until_cs(2000)
-    assert session.take_lines()[-1] == "ERR 409 transfer failed"
+    assert session.take_lines()[-1] == "ERR 409 delivery failed"
     assert "part.txt" not in world.modules["m1"].node.file_store
 
 
@@ -620,26 +745,22 @@ def test_unknown_kind_byte_logged_and_dropped():
 
 
 _BODY_LAYOUTS = {
-    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.BCAST: BCAST, Kind.REPLY: REQUEST,
-    Kind.CODE_PUSH: CODE_PUSH, Kind.FILE: FILE, Kind.EXEC: REQUEST, Kind.START: REQUEST,
-    Kind.INVOKE: INVOKE,
+    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.APPDATA: APPDATA, Kind.BCAST: BCAST,
+    Kind.REPLY: REQUEST, Kind.CODE_PUSH: CODE_PUSH, Kind.FILE: FILE, Kind.EXEC: REQUEST,
+    Kind.START: REQUEST, Kind.INVOKE: INVOKE,
 }
 
 
 def _rejects(kind: Kind, body: bytes) -> bool:
     """Whether the node must log this body as a protocol error."""
-    if kind is Kind.APPDATA:
-        layout = APPDATA_STATUS if body[:1] == b"\x01" else APPDATA
-    else:
-        layout = _BODY_LAYOUTS[kind]
     try:
-        layout.unpack(body)
+        _BODY_LAYOUTS[kind].unpack(body)
     except ProtocolError:
         return True
     return False
 
 
-# Small byte values make plausible lengths, subtypes and chunk positions.
+# Small byte values make plausible lengths and chunk positions.
 _bodies = st.binary(max_size=24) | st.lists(
     st.sampled_from(b"\x00\x01\x02\x03\x050129.\xff"), max_size=24).map(bytes)
 
@@ -837,7 +958,7 @@ def test_invoke_wants_no_status_and_send_still_gets_one():
     m1.file_store["leaf.role"] = "role Leaf extends Module { command wave(_) { } }\n"
     assert m1.start_program("leaf.role") == "OK started leaf.role"
     invoked = _sent(world, "m0", Kind.INVOKE)
-    sent, answered = _sent(world, "m0", Kind.APPDATA), _sent(world, "m1", Kind.APPDATA)
+    sent, answered = _sent(world, "m0", Kind.APPDATA), _sent(world, "m1", Kind.REPLY)
     world.modules["m0"].node.invoke_neighbors("leaf.role", "Leaf", "wave")
     world.run_until_cs(300)
     # One INVOKE message and no APPDATA leave m0; m1 runs the command,
@@ -852,9 +973,8 @@ def test_invoke_wants_no_status_and_send_still_gets_one():
     session.submit(f"SEND 0.1 sink {b64(b'hi')}")
     world.run_until_cs(400)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
-    req_id = APPDATA.unpack(sent[0].body)[1]
-    assert req_id != 0
-    assert [APPDATA_STATUS.unpack(msg.body) for msg in answered] == [(1, req_id, 0)]
+    req_id = APPDATA.unpack(sent[0].body)[0]
+    assert [REQUEST.unpack(msg.body) for msg in answered] == [(req_id, "OK delivered")]
     assert world.log.select("drop") == []
 
 
@@ -876,13 +996,11 @@ def test_status_for_a_request_no_longer_pending_is_logged_as_drop():
     session.submit(f"SEND 0.1 sink {b64(b'hi')}")
     world.run_until_cs(300)
     assert session.take_lines() == ["OK registered src", "OK delivered"]
-    req_id = APPDATA.unpack(sent[0].body)[1]
-    src = ModuleId((0, 1))
-    for late in (ServiceMessage(Kind.APPDATA, src, None, APPDATA_STATUS.pack(1, req_id, 0)),
-                 ServiceMessage(Kind.REPLY, src, None, REQUEST.pack(req_id, "OK delivered"))):
-        for part in late.link_chunks:
-            world.modules["m0"].node.on_link_payload(1, 0, part)
-    assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"] * 2
+    req_id = APPDATA.unpack(sent[0].body)[0]
+    late = ServiceMessage(Kind.REPLY, ModuleId((0, 1)), None, REQUEST.pack(req_id, "OK delivered"))
+    for part in late.link_chunks:
+        world.modules["m0"].node.on_link_payload(1, 0, part)
+    assert [r[3] for r in world.log.select("drop", "m0")] == [f"reply for unknown request {req_id}"]
     assert session.take_lines() == []
 
 
@@ -961,7 +1079,7 @@ def test_a_file_is_one_message_stored_whole_from_its_link_chunks(text, name, mod
     world = settled_pair()
     m1 = world.modules["m1"].node
     data = text.encode()
-    msg = ServiceMessage(Kind.FILE, module_id, None, FILE.pack(name, data))
+    msg = ServiceMessage(Kind.FILE, module_id, None, FILE.pack(1, name, data))
     for part in msg.link_chunks:  # under a tag other than 0, as an interleaved file would be
         m1.on_link_payload(0, 3, part)
     assert m1.file_store[name] == text
