@@ -10,7 +10,8 @@ Wire frame, bit exact:
 type: 0x01 | tag << 4 = DATA of stream tag 0-15, 0x02 = ACK. crc:
 CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection, no final xor)
 over type..payload. There is no byte stuffing; a receiver resynchronizes by
-scanning for 0x7E and validating length and CRC.
+scanning for 0x7E and validating length and CRC, and skips a start whose
+length reaches past a whole valid frame behind it.
 
 One PortProtocol instance runs per module port. The sender keeps at most
 one unacknowledged DATA frame outstanding, retransmits it on timeout, and
@@ -178,6 +179,8 @@ def decode_frame(data: bytes) -> Frame:
 class FrameDecoder:
     """Streaming decoder with resynchronization; feeds the port handler."""
 
+    __slots__ = ("_buf", "crc_errors", "junk_bytes")
+
     def __init__(self):
         self._buf = bytearray()
         self.crc_errors = 0
@@ -211,11 +214,14 @@ class FrameDecoder:
             if status == "frame":
                 frames.append(frame)
                 pos = end
-            elif status == "need":
+            elif status == "need" and not any(  # and no whole frame behind it
+                    buf[i] == START_BYTE and _parse_at(buf, i)[0] == "frame"
+                    for i in range(start + 1, len(buf) - _MIN_FRAME + 1)):
                 pos = start
                 break
             else:
-                # False or corrupt start: count once, rescan one byte later.
+                # A false or corrupt start, or one whose length reaches past a
+                # whole frame: count once, rescan one byte later.
                 self.crc_errors += 1
                 pos = start + 1
         del buf[:pos]
@@ -281,7 +287,7 @@ class Ticket:
             fn(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkStats:
     tx_data: int = 0
     tx_acks: int = 0

@@ -2,10 +2,12 @@
 
 Binary layouts are documented in docs/protocol.md. Every message is
 
-    kind(1) | src_id | dst_app pstr | body
+    kind(1) | [src_id] | [dst_app pstr] | body
 
 where src_id is in the id codec below and pstr is a 1-byte length followed
-by that many UTF-8 bytes (length 0 in the dst_app slot means "none"). Each
+by that many UTF-8 bytes (length 0 in the dst_app slot means "none"). The
+kind alone says which of the two fields are there (`_KINDS`): the encoder
+leaves out the others, whatever their values, and the decoder gives None. Each
 body shape is declared once, as a `Layout`. A serialized message larger
 than one link payload is split into link chunks, each prefixed with a
 4-byte (index, count) header. The link sends one message's chunks under
@@ -46,7 +48,11 @@ class Kind(IntEnum):
     CODE_CHUNK = 7  # an alias of CODE_PUSH: the name bench/micro.py uses
 
 
-_KINDS = {kind.value: kind for kind in Kind}  # a dict lookup is cheaper than Kind(n)
+# Kind byte (or Kind) -> (kind, carries src, carries dst_app): a header holds src
+# where the receiver reads the sender's id and dst_app where the kind addresses an app.
+_CARRY_SRC = {Kind.HELLO, Kind.VERSION_ANNOUNCE, Kind.BCAST, Kind.CODE_PUSH, Kind.APPDATA}
+_CARRY_APP = {Kind.APPDATA, Kind.INVOKE}
+_KINDS = {kind.value: (kind, kind in _CARRY_SRC, kind in _CARRY_APP) for kind in Kind}
 
 MAX_PORT = 255  # an id carries one byte per port index
 MAX_HOPS = 0x3FFF  # the longest id whose hop count fits a 2-byte varint
@@ -97,7 +103,7 @@ class ServiceMessage:
     node may send the same instance many times (its beacons do)."""
 
     kind: Kind
-    src: ModuleId
+    src: Optional[ModuleId]  # None, like dst_app, once decoded from a kind that does not carry it
     dst_app: Optional[str]
     body: bytes = b""
 
@@ -164,10 +170,11 @@ _FIELDS = {str: (_put_text, _get_text), ModuleId: (_put_id, _get_id)}
 
 
 def encode_message(msg: ServiceMessage) -> bytes:
+    kind, has_src, has_app = _KINDS[msg.kind]
     return (
-        bytes([msg.kind])
-        + _put_id(msg.src)
-        + _put_text(msg.dst_app or "")
+        bytes([kind])
+        + (_put_id(msg.src) if has_src else b"")
+        + (_put_text(msg.dst_app or "") if has_app else b"")
         + msg.body
     )
 
@@ -176,11 +183,11 @@ def decode_message(data: bytes) -> ServiceMessage:
     if not data:
         raise ProtocolError("empty message")
     try:
-        kind = _KINDS[data[0]]
+        kind, has_src, has_app = _KINDS[data[0]]
     except KeyError:
         raise ProtocolError(f"unknown message kind {data[0]}") from None
-    src, pos = _get_id(data, 1)
-    dst_app, pos = _get_text(data, pos)
+    src, pos = _get_id(data, 1) if has_src else (None, 1)
+    dst_app, pos = _get_text(data, pos) if has_app else (None, pos)
     return ServiceMessage(kind, src, dst_app or None, bytes(data[pos:]))
 
 

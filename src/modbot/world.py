@@ -82,7 +82,7 @@ class Topology:
     default_byte_us: int = DEFAULT_BYTE_US
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioEvent:
     time_cs: int
     kind: str  # sensor | sever | restore | upgrade | start
@@ -288,7 +288,10 @@ def parse_scenario(text: str) -> Scenario:
     diags: list[str] = []
     events: list[ScenarioEvent] = []
     last_time = 0
-    for line_no, fields in _records(text):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
         if fields[0] != "at" or len(fields) < 3:
             diags.append(f"line {line_no}: expected 'at <time-cs> <event> ...'")
             continue
@@ -303,11 +306,12 @@ def parse_scenario(text: str) -> Scenario:
         last_time = time_cs
         kind = fields[2]
         args = fields[3:]
-        if kind not in _SCENARIO_ARITY:
+        arity = _SCENARIO_ARITY.get(kind)
+        if arity is None:
             diags.append(f"line {line_no}: unknown event {kind!r}")
             continue
-        if len(args) != _SCENARIO_ARITY[kind]:
-            diags.append(f"line {line_no}: {kind} takes {_SCENARIO_ARITY[kind]} arguments")
+        if len(args) != arity:
+            diags.append(f"line {line_no}: {kind} takes {arity} arguments")
             continue
         if kind == "sensor":
             try:

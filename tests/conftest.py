@@ -17,17 +17,20 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.ge
 _DIRS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
 
 # The world-level convergence property (tests/test_diffusion.py), the link
-# properties (tests/test_link_stateful.py) and the end-to-end request
-# property (tests/test_node.py) each run under a profile, "convergence",
-# "link" and "requests", or under its "-10x" variant (10x the examples)
-# when HYPOTHESIS_PROFILE names that; CI runs each once more, untimed, so.
-# Other tests keep their own settings.
+# properties (tests/test_link_stateful.py), the end-to-end request
+# property (tests/test_node.py) and the frame and message codec properties
+# (tests/test_crc_frames.py, tests/test_messages.py) each run under a
+# profile, "convergence", "link", "requests" and "codec", or under its
+# "-10x" variant (10x the examples) when HYPOTHESIS_PROFILE names that; CI
+# runs each once more, untimed, so. Other tests keep their own settings.
 settings.register_profile("convergence", max_examples=100, deadline=None)
 settings.register_profile("convergence-10x", settings.get_profile("convergence"), max_examples=1000)
 settings.register_profile("link", max_examples=40, stateful_step_count=25, deadline=None)
 settings.register_profile("link-10x", settings.get_profile("link"), max_examples=400)
 settings.register_profile("requests", max_examples=60, deadline=None)
 settings.register_profile("requests-10x", settings.get_profile("requests"), max_examples=600)
+settings.register_profile("codec", max_examples=100, deadline=None)
+settings.register_profile("codec-10x", settings.get_profile("codec"), max_examples=1000)
 
 
 def _profile(name: str) -> settings:
@@ -38,6 +41,7 @@ def _profile(name: str) -> settings:
 CONVERGENCE = _profile("convergence")
 LINK = _profile("link")
 REQUESTS = _profile("requests")
+CODEC = _profile("codec")
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from modbot.link import (
     NeedMoreData, crc16, decode_frame, encode_frame,
 )
 
+from conftest import CODEC
+
 
 def crc16_reference(data: bytes) -> int:
     """Bitwise CRC-16/CCITT-FALSE, written independently of the codec."""
@@ -69,6 +71,7 @@ def test_roundtrip_fixed():
     assert decode_frame(encode_frame(frame)) == frame
 
 
+@CODEC
 @given(
     st.sampled_from([FrameType.DATA, FrameType.ACK]),
     st.integers(min_value=0, max_value=255),
@@ -228,18 +231,60 @@ def _streams(draw, junk=_junk):
     return parts, stream, pieces
 
 
+@CODEC
 @given(_streams())
 def test_stream_decoder_piecewise_equals_whole(case):
     _, stream, pieces = case
     assert _feed_all(pieces) == _feed_all([stream])
 
 
+@CODEC
 @given(_streams(junk=_junk.map(lambda b: b.replace(b"\x7e", b""))))
 def test_stream_decoder_recovers_every_frame_between_clean_junk(case):
     parts, _, pieces = case
     frames, crc_errors, _ = _feed_all(pieces)
     assert frames == [p for p in parts if isinstance(p, Frame)]
     assert crc_errors == 0
+
+
+def test_a_corrupt_header_holds_back_no_whole_frame_behind_it():
+    # The header claims a 64-byte payload. A decoder that waits for those
+    # bytes would give the 19-byte frame behind it only at its fourth copy.
+    good = Frame(FrameType.DATA, 5, bytes(range(1, 13)))
+    decoder = FrameDecoder()
+    assert decoder.feed(b"\x7e\x01\x00\x00\x40") == []
+    assert decoder.feed(encode_frame(good)) == [good]
+    assert (decoder.crc_errors, decoder.junk_bytes) == (1, 4)
+
+
+# A corrupt header: the first 1-5 bytes of a frame header (start byte, type,
+# seq, length), with nothing after them. Lengths lean on the ones a frame
+# may have, so that the header waits for bytes.
+_corrupt_headers = st.builds(
+    lambda head, cut: head[:cut],
+    st.tuples(st.integers(0, 255), st.integers(0, 255),
+              st.one_of(st.integers(0, 255), st.integers(0, 0xFFFF))).map(
+        lambda h: bytes([0x7E, h[0], h[1]]) + h[2].to_bytes(2, "big")),
+    st.integers(1, 5),
+)
+
+
+@CODEC
+@given(st.lists(st.one_of(_frames, _corrupt_headers), max_size=8), st.data())
+def test_every_intact_frame_comes_out_once_its_bytes_are_in(parts, data):
+    stream = b""
+    ends = []  # (offset just past the frame, frame)
+    for part in parts:
+        stream += encode_frame(part) if isinstance(part, Frame) else part
+        if isinstance(part, Frame):
+            ends.append((len(stream), part))
+    cuts = data.draw(st.lists(st.integers(0, len(stream)), max_size=12))
+    edges = [0, *sorted(set(cuts) | {end for end, _ in ends}), len(stream)]
+    decoder = FrameDecoder()
+    out = []
+    for a, b in zip(edges, edges[1:]):
+        out.extend(decoder.feed(stream[a:b]))
+        assert out == [frame for end, frame in ends if end <= b]
 
 
 @st.composite
@@ -256,6 +301,7 @@ _decoder_inputs = st.lists(
 ).map(b"".join)
 
 
+@CODEC
 @given(_decoder_inputs)
 def test_decode_frame_agrees_with_stream_decoder(data):
     decoder = FrameDecoder()

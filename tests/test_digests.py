@@ -25,23 +25,23 @@ if str(BENCH) not in sys.path:
 import workloads  # noqa: E402
 
 CAR_DIGEST = "fed1c825ec0227f3d689fec2dcd742eb940e76e88382d55c9f90c16078343d21"
-CHAIN10_DIGEST = "daa45fb67d63f61c9419b14a80990fd166a4f5ee6184bfa0180b14b9251b449e"
-PAIR_SEND_DIGEST = "15a0dcd55930a74c739afcb4e2f8a885adbc5e7de8d5426b8de0c0b129f30fdb"
+CHAIN10_DIGEST = "cb73a142cd196062781e43224223cb7623ce90462f59c9ab521b5255893471fd"
+PAIR_SEND_DIGEST = "6925145a15563652018a802c7badf48ddab0985672bec007cb51a7b4bfed04fa"
 CAR_UPGRADE_DIGEST = "bd4d6cc0f8fa8b36dfbb847b68aaf8ca6a1d458c6c191ccc58e8909c19735c73"
 CHAIN6_TWO_UPGRADES_DIGEST = "f15b6d3ef2c6aee4711426801108baab2588fafa77a4552ea64a014e68a277c3"
-CHAIN12_MIXED_LOSS_DIGEST = "9b5597c618f4897d4e6561ee28db65d5e7d90c86afe13792851851a9381be2c5"
+CHAIN12_MIXED_LOSS_DIGEST = "1048beed31c9660a4fd6c18ff743857df55db0bba337c791f4e9f22466e419f8"
 CAR_INVOKE_PROBE_DIGEST = "6f01b7489c2318f69d68c37ffef5c1e6c4250466683acd81930e754ac92fed32"
 CHAIN4_UNSORTED_SCENARIO_DIGEST = "c8581b9498cf30a65e2d1a6391243d85537db85ee2d5c8d8d68516016848b9f8"
-LOSSY_CHAIN_PUTFILE_DIGEST = "a8c8529264de2aaafc319f77902f3b72d67aafc77156ff5d4fef4b732fa9ed2c"
+LOSSY_CHAIN_PUTFILE_DIGEST = "d62219d1634b0b9bf585ec80924195f2b26057a2ec404a34d58bc7c9eea1a89c"
 
 # Seed 1 of each benchmark workload: (log sha256, records, attempted, failed).
 BENCH_SEED1 = {
     "diffuse_tree": (
-        "fd4a7251a31c142fca3ea07c58eea18d00c29015cfbfddabeec805928e4747b9", 4385, 1393, 0),
+        "1fde1cefe0329862f459a436a1b03db63012ff31eee89fb9461829d63e299533", 4385, 1393, 0),
     "apps_lossy": (
-        "a592f178b85b6e5e8ef85edf3afe79362859d3674b1432911577fc3956eeaf66", 3120, 3013, 10),
+        "67a0e17174bc6f938def36a9c56aa0f4b2f6541e39583f29a1c219d9862d5d6c", 3143, 3036, 10),
     "roles_swarm": (
-        "39cfa1de822a008e9fc7e231029ec2b2140b337f2dbf28235f14886e928f3435", 9581, 819, 0),
+        "e09d76c288fa6f01fbc9a537b7c13a57e9dcb4b1ec0ee1d1586b7ef48eaee7b3", 9581, 819, 0),
 }
 
 

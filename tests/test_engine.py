@@ -54,9 +54,10 @@ def test_car_evade_episode_timing():
         assert resume - reversal == 25   # sleepcs(25), exact
 
 
-def test_the_heads_invocation_travels_in_one_34_byte_frame_per_wheel():
-    # 7 B of framing, the 4 B chunk header and a 23 B message: kind, src "0",
-    # dst_app "car.role", then the body, role "Wheel" and command "evade".
+def test_the_heads_invocation_travels_in_one_32_byte_frame_per_wheel():
+    # 7 B of framing, the 4 B chunk header and a 21 B message: kind, dst_app
+    # "car.role", then the body, role "Wheel" and command "evade". An INVOKE
+    # carries no src id: at the parent the head's "0" took 2 B more.
     # The links are lossless, so the frames the head transmits are the
     # frames that arrive at the wheels.
     world = car_world()
@@ -78,7 +79,7 @@ def test_the_heads_invocation_travels_in_one_34_byte_frame_per_wheel():
         (decode_message(frame.payload[4:]).kind, len(encode_frame(frame)))  # one chunk each
         for frame in frames if frame.frame_type is FrameType.DATA
         and frame.payload[4] not in (Kind.HELLO, Kind.VERSION_ANNOUNCE)]
-    assert invocations == [(Kind.INVOKE, 34)] * 2
+    assert invocations == [(Kind.INVOKE, 32)] * 2
 
 
 def test_overlapping_evades_coalesce_and_extend():

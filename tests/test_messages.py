@@ -1,5 +1,6 @@
 """Message codec, chunking, and reassembly."""
 
+import dataclasses
 import random
 import re
 import struct
@@ -12,6 +13,8 @@ from modbot import messages as m
 from modbot.link import LinkConfig, MAX_PAYLOAD, PortProtocol, TicketState, decode_frame
 from modbot.sim import Scheduler, US_PER_MS
 
+from conftest import CODEC
+
 
 def test_module_id_basics():
     assert str(m.ROOT_ID) == "0"
@@ -23,7 +26,7 @@ def test_module_id_basics():
 
 def test_decoded_ids_are_shared_without_changing_identity_semantics():
     wire = m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId((0, 2)), None))
-    assert wire == bytes([1, 2, 0, 2, 0])  # kind, 2 hops, ports 0 and 2, no dst_app
+    assert wire == bytes([1, 2, 0, 2])  # kind, 2 hops, ports 0 and 2; a HELLO has no dst_app
     first, second = m.decode_message(wire), m.decode_message(wire)
     assert first.src is second.src  # one immutable instance per id's port bytes
     assert str(first.src) == "0.2"
@@ -33,7 +36,7 @@ def test_decoded_ids_are_shared_without_changing_identity_semantics():
     assert first.src != m.ModuleId((0, 2, 0))
     for _ in range(2):  # bad ids are not memoised as good
         with pytest.raises(m.ProtocolError):
-            m.decode_message(bytes([1, 0x80, 0x00, 0]))
+            m.decode_message(bytes([1, 0x80, 0x00]))
 
 
 def id_bytes(module_id: m.ModuleId) -> bytes:
@@ -44,6 +47,23 @@ def id_bytes(module_id: m.ModuleId) -> bytes:
     return length + bytes(module_id.path)
 
 
+# The header fields each kind carries, the reference for the codec's table:
+# src where the receiver reads the sender's id, dst_app where the kind
+# addresses an app (docs/protocol.md).
+HEADER = {
+    m.Kind.HELLO: ("src",), m.Kind.VERSION_ANNOUNCE: ("src",), m.Kind.BCAST: ("src",),
+    m.Kind.CODE_PUSH: ("src",), m.Kind.APPDATA: ("src", "dst_app"), m.Kind.INVOKE: ("dst_app",),
+    m.Kind.REPLY: (), m.Kind.FILE: (), m.Kind.EXEC: (), m.Kind.START: (),
+}
+
+
+def carried(msg: m.ServiceMessage) -> m.ServiceMessage:
+    """msg as decoding its encoding gives it back: None in each header
+    field that its kind does not carry."""
+    return dataclasses.replace(msg, **{name: None for name in ("src", "dst_app")
+                                       if name not in HEADER[msg.kind]})
+
+
 # Paths of 0-20 hops, and paths at the varint's boundary lengths made by
 # repeating a short byte pattern.
 _paths = st.one_of(
@@ -52,7 +72,7 @@ _paths = st.one_of(
         lambda case: list((case[1] * case[0])[:case[0]])))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(CODEC, max_examples=2 * CODEC.max_examples)
 @given(_paths, st.binary(max_size=4), st.binary(max_size=4))
 def test_id_codec_round_trips_every_path_up_to_the_hop_limit(path, before, after):
     module_id = m.ModuleId(tuple(path))
@@ -124,23 +144,31 @@ def code_push_body(version: int, new_id: m.ModuleId, image: bytes) -> bytes:
 
 
 def test_message_roundtrip_every_kind():
+    # Each sample holds exactly the header fields its kind carries, as
+    # (message, its header bytes).
     samples = [
-        m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)),
-        m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
-                         m.APPDATA.pack(7, "src", b"\x00\x01payload")),
-        m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
-        m.ServiceMessage(m.Kind.INVOKE, m.ROOT_ID, "car.role", m.INVOKE.pack("Wheel", "evade")),
-        m.ServiceMessage(m.Kind.REPLY, m.ROOT_ID, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
-        m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
-        m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
-                         m.CODE_PUSH.pack(2, m.ModuleId((0, 3)), b"image")),
-        m.ServiceMessage(m.Kind.FILE, m.ROOT_ID, None, m.FILE.pack(8, "a.role", b"text")),
-        m.ServiceMessage(m.Kind.EXEC, m.ROOT_ID, None, m.REQUEST.pack(4, "STATE")),
-        m.ServiceMessage(m.Kind.START, m.ROOT_ID, None, m.REQUEST.pack(4, "a.role")),
+        (m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)), b"\x01\x01\x00"),
+        (m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
+                          m.APPDATA.pack(7, "src", b"\x00\x01payload")), b"\x02\x02\x00\x01\x03ctl"),
+        (m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
+         b"\x03\x01\x00"),
+        (m.ServiceMessage(m.Kind.INVOKE, None, "car.role", m.INVOKE.pack("Wheel", "evade")),
+         b"\x04\x08car.role"),
+        (m.ServiceMessage(m.Kind.REPLY, None, None, m.REQUEST.pack(1, "OK center=EAST_WEST")),
+         b"\x05"),
+        (m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(()), None, m.VERSION.pack(0)),
+         b"\x06\x00"),
+        (m.ServiceMessage(m.Kind.CODE_PUSH, m.ROOT_ID, None,
+                          m.CODE_PUSH.pack(2, m.ModuleId((0, 3)), b"image")), b"\x07\x01\x00"),
+        (m.ServiceMessage(m.Kind.FILE, None, None, m.FILE.pack(8, "a.role", b"text")), b"\x08"),
+        (m.ServiceMessage(m.Kind.EXEC, None, None, m.REQUEST.pack(4, "STATE")), b"\x09"),
+        (m.ServiceMessage(m.Kind.START, None, None, m.REQUEST.pack(4, "a.role")), b"\x0a"),
     ]
-    for msg in samples:
-        back = m.decode_message(m.encode_message(msg))
-        assert back == msg
+    assert sorted(msg.kind for msg, _ in samples) == sorted(m.Kind)
+    for msg, header in samples:
+        wire = m.encode_message(msg)
+        assert wire == header + msg.body
+        assert m.decode_message(wire) == msg
 
 
 def test_body_parsers():
@@ -184,16 +212,44 @@ def _messages(draw):
     return name, values, msg
 
 
-@settings(max_examples=100, deadline=None)
+@CODEC
 @given(_messages())
 def test_layouts_pack_the_reference_bytes_and_round_trip(case):
     name, values, msg = case
     assert msg.body == _LAYOUTS[name][2](*values)
     assert getattr(m, name).unpack(msg.body) == values
-    assert m.decode_message(m.encode_message(msg)) == msg
+    assert m.decode_message(m.encode_message(msg)) == carried(msg)
 
 
-@settings(max_examples=200, deadline=None)
+@CODEC
+@given(_messages())
+def test_a_header_holds_the_kind_and_only_the_fields_the_kind_carries(case):
+    msg = case[2]
+    fields = HEADER[msg.kind]
+    src = id_bytes(msg.src) if "src" in fields else b""
+    dst_app = _pstr(msg.dst_app or "") if "dst_app" in fields else b""
+    wire = m.encode_message(msg)
+    assert len(wire) == 1 + len(src) + len(dst_app) + len(msg.body)
+    assert wire == bytes([msg.kind]) + src + dst_app + msg.body
+    back = m.decode_message(wire)
+    for name in ("src", "dst_app"):
+        if name not in fields:
+            assert getattr(back, name) is None, name
+
+
+@CODEC
+@given(_messages())
+def test_decoder_refuses_a_message_cut_inside_its_header(case):
+    # Every cut short of the body, each field boundary among them: before
+    # the kind byte, before src and before dst_app.
+    msg = case[2]
+    wire = m.encode_message(msg)
+    for cut in range(len(wire) - len(msg.body)):
+        with pytest.raises(m.ProtocolError):
+            m.decode_message(wire[:cut])
+
+
+@settings(CODEC, max_examples=2 * CODEC.max_examples)
 @given(st.sampled_from(sorted(_LAYOUTS)), st.one_of(
     st.binary(max_size=64),
     _messages().flatmap(lambda case: st.integers(0, len(case[2].body)).map(
@@ -222,20 +278,26 @@ def test_decode_rejects_malformed():
 
 def test_protocol_doc_layout_table_matches_the_code():
     """docs/protocol.md's layout table names every Layout in messages.py
-    once, each with the kinds that carry it, and every Kind with its value."""
+    once, each with the kinds that carry it and the header fields those
+    kinds carry, and every Kind with its value."""
     doc = (Path(__file__).resolve().parent.parent / "docs" / "protocol.md").read_text()
-    rows = re.findall(r"^\| ([A-Z_]+) *\| ([^|]+)\|", doc, re.MULTILINE)
+    rows = re.findall(r"^\| ([A-Z_]+) *\| ([^|]+)\| ([^|]+)\|", doc, re.MULTILINE)
     layouts = [name for name, value in vars(m).items() if isinstance(value, m.Layout)]
-    assert sorted(name for name, _ in rows) == sorted(layouts) == sorted(_LAYOUTS)
+    assert sorted(name for name, _, _ in rows) == sorted(layouts) == sorted(_LAYOUTS)
     values: dict[str, set[int]] = {}
-    for name, kinds in rows:
+    for name, kinds, header in rows:
         named = re.findall(r"([A-Z_]+) \((\d+)\)", kinds)
         assert {kind for kind, _ in named} == {kind.name for kind in _LAYOUTS[name][0]}, name
+        fields = tuple(re.findall(r"`(src|dst_app)`", header))
+        assert fields or header.strip() == "none", name
         for kind, value in named:
             values.setdefault(kind, set()).add(int(value))
+            assert fields == HEADER[m.Kind[kind]], kind
+            assert m._KINDS[int(value)][1:] == ("src" in fields, "dst_app" in fields), kind
     assert values == {kind.name: {kind.value} for kind in m.Kind}
 
 
+@CODEC
 @given(st.binary(min_size=0, max_size=4096))
 def test_split_concat_identity(data):
     parts = m.split_for_link(data)
@@ -457,6 +519,7 @@ _payloads = st.one_of(
 )
 
 
+@CODEC
 @given(st.lists(_payloads, max_size=12).map(lambda runs: [p for run in runs for p in run]))
 def test_reassembler_matches_reference_feed(payloads):
     fast, reference = m.LinkReassembler(), _ParentReassembler()
