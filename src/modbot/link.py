@@ -250,8 +250,8 @@ class Ticket:
     plus 1 per retransmission of any of its frames. The underscored fields
     belong to the sending PortProtocol; `_tag` is the stream tag that the
     ticket's frames carry, chosen when its first frame leaves. `_callbacks`
-    is None until the first `on_done` (announces, HELLOs and INVOKEs never
-    call it) and again once the ticket resolves, so it keeps none alive."""
+    is None until the first `on_done` (beacons and INVOKEs never call it)
+    and again once the ticket resolves, so it keeps none alive."""
 
     __slots__ = ("state", "transmissions", "_callbacks",
                  "_payloads", "_index", "_frame", "_seq", "_retries_used", "_timer", "_tag")

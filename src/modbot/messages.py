@@ -35,7 +35,6 @@ class ProtocolError(Exception):
 
 
 class Kind(IntEnum):
-    HELLO = 1
     APPDATA = 2
     BCAST = 3
     INVOKE = 4
@@ -50,7 +49,7 @@ class Kind(IntEnum):
 
 # Kind byte (or Kind) -> (kind, carries src, carries dst_app): a header holds src
 # where the receiver reads the sender's id and dst_app where the kind addresses an app.
-_CARRY_SRC = {Kind.HELLO, Kind.VERSION_ANNOUNCE, Kind.BCAST, Kind.CODE_PUSH, Kind.APPDATA}
+_CARRY_SRC = {Kind.VERSION_ANNOUNCE, Kind.BCAST, Kind.CODE_PUSH, Kind.APPDATA}
 _CARRY_APP = {Kind.APPDATA, Kind.INVOKE}
 _KINDS = {kind.value: (kind, kind in _CARRY_SRC, kind in _CARRY_APP) for kind in Kind}
 
@@ -234,7 +233,7 @@ class Layout:
 
 # Every body shape on the wire, with the values in order (docs/protocol.md).
 # A request body (APPDATA, FILE, EXEC, START) starts with the req_id its REPLY repeats.
-VERSION = Layout("I", None, None)  # HELLO, VERSION_ANNOUNCE: version
+VERSION = Layout("I", None, None)  # VERSION_ANNOUNCE: version
 APPDATA = Layout("I", str, bytes)  # req_id, src_app, data
 BCAST = Layout("", str, bytes)  # src_app, data
 INVOKE = Layout("", str, str)  # role, command

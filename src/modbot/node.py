@@ -24,13 +24,13 @@ from .dynarole import RoleSyntaxError, parse_program
 from .engine import RoleEngine
 from .link import Ticket, TicketState
 from .messages import (
-    APPDATA, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, ROOT_ID, VERSION, Kind, LinkReassembler,
-    ModuleId, ProtocolError, ServiceMessage, decode_message,
+    APPDATA, BCAST, CODE_PUSH, FILE, INVOKE, REQUEST, ROOT_ID, VERSION, Kind, Layout,
+    LinkReassembler, ModuleId, ProtocolError, ServiceMessage, decode_message,
 )
 from .sim import US_PER_MS, US_PER_S
 
 ANNOUNCE_PERIOD_US = US_PER_S  # re-announce once per simulated second
-_HELLO, _ANNOUNCE = Kind.HELLO, Kind.VERSION_ANNOUNCE  # bound once: the beacon kinds
+_BEACON = Kind.VERSION_ANNOUNCE  # bound once: the one beacon kind
 IMAGE_SIZE = 600
 
 
@@ -136,7 +136,7 @@ class ServiceNode:
         self._req_counter = itertools.count(1)
         self._push_inflight: set[int] = set()
         self._held_push = None  # (req_ids it waits for, version, new id, image, pusher, port)
-        self._hello = self._announce = None  # built by _advertise for the current id and version
+        self._beacon = None  # built by _advertise for the current id and version
         self._last_beacon: dict[int, tuple[bytes, tuple[ModuleId, int]]] = {}  # per port
 
     # bootstrap and periodic diffusion
@@ -152,29 +152,29 @@ class ServiceNode:
 
     def _tick(self) -> None:
         ports = self.host.connected_ports()
-        announce = self._announce
+        beacon = self._beacon
         for port in ports:
-            self.host.send_port(port, announce)
+            self.host.send_port(port, beacon)
         self._push_older(ports)
         self.host.scheduler.call_after(ANNOUNCE_PERIOD_US, self._tick)
 
     def _advertise(self, pusher: Optional[int] = None) -> None:
-        """Build the HELLO and the tick's VERSION_ANNOUNCE for the current id
-        and version, and tell each connected port of them once: nothing to
-        the pusher's port (its push named this id and version) or to one with
-        a push in flight, a push to a neighbour known to be older (the push
-        names them too), and the HELLO on every other port. Bootstrap and
-        every change of id or version end here, so the beacons are built once per change."""
-        body = VERSION.pack(self.version)
-        hello = self._hello = ServiceMessage(_HELLO, self.module_id, None, body)
-        self._announce = ServiceMessage(_ANNOUNCE, self.module_id, None, body)
+        """Build the beacon for the current id and version, and tell each
+        connected port of them once: nothing to the pusher's port (its push
+        named this id and version) or to one with a push in flight, a push to
+        a neighbour known to be older (the push names them too), and the
+        beacon on every other port. Bootstrap and every change of id or
+        version end here, so one beacon is built per change, and the greetings
+        and the tick send that one instance."""
+        beacon = self._beacon = ServiceMessage(
+            _BEACON, self.module_id, None, VERSION.pack(self.version))
         ports = self.host.connected_ports()
         if pusher in ports:
             ports.remove(pusher)
-        self._push_older(ports, hello)
+        self._push_older(ports, beacon)
 
     def on_link_up(self, port: int) -> None:
-        self.host.send_port(port, self._hello)
+        self.host.send_port(port, self._beacon)
 
     def on_phys_change(self) -> None:
         for engine in self.engines.values():
@@ -201,19 +201,19 @@ class ServiceNode:
         self.host.log("version", str(self.version))
         self._advertise()
 
-    def _push_older(self, ports: Iterable[int], hello: Optional[ServiceMessage] = None) -> None:
+    def _push_older(self, ports: Iterable[int], beacon: Optional[ServiceMessage] = None) -> None:
         """Push to each of these ports whose neighbour runs an older version
-        (versions are never negative, so v0 never pushes); send hello, if
+        (versions are never negative, so v0 never pushes); send beacon, if
         given, on each of the others, but neither where a push is in flight:
-        its DELIVERED callback pushes the current version, which hello names."""
+        its DELIVERED callback pushes the current version, which beacon names."""
         for port in ports:
             if port in self._push_inflight:
                 continue
             entry = self.neighbor_table.get(port)
             if entry is not None and entry[1] < self.version:
                 self._start_push(port)
-            elif hello is not None:
-                self.host.send_port(port, hello)
+            elif beacon is not None:
+                self.host.send_port(port, beacon)
 
     def _start_push(self, port: int) -> None:
         version = self.version
@@ -276,7 +276,7 @@ class ServiceNode:
                 self.host.log("protocol-error", str(exc))
                 return
             try:
-                if msg.kind is not _HELLO and msg.kind is not _ANNOUNCE:
+                if msg.kind is not _BEACON:
                     self._dispatch(port, msg)
                     return
                 beacon = self._last_beacon[port] = (whole, (msg.src, VERSION.unpack(msg.body)[0]))
@@ -385,18 +385,24 @@ class ServiceNode:
         cfg = self.host.link_config
         return 3 * cfg.ack_timeout_ms * US_PER_MS * max(1, cfg.max_retries)
 
-    def _request(self, session: Session, port: int, kind: Kind,
-                 body_of: Callable[[int], bytes], verb: str,
-                 dst_app: Optional[str] = None) -> None:
-        """Send the request message body_of(req_id) and answer the session
-        exactly once: with the reply's line when it arrives (see
-        `_resolve_pending`), `ERR 409 delivery failed` when the link gave up
-        on the request (it may still have arrived) and `ERR 504 <verb>
-        timeout` when no reply came in time after the link delivered it: the
-        reply timer starts at that delivery. The message is encoded first, so
-        a field too long for the wire raises ProtocolError with nothing pending."""
+    def _request(self, session: Session, module_text: str, kind: Kind, layout: Layout,
+                 values: tuple, verb: str, dst_app: Optional[str] = None) -> None:
+        """Send the neighbour module_text the request whose body is
+        layout.pack(req_id, *values), and answer the session exactly once:
+        with the reply's line when it arrives (see `_resolve_pending`), `ERR
+        409 delivery failed` when the link gave up on the request (it may
+        still have arrived) and `ERR 504 <verb> timeout` when no reply came in
+        time after the link delivered it: the reply timer starts at that
+        delivery. An unknown module is `ERR 404`, and the message is encoded
+        before anything is pending, so a field too long for the wire raises
+        ProtocolError with nothing pending."""
+        for port, (mid, _version) in sorted(self.neighbor_table.items()):
+            if str(mid) == module_text:
+                break
+        else:
+            raise _Answer("ERR 404 unknown module")
         req_id = next(self._req_counter)
-        msg = ServiceMessage(kind, self.module_id, dst_app, body_of(req_id))
+        msg = ServiceMessage(kind, self.module_id, dst_app, layout.pack(req_id, *values))
         msg.link_chunks  # encoded here, before anything is pending
 
         def expire() -> None:
@@ -487,21 +493,22 @@ class ServiceNode:
             verb = parts[0]
             if verb != "REGISTER" and session.name is None:
                 raise _Answer("ERR 401 register first")
-            handler = _COMMANDS.get(verb)
-            if handler is None:
+            if verb not in _COMMANDS:
                 raise _Answer(f"ERR 400 unknown command {verb}")
-            handler(self, session, parts[1:])
+            handler, usage = _COMMANDS[verb]
+            args, most = parts[1:], usage.count(" ")  # a space before each argument
+            if not most - usage.count("[") <= len(args) <= most:
+                raise _Answer(f"ERR 400 usage: {usage}")
+            handler(self, session, *args)
         except _Answer as answer:
             session.respond(str(answer))
         except ProtocolError as exc:  # a name or argument too long for its wire field
             session.respond(f"ERR 400 {exc}")
 
-    # individual commands; each answers exactly once, by response or _Answer
+    # individual commands, called with the arguments their usage line names;
+    # each answers exactly once, by response or _Answer
 
-    def _cmd_register(self, session: Session, args: list[str]) -> None:
-        if len(args) != 1:
-            raise _Answer("ERR 400 usage: REGISTER <app>")
-        name = args[0]
+    def _cmd_register(self, session: Session, name: str) -> None:
         # The app name travels in 255-byte wire fields.
         if len(name) > 64 or len(name.encode("utf-8")) > 255 or not name.isprintable():
             raise _Answer("ERR 400 bad app name")
@@ -514,41 +521,24 @@ class ServiceNode:
         self.host.log("register", name)
         session.respond(f"OK registered {name}")
 
-    def _cmd_state(self, session: Session, args: list[str]) -> None:
-        if not args:
+    def _cmd_state(self, session: Session, module_text: Optional[str] = None) -> None:
+        if module_text is None:
             session.respond(f"OK {self.host.state_text()}")
-            return
-        if len(args) != 1:
-            raise _Answer("ERR 400 usage: STATE [<module>]")
-        self._request(session, self._port_of(args[0]), Kind.EXEC,
-                      lambda req_id: REQUEST.pack(req_id, "STATE"), "state")
-
-    def _cmd_neighbors(self, session: Session, args: list[str]) -> None:
-        if args:
-            raise _Answer("ERR 400 usage: NEIGHBORS")
-        entries = [
-            f"{port}:{mid}:{version}"
-            for port, (mid, version) in sorted(self.neighbor_table.items())
-        ]
-        if entries:
-            session.respond("OK " + " ".join(entries))
         else:
-            session.respond("OK")
+            self._request(session, module_text, Kind.EXEC, REQUEST, ("STATE",), "state")
 
-    def _cmd_send(self, session: Session, args: list[str]) -> None:
-        if len(args) != 3:
-            raise _Answer("ERR 400 usage: SEND <module> <app> <b64>")
-        data = _decode_b64(args[2])
-        self._request(
-            session, self._port_of(args[0]), Kind.APPDATA,
-            lambda req_id: APPDATA.pack(req_id, session.name or "", data),
-            "send", dst_app=args[1])
+    def _cmd_neighbors(self, session: Session) -> None:
+        session.respond(" ".join(["OK"] + [
+            f"{port}:{mid}:{version}"
+            for port, (mid, version) in sorted(self.neighbor_table.items())]))
 
-    def _cmd_bcast(self, session: Session, args: list[str]) -> None:
-        if len(args) != 1:
-            raise _Answer("ERR 400 usage: BCAST <b64>")
+    def _cmd_send(self, session: Session, module_text: str, app: str, b64: str) -> None:
+        self._request(session, module_text, Kind.APPDATA, APPDATA,
+                      (session.name, _decode_b64(b64)), "send", dst_app=app)
+
+    def _cmd_bcast(self, session: Session, b64: str) -> None:
         msg = ServiceMessage(Kind.BCAST, self.module_id, None,
-                             BCAST.pack(session.name or "", _decode_b64(args[0])))
+                             BCAST.pack(session.name, _decode_b64(b64)))
         sent = [(port, self.host.send_port(port, msg)) for port in self.host.connected_ports()]
         if not sent:
             raise _Answer("OK delivered=0")
@@ -563,50 +553,31 @@ class ServiceNode:
         for _port, ticket in sent:
             ticket.on_done(answer)
 
-    def _cmd_putfile(self, session: Session, args: list[str]) -> None:
-        if len(args) != 3:
-            raise _Answer("ERR 400 usage: PUTFILE <module> <name> <b64>")
-        raw = _decode_b64(args[2])
+    def _cmd_putfile(self, session: Session, module_text: str, name: str, b64: str) -> None:
+        raw = _decode_b64(b64)
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError:
             raise _Answer("ERR 400 file content must be utf-8 text")
-        self._request(session, self._port_of(args[0]), Kind.FILE,
-                      lambda req_id: FILE.pack(req_id, args[1], raw), "putfile")
+        self._request(session, module_text, Kind.FILE, FILE, (name, raw), "putfile")
 
-    def _cmd_exec(self, session: Session, args: list[str]) -> None:
-        if len(args) != 2:
-            raise _Answer("ERR 400 usage: EXEC <module> <b64-of-command-line>")
+    def _cmd_exec(self, session: Session, module_text: str, b64: str) -> None:
         try:
-            command_line = _decode_b64(args[1]).decode("utf-8")
+            command_line = _decode_b64(b64).decode("utf-8")
         except UnicodeDecodeError:
             raise _Answer("ERR 400 command line must be utf-8 text")
-        self._request(session, self._port_of(args[0]), Kind.EXEC,
-                      lambda req_id: REQUEST.pack(req_id, command_line), "exec")
+        self._request(session, module_text, Kind.EXEC, REQUEST, (command_line,), "exec")
 
-    def _cmd_start(self, session: Session, args: list[str]) -> None:
-        if len(args) != 2:
-            raise _Answer("ERR 400 usage: START <module> <name>")
-        self._request(session, self._port_of(args[0]), Kind.START,
-                      lambda req_id: REQUEST.pack(req_id, args[1]), "start")
+    def _cmd_start(self, session: Session, module_text: str, name: str) -> None:
+        self._request(session, module_text, Kind.START, REQUEST, (name,), "start")
 
-    def _cmd_version(self, session: Session, args: list[str]) -> None:
-        if args:
-            raise _Answer("ERR 400 usage: VERSION")
+    def _cmd_version(self, session: Session) -> None:
         session.respond(f"OK version={self.version}")
 
-    def _cmd_id(self, session: Session, args: list[str]) -> None:
-        if args:
-            raise _Answer("ERR 400 usage: ID")
+    def _cmd_id(self, session: Session) -> None:
         session.respond(f"OK id={self.module_id}")
 
     # helpers
-
-    def _port_of(self, module_text: str) -> int:
-        for port, (mid, _version) in sorted(self.neighbor_table.items()):
-            if str(mid) == module_text:
-                return port
-        raise _Answer("ERR 404 unknown module")
 
     def _peer_label(self, port: int) -> str:
         entry = self.neighbor_table.get(port)
@@ -637,15 +608,19 @@ def _decode_b64(text: str) -> bytes:
         raise _Answer("ERR 400 bad base64") from None
 
 
-_COMMANDS: dict[str, Callable] = {
-    "REGISTER": ServiceNode._cmd_register,
-    "STATE": ServiceNode._cmd_state,
-    "NEIGHBORS": ServiceNode._cmd_neighbors,
-    "SEND": ServiceNode._cmd_send,
-    "BCAST": ServiceNode._cmd_bcast,
-    "PUTFILE": ServiceNode._cmd_putfile,
-    "EXEC": ServiceNode._cmd_exec,
-    "START": ServiceNode._cmd_start,
-    "VERSION": ServiceNode._cmd_version,
-    "ID": ServiceNode._cmd_id,
-}
+# Each verb's handler and its usage line, keyed by the verb that starts the
+# line: `execute` takes a `<word>` as a required argument and a `[<word>]` as
+# an optional one, and answers any other count with `ERR 400 usage: <line>`.
+_COMMANDS: dict[str, tuple[Callable, str]] = {
+    usage.split()[0]: (handler, usage) for handler, usage in (
+        (ServiceNode._cmd_register, "REGISTER <app>"),
+        (ServiceNode._cmd_state, "STATE [<module>]"),
+        (ServiceNode._cmd_neighbors, "NEIGHBORS"),
+        (ServiceNode._cmd_send, "SEND <module> <app> <b64>"),
+        (ServiceNode._cmd_bcast, "BCAST <b64>"),
+        (ServiceNode._cmd_putfile, "PUTFILE <module> <name> <b64>"),
+        (ServiceNode._cmd_exec, "EXEC <module> <b64-of-command-line>"),
+        (ServiceNode._cmd_start, "START <module> <name>"),
+        (ServiceNode._cmd_version, "VERSION"),
+        (ServiceNode._cmd_id, "ID"),
+    )}

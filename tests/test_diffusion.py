@@ -131,48 +131,97 @@ def test_ids_distinct_over_many_random_trees():
         assert len(set(ids)) == 12, f"collision in tree seed {tree_seed}: {ids}"
 
 
-def _beacons_on_wire(port) -> list[tuple[str, str, int]]:
-    """Tap a port's transmissions: (kind, src id, version) of every
-    HELLO/VERSION_ANNOUNCE frame it puts on the wire, in order."""
-    seen = []
-    transmit = port._transmit
+def _beacons_on_wire(module, port: int) -> list[tuple[str, str, int]]:
+    """Tap one of a module's ports: (path, src id, version) of every beacon
+    frame it puts on the wire, in order. A greeting and a tick beacon are
+    the same message, so the path tells them apart: "tick" for a beacon that
+    the node's `_tick` sent and "greeting" for any other."""
+    seen, ticking, sending, paths = [], [], [], {}
+    node, protocol = module.node, module.ports[port].protocol
+    tick, send_port, transmit = node._tick, module.send_port, protocol._transmit
+
+    def tapped_tick() -> None:  # bootstrap and each tick schedule the next by node._tick
+        ticking.append(True)
+        tick()
+        ticking.pop()
+
+    def send(to: int, msg) -> Ticket:
+        sending.append("tick" if ticking else "greeting")
+        ticket = send_port(to, msg)  # an idle port transmits before it returns
+        paths[ticket] = sending.pop()
+        return ticket
 
     def tap(data: bytes) -> None:
         frame = decode_frame(data)
         if frame.frame_type is FrameType.DATA and frame.payload[:4] == b"\x00\x00\x00\x01":
             msg = decode_message(frame.payload[4:])
-            if msg.kind in (Kind.HELLO, Kind.VERSION_ANNOUNCE):
-                seen.append((msg.kind.name, str(msg.src), VERSION.unpack(msg.body)[0]))
+            if msg.kind is Kind.VERSION_ANNOUNCE:
+                path = paths.get(protocol._outstanding) or sending[-1]
+                seen.append((path, str(msg.src), VERSION.unpack(msg.body)[0]))
         transmit(data)
 
-    port._transmit = tap
+    node._tick, module.send_port, protocol._transmit = tapped_tick, send, tap
     return seen
 
 
 def test_beacons_carry_the_new_id_and_version():
-    # A module sends one HELLO on each port at bootstrap. A push names the
+    # A module greets each port once at bootstrap. A push names the
     # pusher's id and version and the receiver's new ones, so after a change
-    # of version neither end of a push sends a HELLO over it: the next
-    # beacon there is the tick's announce, with the new id and version.
+    # of version neither end of a push greets over it: the next beacon
+    # there is the tick's, with the new id and version.
     world = build(chain_topology(2), seed=1)
-    root = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
-    leaf = _beacons_on_wire(world.modules["m1"].ports[0].protocol)
+    root = _beacons_on_wire(world.modules["m0"], 1)
+    leaf = _beacons_on_wire(world.modules["m1"], 0)
     world.run_until_cs(1)
-    assert (root, leaf) == ([("HELLO", "0", 1)], [("HELLO", "", 0)])
+    assert (root, leaf) == ([("greeting", "0", 1)], [("greeting", "", 0)])
     world.run_until_cs(250)  # m1 adopted v1 and its id before its first tick
-    assert leaf[1:] == [("VERSION_ANNOUNCE", "0.1", 1)] * 2
+    assert leaf[1:] == [("tick", "0.1", 1)] * 2
     sent_root, sent_leaf = len(root), len(leaf)
     world.modules["m0"].node.upgrade_local(2)
     world.run_until_cs(600)  # m1 adopted v2
-    assert set(root[sent_root:]) == {("VERSION_ANNOUNCE", "0", 2)}
-    assert set(leaf[sent_leaf:]) == {("VERSION_ANNOUNCE", "0.1", 2)}
+    assert set(root[sent_root:]) == {("tick", "0", 2)}
+    assert set(leaf[sent_leaf:]) == {("tick", "0.1", 2)}
+
+
+def test_every_beacon_between_two_changes_is_the_one_the_change_built():
+    # Greetings at bootstrap, after adoptions and an upgrade and on a link
+    # that comes back up, and every tick's beacons: each module sends the
+    # one `_beacon` instance its last change of id or version built.
+    scenario = Scenario(events=[
+        ScenarioEvent(300, "upgrade", ("m0", 2)),
+        ScenarioEvent(700, "sever", ("m1.1", "m2.0")),
+        ScenarioEvent(900, "restore", ("m1.1", "m2.0")),
+    ])
+    world = build(chain_topology(3), scenario, seed=1)
+    built = {name: [] for name in world.modules}  # each module's beacons, one per change
+    sent = {name: [] for name in world.modules}
+    for name, module in world.modules.items():
+        def advertise(*args, node=module.node, advertise=module.node._advertise,
+                      built=built[name]):
+            advertise(*args)
+            built.append(node._beacon)
+
+        def send(port, msg, send_port=module.send_port, sent=sent[name]):
+            if msg.kind is Kind.VERSION_ANNOUNCE:
+                sent.append(msg)
+            return send_port(port, msg)
+
+        module.node._advertise, module.send_port = advertise, send
+    world.run_until_cs(1500)
+    assert "900 m1 restore m1.1 m2.0" in world.log.lines()
+    for name in world.modules:
+        runs = [msg for k, msg in enumerate(sent[name]) if k == 0 or msg is not sent[name][k - 1]]
+        assert len(runs) == len(built[name]) == (2 if name == "m0" else 3), name
+        assert all(run is beacon for run, beacon in zip(runs, built[name])), name
 
 
 def _tap_adoptions(world: World) -> list[tuple[str, int, list, list]]:
-    """Record every adoption as (module, pusher's port, [(port, kind name)]
-    of each message it sent, the sends the rule expects): nothing to the
-    pusher or to a port with a push in flight, a push and no HELLO to each
-    neighbour known to be older, and a HELLO to each other neighbour."""
+    """Record every adoption as (module, pusher's port, [(port, what)] of
+    each message it sent, the sends the rule expects): nothing to the pusher
+    or to a port with a push in flight, a push and no greeting to each
+    neighbour known to be older, and a greeting to each other neighbour.
+    What is the kind name, or "greeting" for a beacon: every beacon an
+    adoption sends is one."""
     adoptions = []
     for name, module in world.modules.items():
         _tap_adoption(name, module, adoptions)
@@ -184,7 +233,7 @@ def _tap_adoption(name, module, adoptions) -> None:
     sent = []
 
     def send(port, msg):
-        sent.append((port, msg.kind.name))
+        sent.append((port, "greeting" if msg.kind is Kind.VERSION_ANNOUNCE else msg.kind.name))
         return send_port(port, msg)
 
     def tapped(version, new_id, blob, src, pusher):
@@ -193,7 +242,7 @@ def _tap_adoption(name, module, adoptions) -> None:
             entry = node.neighbor_table.get(port)
             if port != pusher and port not in node._push_inflight:
                 older = entry is not None and entry[1] < version
-                expected.append((port, "CODE_PUSH" if older else "HELLO"))
+                expected.append((port, "CODE_PUSH" if older else "greeting"))
         sent.clear()
         adopt(version, new_id, blob, src, pusher)
         adoptions.append((name, pusher, list(sent), expected))
@@ -204,10 +253,10 @@ def _tap_adoption(name, module, adoptions) -> None:
 
 def _check_adoption_sends(adoptions) -> int:
     """Check that each adoption sent what the rule expects; returns the
-    number of HELLOs the adoptions sent."""
+    number of greetings the adoptions sent."""
     for name, pusher, sent, expected in adoptions:
         assert sorted(sent) == sorted(expected), (name, pusher, sent, expected)
-    return sum(kind == "HELLO" for _name, _pusher, sent, _ in adoptions for _port, kind in sent)
+    return sum(what == "greeting" for _name, _pusher, sent, _ in adoptions for _port, what in sent)
 
 
 def test_an_adoption_greets_only_the_neighbours_no_push_told():
@@ -239,13 +288,13 @@ def test_an_adoption_greets_a_neighbour_at_its_new_version():
     world.run_until_cs(3000)
     assert session.take_lines() == ["OK registered a", "ERR 504 send timeout", "EVENT reset 2"]
     assert [(name, pusher, sent) for name, pusher, sent, _expected in adoptions][2:] == [
-        ("b", 0, [(1, "HELLO")])]
+        ("b", 0, [(1, "greeting")])]
     assert _check_adoption_sends(adoptions) == 1
     assert world.modules["r"].node.neighbor_table[1] == (ModuleId((0, 1, 1)), 2)
 
 
 def test_the_receiver_of_a_push_holds_the_pushers_id_and_version():
-    # Neither m1 nor m2 gets a HELLO after m0's upgrade; each learns its
+    # Neither m1 nor m2 is greeted after m0's upgrade; each learns its
     # pusher's new version from the push. (The diamond test above shows the
     # same for a push that is held or rejected.)
     world = build(chain_topology(3), seed=1)
@@ -271,13 +320,15 @@ def test_a_pusher_that_adopted_again_while_its_push_was_in_flight_pushes_at_deli
     scenario = Scenario(events=[
         ScenarioEvent(500, "upgrade", ("m0", 2)), ScenarioEvent(505, "upgrade", ("m0", 3))])
     world = build(chain_topology(3), scenario, seed=1)
-    beacons = _beacons_on_wire(world.modules["m0"].ports[1].protocol)
+    beacons = _beacons_on_wire(world.modules["m0"], 1)
     world.run_until_cs(504)
     sent = len(beacons)
     world.run_until_cs(599)
-    # The v3 push names the id and version that a HELLO queued at 505 cs
-    # behind the v2 push would, so none goes on the wire.
-    assert [beacon for beacon in beacons[sent:] if beacon[0] == "HELLO"] == []
+    # The v3 push names the id and version that a greeting queued at 505 cs
+    # behind the v2 push would, so none goes on the wire: no beacon names
+    # v3 before the 600 cs tick.
+    assert [beacon for beacon in beacons[sent:] if beacon[0] == "greeting"] == []
+    assert [beacon for beacon in beacons[sent:] if beacon[1:] == ("0", 3)] == []
     assert _versions(world) == [3, 3, 3]
     assert "521 m0 push v=3 port=1 id=0.1" in world.log.lines()
 

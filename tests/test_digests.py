@@ -120,7 +120,7 @@ def test_bench_workload_seed1_digest(name):
 def test_chain6_upgraded_twice_across_sever_restore_digest():
     # Every module's beacons change id or version three times; the idle
     # link m2-m3 is cut and healed between the upgrades, and comes back up
-    # with a HELLO from each side.
+    # with a greeting from each side.
     scenario = Scenario(events=[
         ScenarioEvent(300, "upgrade", ("m0", 2)),
         ScenarioEvent(900, "sever", ("m2.1", "m3.0")),

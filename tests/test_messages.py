@@ -25,8 +25,8 @@ def test_module_id_basics():
 
 
 def test_decoded_ids_are_shared_without_changing_identity_semantics():
-    wire = m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId((0, 2)), None))
-    assert wire == bytes([1, 2, 0, 2])  # kind, 2 hops, ports 0 and 2; a HELLO has no dst_app
+    wire = m.encode_message(m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId((0, 2)), None))
+    assert wire == bytes([6, 2, 0, 2])  # kind, 2 hops, ports 0 and 2; a beacon has no dst_app
     first, second = m.decode_message(wire), m.decode_message(wire)
     assert first.src is second.src  # one immutable instance per id's port bytes
     assert str(first.src) == "0.2"
@@ -36,7 +36,7 @@ def test_decoded_ids_are_shared_without_changing_identity_semantics():
     assert first.src != m.ModuleId((0, 2, 0))
     for _ in range(2):  # bad ids are not memoised as good
         with pytest.raises(m.ProtocolError):
-            m.decode_message(bytes([1, 0x80, 0x00]))
+            m.decode_message(bytes([6, 0x80, 0x00]))
 
 
 def id_bytes(module_id: m.ModuleId) -> bytes:
@@ -51,8 +51,8 @@ def id_bytes(module_id: m.ModuleId) -> bytes:
 # src where the receiver reads the sender's id, dst_app where the kind
 # addresses an app (docs/protocol.md).
 HEADER = {
-    m.Kind.HELLO: ("src",), m.Kind.VERSION_ANNOUNCE: ("src",), m.Kind.BCAST: ("src",),
-    m.Kind.CODE_PUSH: ("src",), m.Kind.APPDATA: ("src", "dst_app"), m.Kind.INVOKE: ("dst_app",),
+    m.Kind.VERSION_ANNOUNCE: ("src",), m.Kind.BCAST: ("src",), m.Kind.CODE_PUSH: ("src",),
+    m.Kind.APPDATA: ("src", "dst_app"), m.Kind.INVOKE: ("dst_app",),
     m.Kind.REPLY: (), m.Kind.FILE: (), m.Kind.EXEC: (), m.Kind.START: (),
 }
 
@@ -93,7 +93,7 @@ def test_id_codec_refuses_an_id_it_cannot_carry(path, error):
     with pytest.raises(m.ProtocolError, match=error):
         m._put_id(m.ModuleId(path))
     with pytest.raises(m.ProtocolError, match=error):
-        m.encode_message(m.ServiceMessage(m.Kind.HELLO, m.ModuleId(path), None))
+        m.encode_message(m.ServiceMessage(m.Kind.VERSION_ANNOUNCE, m.ModuleId(path), None))
 
 
 @pytest.mark.parametrize("raw", [
@@ -105,7 +105,7 @@ def test_id_codec_refuses_truncated_and_non_minimal_fields(raw):
     with pytest.raises(m.ProtocolError, match="module id"):
         m._get_id(raw, 0)
     with pytest.raises(m.ProtocolError, match="module id"):
-        m.decode_message(bytes([m.Kind.HELLO]) + raw)
+        m.decode_message(bytes([m.Kind.VERSION_ANNOUNCE]) + raw)
 
 
 # The body builders the layouts replaced, kept as the byte-level reference.
@@ -147,7 +147,6 @@ def test_message_roundtrip_every_kind():
     # Each sample holds exactly the header fields its kind carries, as
     # (message, its header bytes).
     samples = [
-        (m.ServiceMessage(m.Kind.HELLO, m.ROOT_ID, None, m.VERSION.pack(3)), b"\x01\x01\x00"),
         (m.ServiceMessage(m.Kind.APPDATA, m.ModuleId((0, 1)), "ctl",
                           m.APPDATA.pack(7, "src", b"\x00\x01payload")), b"\x02\x02\x00\x01\x03ctl"),
         (m.ServiceMessage(m.Kind.BCAST, m.ROOT_ID, None, m.BCAST.pack("app", b"data")),
@@ -188,7 +187,7 @@ _ids = st.lists(st.integers(0, 255), max_size=6).map(lambda path: m.ModuleId(tup
 
 # layout name: (kinds that carry it, values strategy, reference builder of the values)
 _LAYOUTS = {
-    "VERSION": ((m.Kind.HELLO, m.Kind.VERSION_ANNOUNCE), st.tuples(_u32), version_body),
+    "VERSION": ((m.Kind.VERSION_ANNOUNCE,), st.tuples(_u32), version_body),
     "APPDATA": ((m.Kind.APPDATA,), st.tuples(_u32, _text, st.binary(max_size=64)), appdata_body),
     "BCAST": ((m.Kind.BCAST,), st.tuples(_text, st.binary(max_size=64)), bcast_body),
     "INVOKE": ((m.Kind.INVOKE,), st.tuples(_text, st.text(max_size=64)), invoke_body),

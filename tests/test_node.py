@@ -224,13 +224,16 @@ def test_a_request_answered_504_was_delivered(verb):
        st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans(), st.integers(1, 1500)),
                 min_size=1, max_size=8),
        st.none() | st.tuples(st.integers(0, 3), st.integers(0, 1500)))
+@example(n=4, loss=0.3, max_retries=1, seed=409, ops=[(3, True, False, 500)] * 2, upgrade=None)
 def test_every_answer_to_a_request_holds_at_its_receiver(n, loss, max_retries, seed, ops, upgrade):
     """On a lossy chain of 2-4 modules, with SENDs and PUTFILEs to
     neighbours and maybe an upgrade under way: every `OK delivered` payload
     reached its sink exactly once (and no payload twice), every `OK
     transferred` file is stored whole (and none in part), every `ERR 504`
     request reached its receiver, and a session that no adoption reset
-    answers every command."""
+    answers every command. An adoption resets a session with `EVENT reset
+    <v>`: v2 for the upgrade, or v1 when boot diffusion reached the module,
+    over a lossy link, after the sessions opened (m3 of the example)."""
     scenario = upgrade and upgrade_scenario(f"m{upgrade[0] % n}", 2, 400 + upgrade[1])
     world = World(chain_topology(n, loss=loss, max_retries=max_retries), scenario, seed=seed)
     arrived = {name: [] for name in world.modules}  # the bodies of the messages each node got
@@ -258,7 +261,9 @@ def test_every_answer_to_a_request_holds_at_its_receiver(n, loss, max_retries, s
     for i, session in sessions.items():
         lines = session.take_lines()
         answers = [line for line in lines if line.startswith(("OK", "ERR"))][1:]
-        assert len(answers) == len(asked[i]) or "EVENT reset 2" in lines
+        resets = {f"EVENT reset {r[3].split()[0][2:]}"  # push-accept v=<v> id=... from=...
+                  for r in world.log.select("push-accept", f"m{i}")}
+        assert len(answers) == len(asked[i]) or resets.intersection(lines)
         for (target, name, data), answer in zip(asked[i], answers):
             receiver = world.modules[target].node
             if name is None:
@@ -701,6 +706,36 @@ def test_version_and_id_commands():
     assert session.take_lines() == ["OK version=1", "OK id=0.1"]
 
 
+@pytest.mark.parametrize("line, answer", [
+    ("REGISTER", "ERR 400 usage: REGISTER <app>"),
+    ("REGISTER a b", "ERR 400 usage: REGISTER <app>"),
+    ("STATE 0.1 x", "ERR 400 usage: STATE [<module>]"),
+    ("NEIGHBORS x", "ERR 400 usage: NEIGHBORS"),
+    ("SEND 0.1 sink", "ERR 400 usage: SEND <module> <app> <b64>"),
+    ("SEND 0.1 sink aGk= x", "ERR 400 usage: SEND <module> <app> <b64>"),
+    ("BCAST", "ERR 400 usage: BCAST <b64>"),
+    ("BCAST aGk= x", "ERR 400 usage: BCAST <b64>"),
+    ("PUTFILE 0.1 f", "ERR 400 usage: PUTFILE <module> <name> <b64>"),
+    ("PUTFILE 0.1 f aGk= x", "ERR 400 usage: PUTFILE <module> <name> <b64>"),
+    ("EXEC 0.1", "ERR 400 usage: EXEC <module> <b64-of-command-line>"),
+    ("EXEC 0.1 SUQ= x", "ERR 400 usage: EXEC <module> <b64-of-command-line>"),
+    ("START 0.1", "ERR 400 usage: START <module> <name>"),
+    ("START 0.1 a.role x", "ERR 400 usage: START <module> <name>"),
+    ("VERSION x", "ERR 400 usage: VERSION"),
+    ("ID x", "ERR 400 usage: ID"),
+])
+def test_each_verb_answers_a_wrong_argument_count_with_its_usage(line, answer):
+    # The usage check comes before a handler's own checks: these arguments
+    # would otherwise be refused as bad base64 or an unknown module.
+    world = settled_pair()
+    session = world.open_session("m0")
+    session.submit("REGISTER app")
+    session.submit(line.replace("0.1", "9.9"))
+    session.submit(line.replace("aGk=", "!!").replace("SUQ=", "!!"))
+    assert session.take_lines() == ["OK registered app", answer, answer]
+    assert world.log.select("protocol-error") == []
+
+
 @pytest.mark.parametrize("line", ["NEIGHBORS junk", "VERSION 7", "ID x y"])
 def test_commands_without_arguments_refuse_stray_ones(line):
     world = settled_pair()
@@ -738,14 +773,19 @@ def test_malformed_beacon_logged_again_when_repeated():
 def test_unknown_kind_byte_logged_and_dropped():
     world = settled_pair()
     node = world.modules["m0"].node
+    before = dict(node.neighbor_table)
     for part in split_for_link(bytes([99, 0, 0])):
         node.on_link_payload(1, 0, part)
-    assert any("unknown message kind" in r[3]
-               for r in world.log.select("protocol-error", "m0"))
+    # Kind 1 was the retired HELLO: a second beacon kind, with the same body.
+    for part in split_for_link(bytes([1, 2, 0, 1]) + VERSION.pack(2)):
+        node.on_link_payload(1, 0, part)
+    assert [r[3] for r in world.log.select("protocol-error", "m0")] == [
+        "unknown message kind 99", "unknown message kind 1"]
+    assert node.neighbor_table == before
 
 
 _BODY_LAYOUTS = {
-    Kind.HELLO: VERSION, Kind.VERSION_ANNOUNCE: VERSION, Kind.APPDATA: APPDATA, Kind.BCAST: BCAST,
+    Kind.VERSION_ANNOUNCE: VERSION, Kind.APPDATA: APPDATA, Kind.BCAST: BCAST,
     Kind.REPLY: REQUEST, Kind.CODE_PUSH: CODE_PUSH, Kind.FILE: FILE, Kind.EXEC: REQUEST,
     Kind.START: REQUEST, Kind.INVOKE: INVOKE,
 }
@@ -911,7 +951,6 @@ def test_deeply_nested_program_answers_422():
 
 
 def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
-    world = settled_pair()
     decoded = []
     decode = node_module.decode_message
     monkeypatch.setattr(node_module, "decode_message",
@@ -919,17 +958,24 @@ def test_repeated_beacons_are_decoded_once_and_changed_ones_again(monkeypatch):
     parsed = []
     unpack = VERSION.unpack
     monkeypatch.setattr(VERSION, "unpack", lambda body: parsed.append(body) or unpack(body))
-    world.run_until_cs(800)  # six more announce rounds, byte for byte the same
+    world = settled_pair()
+    # A greeting each way, m0's push, then m1's first beacon at its new id.
+    # m0's tick sends the beacon it greeted with, so m1 decodes it once.
+    assert decoded == [Kind.VERSION_ANNOUNCE] * 2 + [Kind.CODE_PUSH, Kind.VERSION_ANNOUNCE]
+    assert len(parsed) == 3
+    decoded.clear()
+    parsed.clear()
+    world.run_until_cs(800)  # six more beacon rounds, byte for byte the same
     assert decoded == [] and parsed == []
     m1 = world.modules["m1"].node
     assert m1.neighbor_table[0] == (ModuleId((0,)), 1)
     world.modules["m0"].node.upgrade_local(2)
-    world.run_until_cs(1200)  # a push, then one new announce each way and no HELLO
+    world.run_until_cs(1200)  # a push, then one new beacon each way and no greeting
     assert decoded.count(Kind.VERSION_ANNOUNCE) == 2
     assert decoded.count(Kind.CODE_PUSH) == 1
     assert m1.neighbor_table[0] == (ModuleId((0,)), 2)
     assert world.modules["m0"].node.neighbor_table[1] == (ModuleId((0, 1)), 2)
-    assert len(parsed) == decoded.count(Kind.HELLO) + decoded.count(Kind.VERSION_ANNOUNCE) == 2
+    assert len(parsed) == decoded.count(Kind.VERSION_ANNOUNCE) == 2
     decoded.clear()
     parsed.clear()
     world.run_until_cs(2000)
