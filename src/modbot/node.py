@@ -229,9 +229,11 @@ class ServiceNode:
 
         def done(ticket: Ticket) -> None:
             self._push_inflight.discard(port)
-            if ticket.state is TicketState.DELIVERED:  # the child holds what its beacons will say
-                self.neighbor_table[port] = (child, version)
-                if version < self.version:  # this node moved on while the push was in flight
+            if ticket.state is TicketState.DELIVERED:  # the child holds at least this version
+                entry = self.neighbor_table[port]  # a push starts only where one is stored
+                if entry[1] < version:  # not if its beacon or push named this version or more
+                    entry = self.neighbor_table[port] = (child, version)
+                if entry[1] < self.version:  # this node moved on while the push was in flight
                     self._start_push(port)
             else:
                 self.host.log("push-fail", f"v={version} port={port}")

@@ -3,10 +3,10 @@
 Time is an integer count of simulated microseconds. Log records and all
 externally visible timestamps are reported in centiseconds. Events fire in
 (time, insertion-order) priority, so a run is a pure function of its inputs
-and seed. A batch of calls known in advance (a world's scenario) takes the
-keys that as many `call_at` calls would, but waits outside the heap: only
-its next call due is queued, so the heap holds what the run itself
-scheduled plus one entry per batch.
+and seed. A batch of calls known in advance (a world's boots and scenario)
+takes the keys that as many `call_at` calls would, but waits outside the
+heap: only its next call due is queued, so the heap holds what the run
+itself scheduled plus one entry per batch.
 
 The RNG is xorshift64* (shift triple 12/25/27, multiplier
 0x2545F4914F6CDD1D) seeded through one splitmix64 step, chosen so that runs

@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -155,13 +155,6 @@ def _split_end(token: str) -> tuple[str, Optional[int]]:
     return name, _port_index(port)
 
 
-def _records(text: str):
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_no, line.split()
-
-
 def read_text(path: str | Path) -> str:
     """A UTF-8 text file's contents; LoadError if it cannot be read or decoded."""
     try:
@@ -192,7 +185,10 @@ def parse_topology(text: str, base_dir: Path | str = ".") -> Topology:
             return None
         return name, port
 
-    for line_no, fields in _records(text):
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.partition("#")[0].split()
+        if not fields:
+            continue
         record = fields[0]
         if record == "module":
             if len(fields) < 2:
@@ -488,12 +484,7 @@ class World:
         self.links: list[SimLink] = []
         for spec in topology.links:
             self._wire(spec, topology)
-        for spec in topology.modules:
-            module = self.modules[spec.name]
-            is_root = spec.name == topology.root
-            self.scheduler.call_at(0, lambda m=module, r=is_root: m.node.bootstrap(r))
-        if scenario is not None:
-            self._schedule(scenario)
+        self._schedule(topology, scenario.events if scenario is not None else [])
 
     def _wire(self, spec: LinkSpec, topology: Topology) -> None:
         loss = spec.loss if spec.loss is not None else topology.default_loss
@@ -514,11 +505,16 @@ class World:
         mod_b.ports[spec.port_b] = PortRuntime(proto_b, link, spec.module_a)
         self.links.append(link)
 
-    def _schedule(self, scenario: Scenario) -> None:
+    def _schedule(self, topology: Topology, events: list[ScenarioEvent]) -> None:
+        """Schedule the start-up as one batch: every module's boot at 0 in
+        topology order, then the scenario's events in time order, ties in
+        list order. An event timed before 0 fires at 0, after the boots and
+        before the events at 0."""
         diags = []
-        calls = []
+        root = topology.root
+        calls = [(0, self.modules[m.name].node.bootstrap, m.name == root) for m in topology.modules]
         apply = self._apply  # one bound method, shared by every call
-        for event in scenario.events:
+        for event in sorted(events, key=attrgetter("time_cs")):  # stable
             if event.kind in ("sever", "restore"):
                 target = self._find_link(event.args[0], event.args[1])
                 if target is None:
@@ -527,10 +523,9 @@ class World:
                 target = self.modules.get(event.args[0])
                 if target is None:
                     diags.append(f"scenario references unknown module {event.args[0]!r}")
-            calls.append((event.time_cs * US_PER_CS, apply, event, target))
+            calls.append((max(event.time_cs, 0) * US_PER_CS, apply, event, target))
         if diags:
             raise LoadError(diags)
-        calls.sort(key=itemgetter(0))  # stable: events at one time keep list order
         self.scheduler.call_batch(calls)
 
     def _find_link(self, end_a: str, end_b: str) -> Optional[SimLink]:

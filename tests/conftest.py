@@ -16,7 +16,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.ge
 
 _DIRS = ("NORTH", "SOUTH", "EAST", "WEST", "UP", "DOWN")
 
-# The world-level convergence property (tests/test_diffusion.py), the link
+# The world-level diffusion properties (tests/test_diffusion.py), the link
 # properties (tests/test_link_stateful.py), the end-to-end request
 # property (tests/test_node.py) and the frame and message codec properties
 # (tests/test_crc_frames.py, tests/test_messages.py) each run under a

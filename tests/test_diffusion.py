@@ -377,10 +377,11 @@ def test_a_delivered_push_updates_the_pushers_table_before_the_childs_beacon():
 
 
 @st.composite
-def _lossy_worlds(draw):
+def _lossy_worlds(draw, max_upgrades: int = 3, any_module: bool = False):
     """A chain or tree of 2-6 modules at loss 0-0.3 and 1-3 retries, whose
-    topology root is upgraded one to three times; returns (world, newest
-    version, time of the last upgrade in cs)."""
+    topology root (any module, if any_module) is upgraded one to
+    max_upgrades times; returns (world, newest version, time of the last
+    upgrade in cs)."""
     n = draw(st.integers(2, 6))
     loss = draw(st.floats(0.0, 0.3))
     retries = draw(st.integers(1, 3))
@@ -388,19 +389,18 @@ def _lossy_worlds(draw):
         topology = chain_topology(n, loss=loss, max_retries=retries)
     else:
         topology = tree_topology(n, draw(st.integers(0, 99)), loss=loss, max_retries=retries)
-    times = sorted(draw(st.lists(st.integers(0, 2000), min_size=1, max_size=3)))
-    events = [ScenarioEvent(t, "upgrade", (topology.root, version))
+    times = sorted(draw(st.lists(st.integers(0, 2000), min_size=1, max_size=max_upgrades)))
+    names = st.sampled_from([spec.name for spec in topology.modules])
+    events = [ScenarioEvent(t, "upgrade", (draw(names) if any_module else topology.root, version))
               for version, t in enumerate(times, start=2)]
     world = World(topology, Scenario(events=events), seed=draw(st.integers(0, 2**32 - 1)))
     return world, len(times) + 1, times[-1]
 
 
-@settings(CONVERGENCE)
-@given(_lossy_worlds())
-def test_lossy_diffusion_converges_to_the_newest_version_with_distinct_ids(case):
-    # Quiescence: every module at the newest version, with no push in
-    # flight or held. Each tick retries what loss broke, so it comes.
-    world, newest, last_cs = case
+def _run_to_quiescence(world: World, newest: int, last_cs: int) -> None:
+    """Run until every module is at the newest version, with no push in
+    flight or held, or 300 s past the last upgrade. Each tick retries what
+    loss broke, so quiescence comes."""
     nodes = [module.node for module in world.modules.values()]
     t_cs = last_cs
     while t_cs < last_cs + 30_000 and not all(
@@ -408,11 +408,69 @@ def test_lossy_diffusion_converges_to_the_newest_version_with_distinct_ids(case)
             for node in nodes):
         t_cs += 200
         world.run_until_cs(t_cs)
-    assert _versions(world) == [newest] * len(nodes)
-    assert len(set(_ids(world))) == len(nodes)
+
+
+@settings(CONVERGENCE)
+@given(_lossy_worlds())
+def test_lossy_diffusion_converges_to_the_newest_version_with_distinct_ids(case):
+    world, newest, last_cs = case
+    _run_to_quiescence(world, newest, last_cs)
+    assert _versions(world) == [newest] * len(world.modules)
+    assert len(set(_ids(world))) == len(world.modules)
     for name in world.modules:
         seen = [int(r[3]) for r in world.log.select("version", name)]
         assert seen == sorted(seen)
+
+
+class _WatchedTable(dict):
+    """A neighbour table that keeps each write as (port, old entry, new entry)."""
+
+    def __init__(self, table: dict):
+        super().__init__(table)
+        self.writes: list[tuple] = []
+
+    def __setitem__(self, port, entry) -> None:
+        self.writes.append((port, self.get(port), entry))
+        super().__setitem__(port, entry)
+
+
+def _watch_table(node) -> list[tuple]:
+    node.neighbor_table = _WatchedTable(node.neighbor_table)
+    return node.neighbor_table.writes
+
+
+@settings(CONVERGENCE)
+@given(_lossy_worlds(max_upgrades=4, any_module=True))
+def test_no_write_lowers_a_neighbours_version_or_renames_it_at_its_version(case):
+    # A module holds one id per version, and its versions never fall, so
+    # a neighbour entry's version only rises and its id changes only with
+    # it. A delivered push must leave an entry that the child's own beacon
+    # or push stored at the pushed version or above; only upgrades away
+    # from the root deliver them in that order.
+    world, newest, last_cs = case
+    writes = {name: _watch_table(module.node) for name, module in world.modules.items()}
+    _run_to_quiescence(world, newest, last_cs)
+    assert _versions(world) == [newest] * len(world.modules)
+    for name, log in writes.items():
+        for port, old, new in log:
+            assert old is None or old[1] < new[1] or old == new, (name, port, old, new)
+
+
+def test_a_delivered_push_leaves_a_newer_entry_of_its_receiver():
+    # m1 pushes v2 to m0 (300 cs), which reaches v3 at 305 cs and pushes it
+    # to m1. m1 adopts v3 at 328 cs, and its v2 push is delivered after
+    # that: m0's push already told m1 that m0 runs v3 as "0", so the
+    # delivery neither renames m0 to the push's 0.1.0 at v2 nor pushes v3
+    # back to the module that sent it.
+    scenario = Scenario(events=[
+        ScenarioEvent(300, "upgrade", ("m1", 2)), ScenarioEvent(305, "upgrade", ("m0", 3))])
+    world = build(chain_topology(2), scenario, seed=1)
+    writes = _watch_table(world.modules["m1"].node)
+    world.run_until_cs(1000)
+    assert [r[3] for r in world.log.select("push-reject")] == ["v=2 from=0.1"]
+    assert [new for _port, _old, new in writes if str(new[0]) == "0.1.0"] == []
+    assert world.log.select("push", "m1") == [(300, "m1", "push", "v=2 port=0 id=0.1.0")]
+    assert world.modules["m1"].node.neighbor_table[0] == (ModuleId((0,)), 3)
 
 
 def test_a_failed_push_whose_child_adopted_is_healed_by_the_childs_next_announce():

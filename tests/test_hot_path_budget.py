@@ -69,12 +69,14 @@ def test_python_calls_per_link_frame_stay_within_budget():
     assert calls / frames <= CALLS_PER_FRAME_BUDGET, f"{calls} calls for {frames} frames"
 
 
-# 5.015 calls and 29.998 lines measured (3,004 and 17,969 for 100 modules, 99
-# links and 400 events) with scenario events batched and links found by
-# their ends; 5.674 calls and 166.4 lines with a link scan and a call_at
-# per event, growing with links x events
-SETUP_CALLS_BUDGET = 5.02
-SETUP_LINES_BUDGET = 30.0
+# 4.850 calls and 28.492 lines measured (2,905 and 17,067 for 100 modules, 99
+# links and 400 events) with the boots in the scenario's call batch; 5.015
+# calls and 29.496 lines (3,004 and 17,668) with a call_at lambda per boot.
+# 5.015 calls and 29.998 lines (3,004 and 17,969) when scenario events were
+# first batched and links found by their ends; 5.674 calls and 166.4 lines
+# with a link scan and a call_at per event, growing with links x events
+SETUP_CALLS_BUDGET = 4.85
+SETUP_LINES_BUDGET = 28.5
 
 
 def test_world_setup_work_per_module_link_and_event_stays_within_budget():

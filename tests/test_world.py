@@ -110,6 +110,32 @@ def test_empty_topology_and_scenario_run_to_empty_log():
     assert log.render() == ""
 
 
+def test_boots_fire_first_in_topology_order_then_the_scenario_at_zero():
+    topo = chain_topology(3)
+    topo.modules.reverse()
+    scen = Scenario(events=[ScenarioEvent(0, "sensor", ("m0", 1, 1)),
+                            ScenarioEvent(0, "upgrade", ("m1", 2))])
+    world = World(topo, scen, seed=1)
+    assert len(world.scheduler._queue) == 1  # the start-up batch's next call
+    world.run_until_cs(0)
+    assert world.log.lines() == [
+        "0 m2 boot id= v=0", "0 m1 boot id= v=0", "0 m0 boot id=0 v=1",
+        "0 m0 sensor 1 1", "0 m1 version 2"]
+
+
+def test_code_built_events_out_of_time_order_fire_in_time_order_ties_in_list_order():
+    # An event timed before 0 fires at 0, after the boots and before the
+    # events at 0; the events at one time keep their list order.
+    scen = Scenario(events=[
+        ScenarioEvent(10, "sensor", ("m1", 1, 5)), ScenarioEvent(0, "sensor", ("m0", 1, 1)),
+        ScenarioEvent(-3, "sensor", ("m1", 1, 2)), ScenarioEvent(0, "sensor", ("m0", 1, 3))])
+    world = World(pair_topology(), scen, seed=1)
+    world.run_until_cs(10)
+    assert [line for line in world.log.lines() if " boot " in line or " sensor " in line] == [
+        "0 m0 boot id=0 v=1", "0 m1 boot id= v=0",
+        "0 m1 sensor 1 2", "0 m0 sensor 1 1", "0 m0 sensor 1 3", "10 m1 sensor 1 5"]
+
+
 def test_scenario_referencing_unknown_module_refuses_to_run():
     topo = pair_topology()
     scen = Scenario(events=[ScenarioEvent(5, "upgrade", ("ghost", 2))])
